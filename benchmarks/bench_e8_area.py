@@ -14,10 +14,10 @@ from _helpers import write_report
 from repro.arch import (
     AES_ENC_GATES,
     ECC_CORE_GATES_REFERENCE,
+    PRESENT80_GATES,
     SHA1_GATES,
     ecc_core_area,
 )
-from repro.primitives import PRESENT80_GATES
 
 
 def run_experiment():

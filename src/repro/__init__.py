@@ -14,7 +14,7 @@ paper's security pyramid:
 * :mod:`repro.sca` — timing/SPA/DPA/CPA attacks and leakage tests,
 * :mod:`repro.fault` — fault injection and countermeasures,
 * :mod:`repro.protocols` — Peeters–Hermans, Schnorr, AES mutual auth,
-* :mod:`repro.primitives` — AES, SHA-1, MACs, DRBG, TRNG model,
+* :mod:`repro.primitives` — AES, SHA-1, MACs, DRBG,
 * :mod:`repro.energy` — radio/battery/system-level energy trade-offs,
 * :mod:`repro.security` — the pyramid model and the evaluation harness.
 """

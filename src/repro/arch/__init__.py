@@ -11,6 +11,7 @@ from .area import (
     AreaBreakdown,
     ECC_CORE_GATES_REFERENCE,
     GateCosts,
+    PRESENT80_GATES,
     SHA1_GATES,
     ecc_core_area,
 )
@@ -34,7 +35,6 @@ from .program import (
     analyze_program,
     format_listing,
 )
-from .testbench import CoverageReport, EquivalenceTestbench
 from .registers import RegisterFile, RegisterWrite
 from .trace import ExecutionTrace, IterationSpan
 
@@ -44,6 +44,7 @@ __all__ = [
     "ecc_core_area",
     "SHA1_GATES",
     "AES_ENC_GATES",
+    "PRESENT80_GATES",
     "ECC_CORE_GATES_REFERENCE",
     "ClockGatingPolicy",
     "ClockTreeModel",
@@ -62,8 +63,6 @@ __all__ = [
     "REGISTER_NAMES",
     "analyze_program",
     "format_listing",
-    "CoverageReport",
-    "EquivalenceTestbench",
     "RegisterFile",
     "RegisterWrite",
     "ExecutionTrace",

@@ -20,6 +20,7 @@ __all__ = [
     "ecc_core_area",
     "SHA1_GATES",
     "AES_ENC_GATES",
+    "PRESENT80_GATES",
     "ECC_CORE_GATES_REFERENCE",
 ]
 
@@ -28,6 +29,9 @@ SHA1_GATES = 5527
 
 #: Feldhofer et al. — compact AES-128 encryption core, for comparison.
 AES_ENC_GATES = 3400
+
+#: Bogdanov et al. (CHES 2007) — the original PRESENT-80 implementation.
+PRESENT80_GATES = 1570
 
 #: The paper's quoted ECC core size (reference [10]).
 ECC_CORE_GATES_REFERENCE = 12_000

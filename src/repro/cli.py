@@ -97,8 +97,8 @@ def cmd_energy(seed: int = 1) -> str:
 
 def cmd_area() -> str:
     """The gate-count comparison table."""
-    from .arch import AES_ENC_GATES, SHA1_GATES, ecc_core_area
-    from .primitives import PRESENT80_GATES
+    from .arch import (AES_ENC_GATES, PRESENT80_GATES, SHA1_GATES,
+                       ecc_core_area)
 
     ecc = ecc_core_area()
     rows = [

@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Optional
 
+from ..adversary.defense import defense_config
 from ..backends.evaluation import HANDSHAKE_POINT_MULTIPLICATIONS
 from ..campaign.acquire import default_workers
 from ..campaign.store import _atomic_write_bytes
@@ -38,6 +39,8 @@ from ..campaign.supervisor import (
 from ..obs import runtime as obs_runtime
 from ..power.energy import EnergyModel, energy_per_toggle_for_activity
 from ..power.technology import OperatingPoint
+from ..security.pyramid import (checkpoint_posture, defense_posture,
+                               session_posture)
 from ..security.score import score_design
 from .errors import MissingMeasurementError
 from .evaluate import load_measurement, run_measurement_attempt
@@ -132,8 +135,8 @@ def _symmetric_only_rows(spec: DesignSpaceSpec, model: EnergyModel,
         for vdd in spec.vdd_volts:
             score = score_design(
                 reference_config, vdd=vdd,
-                session={"rekey_epoch": None,
-                         "private_identification": False})
+                postures=[session_posture(
+                    None, private_identification=False)])
             for frequency_hz in spec.frequencies_hz:
                 op = OperatingPoint(frequency_hz=frequency_hz, vdd=vdd)
                 report = model.report_activity(
@@ -213,23 +216,21 @@ def analyze_space(directory: str, spec: DesignSpaceSpec,
         config = spec.coprocessor_config(job)
         findings = data.get("whitebox") or ()
         for vdd in spec.vdd_volts:
-            # A defense posture never touches the simulated bytes —
-            # config_digest ignores it — so adding the axis re-prices
-            # the same cached cells instead of re-simulating them.
             # Neither a defense posture nor a checkpoint interval
             # touches the simulated bytes — config_digest ignores both
             # — so activating these axes re-prices the same cached
             # cells instead of re-simulating them.
             for defense in (spec.defenses or (None,)):
                 for interval in (spec.checkpoint_intervals or (None,)):
-                    checkpoint = None
+                    postures = []
+                    if defense is not None:
+                        postures.append(
+                            defense_posture(defense_config(defense)))
                     if interval is not None:
-                        checkpoint = {"durable": True,
-                                      "checkpoint_interval": interval}
+                        postures.append(checkpoint_posture(interval))
                     score = score_design(config, vdd=vdd,
                                          findings=findings,
-                                         defenses=defense,
-                                         checkpoint=checkpoint)
+                                         postures=postures)
                     # One score per ECC-carrying backend point: the
                     # session posture (rekey epoch) is the only thing
                     # that differs, and it is frequency-independent.
@@ -240,9 +241,7 @@ def analyze_space(directory: str, spec: DesignSpaceSpec,
                         epoch = 1 if bp.kind == "ecc" else bp.epoch
                         point_scores[bp.label] = score_design(
                             config, vdd=vdd, findings=findings,
-                            defenses=defense, checkpoint=checkpoint,
-                            session={"rekey_epoch": epoch,
-                                     "private_identification": True})
+                            postures=[*postures, session_posture(epoch)])
                     for frequency_hz in spec.frequencies_hz:
                         point = OperatingPoint(
                             frequency_hz=frequency_hz, vdd=vdd)

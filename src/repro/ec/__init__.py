@@ -2,8 +2,9 @@
 
 The algorithm level of the paper's security pyramid: curve arithmetic,
 the Montgomery powering ladder with randomized projective coordinates,
-baseline scalar-multiplication algorithms, Koblitz-curve speed-ups and
-the NIST named curves (K-163 is the paper's design point).
+scalar and point blinding, the double-and-add baseline it is compared
+against, and the NIST named curves (K-163 is the paper's design
+point).
 """
 
 from .blinding import (
@@ -34,7 +35,6 @@ from .keys import (
     ecdsa_verify,
     generate_keypair,
 )
-from .koblitz import frobenius, is_koblitz, tnaf, tnaf_multiply
 from .ladder import (
     LadderExecution,
     LadderIteration,
@@ -42,21 +42,9 @@ from .ladder import (
     montgomery_ladder,
     montgomery_ladder_full,
 )
-from .memory import (
-    AlgorithmMemory,
-    MEMORY_PROFILES,
-    memory_profile,
-    register_area_ge,
-)
 from .modn import ScalarRing, is_probable_prime
 from .point import AffinePoint, LDProjectivePoint
-from .scalar_mult import (
-    double_and_add,
-    double_and_add_always,
-    non_adjacent_form,
-    width_w_naf,
-    wnaf_multiply,
-)
+from .scalar_mult import double_and_add
 
 __all__ = [
     "AffinePoint",
@@ -69,10 +57,6 @@ __all__ = [
     "blind_scalar",
     "blinded_scalar_multiply",
     "point_blinded_multiply",
-    "AlgorithmMemory",
-    "MEMORY_PROFILES",
-    "memory_profile",
-    "register_area_ge",
     "NamedCurve",
     "NIST_K163",
     "NIST_B163",
@@ -93,12 +77,4 @@ __all__ = [
     "ScalarRing",
     "is_probable_prime",
     "double_and_add",
-    "double_and_add_always",
-    "non_adjacent_form",
-    "width_w_naf",
-    "wnaf_multiply",
-    "frobenius",
-    "is_koblitz",
-    "tnaf",
-    "tnaf_multiply",
 ]

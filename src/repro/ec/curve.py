@@ -116,8 +116,7 @@ class BinaryEllipticCurve:
         """Reference scalar multiplication (left-to-right double-and-add).
 
         Not side-channel safe; used as the correctness oracle.  For the
-        hardened algorithms see :mod:`repro.ec.scalar_mult` and
-        :mod:`repro.ec.ladder`.
+        hardened algorithm see :mod:`repro.ec.ladder`.
         """
         if k < 0:
             return self.multiply_naive(-k, self.negate(p))

@@ -1,20 +1,15 @@
-"""Scalar multiplication algorithms and their side-channel profiles.
+"""The textbook scalar multiplication and its side-channel profile.
 
 The algorithm level of the security pyramid (Section 3/4): the choice
 of point-multiplication algorithm determines performance, temporary
-storage *and* side-channel resistance.  This module provides the
-paper's choice (the Montgomery ladder lives in :mod:`repro.ec.ladder`)
-plus the baselines it is compared against:
+storage *and* side-channel resistance.  The paper's choice, the
+Montgomery ladder, lives in :mod:`repro.ec.ladder`; this module keeps
+the baseline it is compared against, :func:`double_and_add`, whose
+operation sequence depends on the key (the timing and SPA leak of
+bench E3).
 
-* :func:`double_and_add` — the textbook algorithm; its operation
-  sequence depends on the key (timing + SPA leak),
-* :func:`double_and_add_always` — constant operation sequence via dummy
-  additions (SPA-safe but vulnerable to C safe-error fault attacks),
-* :func:`wnaf_multiply` — width-w NAF with precomputation (fast, still
-  key-dependent sequence).
-
-Each function can record its operation sequence — the abstract
-"power signature" an SPA adversary observes at the algorithm level.
+The function can record its operation sequence — the abstract "power
+signature" an SPA adversary observes at the algorithm level.
 """
 
 from __future__ import annotations
@@ -24,18 +19,11 @@ from typing import Optional
 from .curve import BinaryEllipticCurve
 from .point import AffinePoint
 
-__all__ = [
-    "double_and_add",
-    "double_and_add_always",
-    "wnaf_multiply",
-    "non_adjacent_form",
-    "width_w_naf",
-]
+__all__ = ["double_and_add"]
 
 #: Operation labels used in recorded sequences.
 OP_DOUBLE = "D"
 OP_ADD = "A"
-OP_DUMMY_ADD = "a"
 
 
 def double_and_add(
@@ -62,118 +50,6 @@ def double_and_add(
             operations.append(OP_DOUBLE)
         if (k >> i) & 1:
             result = curve.add(result, point)
-            if operations is not None:
-                operations.append(OP_ADD)
-    return result
-
-
-def double_and_add_always(
-    curve: BinaryEllipticCurve,
-    k: int,
-    point: AffinePoint,
-    operations: Optional[list] = None,
-) -> AffinePoint:
-    """Double-and-add-always: a dummy addition pads every zero bit.
-
-    The operation sequence is key-independent (``DA`` per bit), closing
-    the SPA channel of :func:`double_and_add` at the cost of ~2x
-    additions — and opening a safe-error fault channel, since faulting
-    a dummy addition does not change the result
-    (see :mod:`repro.fault`).
-    """
-    if k < 0:
-        return double_and_add_always(curve, -k, curve.negate(point), operations)
-    if k == 0 or point.is_infinity:
-        return AffinePoint.infinity()
-    result = point
-    for i in range(k.bit_length() - 2, -1, -1):
-        result = curve.double(result)
-        if operations is not None:
-            operations.append(OP_DOUBLE)
-        real = curve.add(result, point)
-        if (k >> i) & 1:
-            result = real
-            if operations is not None:
-                operations.append(OP_ADD)
-        else:
-            # discard: dummy addition, same computation either way
-            if operations is not None:
-                operations.append(OP_DUMMY_ADD)
-    return result
-
-
-def non_adjacent_form(k: int) -> list:
-    """Signed-digit NAF of ``k`` (least significant digit first).
-
-    Digits are in {-1, 0, 1} with no two adjacent non-zeros; the
-    expansion has minimal Hamming weight among signed-binary forms.
-    """
-    if k < 0:
-        return [-d for d in non_adjacent_form(-k)]
-    digits = []
-    while k:
-        if k & 1:
-            d = 2 - (k % 4)
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
-    return digits
-
-
-def width_w_naf(k: int, w: int) -> list:
-    """Width-w NAF (least significant digit first), odd digits |d| < 2^(w-1)."""
-    if w < 2:
-        raise ValueError("window width must be >= 2")
-    if k < 0:
-        return [-d for d in width_w_naf(-k, w)]
-    digits = []
-    modulus = 1 << w
-    while k:
-        if k & 1:
-            d = k % modulus
-            if d >= modulus // 2:
-                d -= modulus
-            k -= d
-        else:
-            d = 0
-        digits.append(d)
-        k >>= 1
-    return digits
-
-
-def wnaf_multiply(
-    curve: BinaryEllipticCurve,
-    k: int,
-    point: AffinePoint,
-    width: int = 4,
-    operations: Optional[list] = None,
-) -> AffinePoint:
-    """Width-w NAF scalar multiplication with odd-multiple precomputation.
-
-    The fast (but unprotected) algorithm a performance-only design
-    would pick; included as the efficiency baseline for the
-    architecture-level trade-off benches.
-    """
-    if k == 0 or point.is_infinity:
-        return AffinePoint.infinity()
-    if k < 0:
-        return wnaf_multiply(curve, -k, curve.negate(point), width, operations)
-    digits = width_w_naf(k, width)
-    # Precompute odd multiples 1P, 3P, ..., (2^(w-1) - 1)P.
-    odd_multiples = {1: point}
-    twice = curve.double(point)
-    for d in range(3, 1 << (width - 1), 2):
-        odd_multiples[d] = curve.add(odd_multiples[d - 2], twice)
-    result = AffinePoint.infinity()
-    for d in reversed(digits):
-        result = curve.double(result)
-        if operations is not None:
-            operations.append(OP_DOUBLE)
-        if d:
-            addend = odd_multiples[d] if d > 0 else curve.negate(odd_multiples[-d])
-            result = curve.add(result, addend)
             if operations is not None:
                 operations.append(OP_ADD)
     return result

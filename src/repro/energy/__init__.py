@@ -5,7 +5,6 @@ vs public-key computation/communication comparison of Section 4.
 """
 
 from .budget import DeviceBudget, PACEMAKER_BUDGET
-from .duty_cycle import Activity, DutyCycleModel
 from .comparison import (
     ComputeEnergyTable,
     ProtocolEnergy,
@@ -18,8 +17,6 @@ __all__ = [
     "RadioModel",
     "BAN_RADIO",
     "DeviceBudget",
-    "Activity",
-    "DutyCycleModel",
     "PACEMAKER_BUDGET",
     "ComputeEnergyTable",
     "ProtocolEnergy",

@@ -1,17 +1,14 @@
 """Supporting cryptographic primitives.
 
 The non-ECC building blocks the protocols and models need: AES-128 and
-SHA-1 from scratch, MACs, a deterministic seedable DRBG (standing in
-for the chip's TRNG) and a behavioural TRNG model with health tests.
+SHA-1 from scratch, MACs and a deterministic seedable DRBG (standing in
+for the chip's TRNG).
 """
 
 from .aes import Aes128, INV_SBOX, SBOX
 from .mac import aes_cmac, constant_time_equal, hmac_sha1
-from .present import Present80, PRESENT80_GATES
 from .prng import AesCtrDrbg
-from .rng_system import DeviceRandomness, EntropyFailure
 from .sha1 import Sha1, sha1
-from .trng import TrngModel, monobit_test, runs_test, von_neumann_debias
 
 __all__ = [
     "Aes128",
@@ -21,14 +18,6 @@ __all__ = [
     "hmac_sha1",
     "constant_time_equal",
     "AesCtrDrbg",
-    "Present80",
-    "PRESENT80_GATES",
-    "DeviceRandomness",
-    "EntropyFailure",
     "Sha1",
     "sha1",
-    "TrngModel",
-    "monobit_test",
-    "runs_test",
-    "von_neumann_debias",
 ]

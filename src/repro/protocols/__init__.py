@@ -49,12 +49,6 @@ from .privacy import (
     peeters_hermans_linkage_game,
     schnorr_linkage_game,
 )
-from .key_management import KeyServer, diversify_key, fleet_exposure
-from .threshold import (
-    Share,
-    ShamirSecretSharing,
-    threshold_point_multiply,
-)
 from .schnorr import (
     SchnorrSession,
     SchnorrTag,
@@ -74,12 +68,6 @@ __all__ = [
     "IdentificationResult",
     "run_identification",
     "SchnorrTag",
-    "Share",
-    "KeyServer",
-    "diversify_key",
-    "fleet_exposure",
-    "ShamirSecretSharing",
-    "threshold_point_multiply",
     "SchnorrVerifier",
     "SchnorrSession",
     "run_schnorr_identification",

@@ -10,7 +10,7 @@ epoch's messages with a symmetric AEAD backend
 of magnitude smaller.  The epoch length is the forward-secrecy
 window: a captured session key exposes at most ``epoch_messages``
 messages, and :func:`repro.security.score_design` prices exactly that
-trade-off through its ``session`` posture.
+trade-off through a :func:`~repro.security.session_posture`.
 
 Mechanics, all deterministic in ``(spec, frame_loss,
 session_index)``:
@@ -74,11 +74,10 @@ _HANDSHAKE_PROTOCOLS = ("peeters-hermans", "schnorr")
 class AmortizedSpec:
     """Everything an amortized run depends on (and nothing else).
 
-    ``epoch_messages`` is the forward-secrecy window — the spec
-    duck-types the ``session`` posture of
-    :func:`repro.security.score_design` through ``rekey_epoch`` /
-    ``private_identification``, so the same object that drives the
-    simulation also prices the key-compromise threat.
+    ``epoch_messages`` is the forward-secrecy window — ``rekey_epoch``,
+    ``private_identification`` and ``erase_keys`` are the knobs of
+    :func:`repro.security.session_posture`, so the same object that
+    drives the simulation also prices the key-compromise threat.
     """
 
     protocol: str = "peeters-hermans"
@@ -129,7 +128,7 @@ class AmortizedSpec:
             if not 0.0 <= loss < 1.0:
                 raise ValueError(f"loss rate {loss} outside [0, 1)")
 
-    # -- score_design session-posture protocol -------------------------
+    # -- session-posture knobs -----------------------------------------
 
     @property
     def rekey_epoch(self) -> int:

@@ -8,7 +8,6 @@ attacker's activity predictor and the quality metrics.
 from .cpa import LadderCpa, columnwise_correlation
 from .dpa import BitDecision, DpaResult, LadderDpa
 from .metrics import first_order_snr, signal_to_noise_ratio, success_rate
-from .mia import LadderMia, mutual_information
 from .predict import ActivityPredictor, bits_to_int
 from .preprocess import (
     average_traces,
@@ -18,7 +17,6 @@ from .preprocess import (
     window,
 )
 from .spa import ProfiledSpa, SpaResult, bits_from_transitions, transition_spa
-from .template import GaussianTemplateAttack
 from .timing import (
     TimingReport,
     coprocessor_timing_report,
@@ -36,8 +34,6 @@ __all__ = [
     "ActivityPredictor",
     "bits_to_int",
     "success_rate",
-    "LadderMia",
-    "mutual_information",
     "signal_to_noise_ratio",
     "first_order_snr",
     "center",
@@ -48,7 +44,6 @@ __all__ = [
     "SpaResult",
     "transition_spa",
     "ProfiledSpa",
-    "GaussianTemplateAttack",
     "bits_from_transitions",
     "TimingReport",
     "coprocessor_timing_report",

@@ -7,15 +7,16 @@ from .pyramid import (
     AbstractionLevel,
     BATTERY_DEPLETION_THREAT,
     Countermeasure,
+    KEY_COMPROMISE_THREAT,
     POWER_INTERRUPTION_THREAT,
+    Posture,
     SecurityPyramid,
     Threat,
+    checkpoint_posture,
     default_pyramid,
-    defense_countermeasures,
-    intermittent_countermeasures,
+    defense_posture,
     pyramid_for_config,
-    pyramid_with_defenses,
-    pyramid_with_intermittent,
+    session_posture,
 )
 
 __all__ = [
@@ -25,12 +26,13 @@ __all__ = [
     "SecurityPyramid",
     "default_pyramid",
     "pyramid_for_config",
+    "Posture",
     "BATTERY_DEPLETION_THREAT",
     "POWER_INTERRUPTION_THREAT",
-    "defense_countermeasures",
-    "intermittent_countermeasures",
-    "pyramid_with_defenses",
-    "pyramid_with_intermittent",
+    "KEY_COMPROMISE_THREAT",
+    "defense_posture",
+    "checkpoint_posture",
+    "session_posture",
     "AttackFinding",
     "EvaluationReport",
     "WhiteBoxEvaluation",

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field as dataclass_field
+from typing import Optional, Sequence
 
 __all__ = ["AbstractionLevel", "Threat", "Countermeasure", "SecurityPyramid",
-           "default_pyramid", "pyramid_for_config",
-           "BATTERY_DEPLETION_THREAT", "defense_countermeasures",
-           "pyramid_with_defenses", "POWER_INTERRUPTION_THREAT",
-           "intermittent_countermeasures", "pyramid_with_intermittent",
-           "KEY_COMPROMISE_THREAT", "session_countermeasures",
-           "pyramid_with_session"]
+           "default_pyramid", "pyramid_for_config", "Posture",
+           "BATTERY_DEPLETION_THREAT", "defense_posture",
+           "POWER_INTERRUPTION_THREAT", "checkpoint_posture",
+           "KEY_COMPROMISE_THREAT", "session_posture"]
 
 
 class AbstractionLevel(enum.IntEnum):
@@ -196,58 +195,65 @@ def default_pyramid() -> SecurityPyramid:
     return pyramid
 
 
+@dataclass(frozen=True)
+class Posture:
+    """One subsystem's term in the threat model.
+
+    ``threat`` joins the scored set after :data:`PAPER_THREATS`;
+    ``countermeasures`` are what the design deploys against it (the
+    threat stays open unless one is primary); ``opens`` names paper
+    threats the posture leaves open as a side effect.  Build one with
+    :func:`defense_posture`, :func:`checkpoint_posture` or
+    :func:`session_posture` and pass it to :func:`pyramid_for_config`
+    or :func:`repro.security.score.score_design`.
+    """
+
+    threat: Threat
+    countermeasures: tuple
+    opens: tuple = ()
+
+
 #: The active-adversary threat the adversary lab adds (not part of
 #: :data:`PAPER_THREATS`, whose length is the paper's own account):
 #: a malicious reader floods the tag with protocol work until the
 #: battery dies.  Only scored when a design declares its depletion
-#: defenses (see :func:`repro.security.score.score_design`).
+#: defenses through :func:`defense_posture`.
 BATTERY_DEPLETION_THREAT = Threat(
     "battery-depletion",
     "active flood forces protocol work until the battery dies")
 
 
-def defense_countermeasures(defenses) -> list:
-    """Countermeasures implied by an adversary-lab defense posture.
+def defense_posture(defenses) -> Posture:
+    """The battery-depletion posture of an adversary-lab defense set.
 
-    ``defenses`` is duck-typed (a
-    :class:`repro.adversary.defense.DefenseConfig` or anything with
-    its attributes) so the security layer never imports the adversary
-    package at module import time.  Wake gating and the energy budget
-    are primary — each alone bounds what a flood can drain; restart
-    throttling only slows the bleed, so it is supporting hygiene.
+    ``defenses`` is a :class:`repro.adversary.defense.DefenseConfig`
+    (duck-typed, so the security layer never imports the adversary
+    package).  Wake gating and the energy budget are primary — each
+    alone bounds what a flood can drain; restart throttling only slows
+    the bleed, so it is supporting hygiene.
     """
     measures = []
-    if getattr(defenses, "wake_gating", False):
+    if defenses.wake_gating:
         measures.append(Countermeasure(
             "authenticated wake-up radio gating",
             AbstractionLevel.PROTOCOL,
             ("battery-depletion",),
             "repro.adversary.defense"))
-    if getattr(defenses, "budget_cap_uj", 0.0) > 0:
+    if defenses.budget_cap_uj > 0:
         measures.append(Countermeasure(
             "per-window energy budget cap",
             AbstractionLevel.ARCHITECTURE,
             ("battery-depletion",),
             "repro.adversary.defense"))
-    if getattr(defenses, "restart_backoff_scale", 1.0) > 1.0 \
-            or getattr(defenses, "max_session_epochs", 0) > 0:
+    if defenses.restart_backoff_scale > 1.0 \
+            or defenses.max_session_epochs > 0:
         measures.append(Countermeasure(
             "bounded restart backoff / epoch throttling",
             AbstractionLevel.PROTOCOL,
             ("battery-depletion",),
             "repro.adversary.defense",
             primary=False))
-    return measures
-
-
-def pyramid_with_defenses(config, defenses) -> SecurityPyramid:
-    """:func:`pyramid_for_config` extended with the battery-depletion
-    threat and whatever depletion defenses the design deploys."""
-    pyramid = pyramid_for_config(config)
-    pyramid.add_threat(BATTERY_DEPLETION_THREAT)
-    for cm in defense_countermeasures(defenses):
-        pyramid.add_countermeasure(cm)
-    return pyramid
+    return Posture(BATTERY_DEPLETION_THREAT, tuple(measures))
 
 
 #: The intermittent-power threat (also opt-in): a reader that owns the
@@ -259,20 +265,20 @@ POWER_INTERRUPTION_THREAT = Threat(
     "field cuts mid-session force nonce reuse or torn state")
 
 
-def intermittent_countermeasures(posture) -> list:
-    """Countermeasures implied by an intermittent-power posture.
+def checkpoint_posture(checkpoint_interval: int,
+                       durable: bool = True) -> Posture:
+    """The power-interruption posture of a checkpointing design.
 
-    ``posture`` is duck-typed (an
-    :class:`~repro.intermittent.IntermittentSpec`, or anything with a
-    ``checkpoint_interval`` and optionally a ``durable`` flag).  The
-    commit-before-use nonce vault and the two-phase atomic store are
-    primary — together they make a second response under one nonce
-    impossible and a torn committed record unconstructible.  Periodic
-    ladder checkpointing only bounds the re-execution bill, so it is
-    supporting hygiene.
+    ``checkpoint_interval`` is the ladder steps between checkpoints
+    (0 for none); ``durable`` is False for a naive tag without
+    durable state.  The commit-before-use nonce vault and the
+    two-phase atomic store are primary — together they make a second
+    response under one nonce impossible and a torn committed record
+    unconstructible.  Periodic ladder checkpointing only bounds the
+    re-execution bill, so it is supporting hygiene.
     """
     measures = []
-    if getattr(posture, "durable", True):
+    if durable:
         measures.append(Countermeasure(
             "commit-before-use nonce checkpointing",
             AbstractionLevel.PROTOCOL,
@@ -283,24 +289,14 @@ def intermittent_countermeasures(posture) -> list:
             AbstractionLevel.ARCHITECTURE,
             ("power-interruption",),
             "repro.intermittent.checkpoint"))
-    if getattr(posture, "checkpoint_interval", 0) > 0:
+    if checkpoint_interval > 0:
         measures.append(Countermeasure(
             "periodic ladder-state checkpointing",
             AbstractionLevel.ALGORITHM,
             ("power-interruption",),
             "repro.intermittent.engine",
             primary=False))
-    return measures
-
-
-def pyramid_with_intermittent(config, posture) -> SecurityPyramid:
-    """:func:`pyramid_for_config` extended with the power-interruption
-    threat and whatever checkpointing posture the design deploys."""
-    pyramid = pyramid_for_config(config)
-    pyramid.add_threat(POWER_INTERRUPTION_THREAT)
-    for cm in intermittent_countermeasures(posture):
-        pyramid.add_countermeasure(cm)
-    return pyramid
+    return Posture(POWER_INTERRUPTION_THREAT, tuple(measures))
 
 
 #: The session-amortization threat (opt-in like the two above): once
@@ -313,54 +309,48 @@ KEY_COMPROMISE_THREAT = Threat(
     "a captured session key exposes every message in its window")
 
 
-def session_countermeasures(posture) -> list:
-    """Countermeasures implied by a session-amortization posture.
+def session_posture(rekey_epoch: Optional[int],
+                    private_identification: bool = True,
+                    erase_keys: bool = False) -> Posture:
+    """The key-compromise posture of a session-amortizing design.
 
-    ``posture`` is duck-typed (an
-    :class:`~repro.protocols.amortized.AmortizedSpec`, a plain
-    namespace, or anything with a ``rekey_epoch``).  A *finite*
-    rekeying epoch is primary — it bounds what any captured key can
-    expose to one forward-secrecy window, and each epoch key is
-    derived from a fresh asymmetric handshake rather than chained
-    from its predecessor.  Erasing retired epoch keys is supporting
-    hygiene: it shrinks the capture surface but cannot bound a live
-    key's window by itself.
+    ``rekey_epoch`` is the messages per asymmetric handshake, None for
+    a design that never rekeys.  A *finite* rekeying epoch is primary
+    — it bounds what any captured key can expose to one
+    forward-secrecy window, and each epoch key is derived from a fresh
+    asymmetric handshake rather than chained from its predecessor.
+    Erasing retired epoch keys is supporting hygiene: it shrinks the
+    capture surface but cannot bound a live key's window by itself.
+    Without the Peeters-Hermans private handshake a fixed symmetric
+    identity is linkable, so the posture also opens ``tracking``.
     """
     measures = []
-    epoch = getattr(posture, "rekey_epoch", None)
-    if isinstance(epoch, int) and not isinstance(epoch, bool) \
-            and epoch >= 1:
+    if isinstance(rekey_epoch, int) and not isinstance(rekey_epoch, bool) \
+            and rekey_epoch >= 1:
         measures.append(Countermeasure(
             "epoch-bounded session rekeying (forward-secrecy window)",
             AbstractionLevel.PROTOCOL,
             ("key-compromise",),
             "repro.protocols.amortized"))
-    if getattr(posture, "erase_keys", False):
+    if erase_keys:
         measures.append(Countermeasure(
             "retired epoch-key erasure",
             AbstractionLevel.PROTOCOL,
             ("key-compromise",),
             "repro.protocols.amortized",
             primary=False))
-    return measures
+    opens = () if private_identification else ("tracking",)
+    return Posture(KEY_COMPROMISE_THREAT, tuple(measures), opens)
 
 
-def pyramid_with_session(config, posture) -> SecurityPyramid:
-    """:func:`pyramid_for_config` extended with the key-compromise
-    threat and whatever rekeying posture the design deploys."""
-    pyramid = pyramid_for_config(config)
-    pyramid.add_threat(KEY_COMPROMISE_THREAT)
-    for cm in session_countermeasures(posture):
-        pyramid.add_countermeasure(cm)
-    return pyramid
-
-
-def pyramid_for_config(config) -> SecurityPyramid:
+def pyramid_for_config(config, postures: Sequence[Posture] = ()) \
+        -> SecurityPyramid:
     """Build the pyramid that matches an actual coprocessor config.
 
     Drops the countermeasures the configuration disables, so
     :meth:`SecurityPyramid.uncovered_threats` shows exactly which doors
-    a given design point leaves open.
+    a given design point leaves open.  Each posture then adds its
+    threat, in sequence order, with the countermeasures it deploys.
     """
     from ..arch.clockgate import ClockGatingPolicy
     from ..arch.control import BalancedEncoding
@@ -382,5 +372,9 @@ def pyramid_for_config(config) -> SecurityPyramid:
         pruned.add_threat(threat)
     for cm in full.countermeasures:
         if cm.name not in dropped:
+            pruned.add_countermeasure(cm)
+    for posture in postures:
+        pruned.add_threat(posture.threat)
+        for cm in posture.countermeasures:
             pruned.add_countermeasure(cm)
     return pruned

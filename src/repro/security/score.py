@@ -15,7 +15,9 @@ closed:
   about),
 * a non-resistant white-box finding opens the threat the attack
   demonstrates, even when the pyramid claims coverage — measurement
-  beats paperwork.
+  beats paperwork,
+* each subsystem posture (battery-depletion defenses, checkpointing,
+  session rekeying) adds one threat after the paper's eight.
 
 The score is ``closed / total`` in [0, 1]; the paper's protected
 design at nominal voltage scores 1.0.
@@ -24,13 +26,10 @@ design at nominal voltage scores 1.0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ..power.technology import TechnologyParams, UMC_130NM
-from .pyramid import (BATTERY_DEPLETION_THREAT, KEY_COMPROMISE_THREAT,
-                      PAPER_THREATS, POWER_INTERRUPTION_THREAT,
-                      defense_countermeasures, intermittent_countermeasures,
-                      pyramid_for_config, session_countermeasures)
+from .pyramid import Posture, pyramid_for_config
 
 __all__ = ["ATTACK_THREATS", "SecurityScore", "score_design"]
 
@@ -76,51 +75,11 @@ class SecurityScore:
                 f"(open: {doors})")
 
 
-def _resolve_defenses(defenses):
-    """Accept a named defense set, a dict of knobs, or a
-    DefenseConfig-shaped object (duck-typed: the adversary package is
-    only imported when a name or dict must be resolved)."""
-    if isinstance(defenses, str):
-        from ..adversary.defense import defense_config
-        return defense_config(defenses)
-    if isinstance(defenses, dict):
-        from ..adversary.defense import DefenseConfig
-        return DefenseConfig(**defenses)
-    return defenses
-
-
-def _resolve_session(session):
-    """Accept a dict of knobs (``rekey_epoch``,
-    ``private_identification``, ``erase_keys``) or an
-    AmortizedSpec-shaped object (duck-typed like the resolvers
-    above)."""
-    if isinstance(session, dict):
-        from types import SimpleNamespace
-        return SimpleNamespace(**session)
-    return session
-
-
-def _resolve_checkpoint(checkpoint):
-    """Accept ``True`` (the default checkpointing posture), a dict of
-    knobs, or an IntermittentSpec-shaped object (duck-typed like
-    :func:`_resolve_defenses` — the intermittent package is imported
-    only when the default must be built)."""
-    if checkpoint is True:
-        from ..intermittent import IntermittentSpec
-        return IntermittentSpec()
-    if isinstance(checkpoint, dict):
-        from types import SimpleNamespace
-        return SimpleNamespace(**checkpoint)
-    return checkpoint
-
-
 def score_design(config,
                  vdd: Optional[float] = None,
                  findings: Iterable = (),
                  technology: TechnologyParams = UMC_130NM,
-                 defenses=None,
-                 checkpoint=None,
-                 session=None,
+                 postures: Sequence[Posture] = (),
                  ) -> SecurityScore:
     """Score one design point.
 
@@ -136,39 +95,23 @@ def score_design(config,
         Optional white-box results — :class:`AttackFinding` objects or
         ``{"attack": ..., "resistant": ...}`` dicts.  A non-resistant
         finding opens the threat in :data:`ATTACK_THREATS`.
-    defenses:
-        Optional battery-depletion posture — a defense-set name from
-        :data:`repro.adversary.defense.DEFENSE_SETS`, a dict of
-        :class:`~repro.adversary.defense.DefenseConfig` knobs, or the
-        config itself.  When given, the ``battery-depletion`` threat
-        joins the scored set and is closed only by a *primary*
-        depletion countermeasure (wake gating or an energy budget
-        cap); None keeps the paper's original eight-threat score
-        byte-identical.
-    checkpoint:
-        Optional intermittent-power posture — ``True`` for the default
-        :class:`~repro.intermittent.IntermittentSpec`, a dict of its
-        knobs (``durable``, ``checkpoint_interval``), or the spec
-        itself.  When given, the ``power-interruption`` threat joins
-        the scored set and is closed only by a *primary* checkpointing
-        countermeasure (the commit-before-use nonce vault); None keeps
-        prior scores byte-identical.
-    session:
-        Optional session-amortization posture — a dict of knobs
-        (``rekey_epoch``: messages per asymmetric handshake, None for
-        a design that never rekeys; ``private_identification``:
-        whether each epoch still runs the Peeters-Hermans private
-        handshake; ``erase_keys``) or an
-        :class:`~repro.protocols.amortized.AmortizedSpec`-shaped
-        object.  When given, the ``key-compromise`` threat joins the
-        scored set and is closed only by a *primary* bounded
-        forward-secrecy window (a finite rekeying epoch); a posture
-        without private identification also opens the paper's
-        ``tracking`` threat (a fixed symmetric identity is linkable).
-        None keeps prior scores byte-identical.
+    postures:
+        Optional subsystem :class:`~repro.security.pyramid.Posture`
+        terms — from :func:`~repro.security.pyramid.defense_posture`
+        (``battery-depletion``),
+        :func:`~repro.security.pyramid.checkpoint_posture`
+        (``power-interruption``) or
+        :func:`~repro.security.pyramid.session_posture`
+        (``key-compromise``).  Each appends its threat to the scored
+        set in sequence order; the threat is open unless the posture
+        deploys a primary countermeasure, and the posture's ``opens``
+        are open too.  No postures keeps the paper's eight-threat
+        score.
     """
-    pyramid = pyramid_for_config(config)
+    pyramid = pyramid_for_config(config, postures)
     open_doors = {t.name for t in pyramid.uncovered_threats()}
+    for posture in postures:
+        open_doors.update(posture.opens)
     if vdd is not None and vdd < technology.nominal_vdd:
         open_doors.add("fault-attack")
     for finding in findings:
@@ -180,27 +123,7 @@ def score_design(config,
             resistant = finding.resistant
         if not resistant and attack in ATTACK_THREATS:
             open_doors.add(ATTACK_THREATS[attack])
-    order = [t.name for t in PAPER_THREATS]
-    if defenses is not None:
-        resolved = _resolve_defenses(defenses)
-        order.append(BATTERY_DEPLETION_THREAT.name)
-        if not any(cm.primary
-                   for cm in defense_countermeasures(resolved)):
-            open_doors.add(BATTERY_DEPLETION_THREAT.name)
-    if checkpoint is not None:
-        posture = _resolve_checkpoint(checkpoint)
-        order.append(POWER_INTERRUPTION_THREAT.name)
-        if not any(cm.primary
-                   for cm in intermittent_countermeasures(posture)):
-            open_doors.add(POWER_INTERRUPTION_THREAT.name)
-    if session is not None:
-        posture = _resolve_session(session)
-        order.append(KEY_COMPROMISE_THREAT.name)
-        if not any(cm.primary
-                   for cm in session_countermeasures(posture)):
-            open_doors.add(KEY_COMPROMISE_THREAT.name)
-        if not getattr(posture, "private_identification", True):
-            open_doors.add("tracking")
+    order = [t.name for t in pyramid.threats]
     return SecurityScore(
         closed=tuple(n for n in order if n not in open_doors),
         open_doors=tuple(n for n in order if n in open_doors),

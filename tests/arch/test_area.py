@@ -5,6 +5,7 @@ import pytest
 from repro.arch import (
     AES_ENC_GATES,
     ECC_CORE_GATES_REFERENCE,
+    PRESENT80_GATES,
     SHA1_GATES,
     ecc_core_area,
 )
@@ -65,6 +66,13 @@ class TestAreaModel:
         """Section 4: hashes are NOT negligibly cheap vs an ECC core —
         SHA-1 is nearly half the ECC core's size."""
         assert SHA1_GATES > 0.4 * ecc_core_area().total
+
+    def test_present_is_the_smallest(self):
+        """The Section 4 budget ladder: PRESENT << AES < SHA-1 << ECC."""
+        assert PRESENT80_GATES < AES_ENC_GATES < SHA1_GATES
+
+    def test_present_fraction_of_ecc(self):
+        assert PRESENT80_GATES < 0.15 * ecc_core_area().total
 
     def test_digit_size_growth_is_the_multiplier(self):
         """Doubling d grows the digit-serial multiplier; the register

@@ -60,22 +60,16 @@ class TestCoprocessorProperties:
 
 
 class TestCrossAlgorithmAgreement:
-    """All four scalar-mult implementations must agree pairwise."""
+    """The ladder and the chip must agree with the golden model."""
 
     @given(st.integers(min_value=1, max_value=1 << 40))
     @settings(max_examples=5, deadline=None)
-    def test_four_way_agreement(self, k):
-        from repro.ec import (
-            double_and_add_always,
-            montgomery_ladder,
-            tnaf_multiply,
-        )
+    def test_ladder_and_chip_agree(self, k):
+        from repro.ec import montgomery_ladder
 
         curve = NIST_K163.curve
         reference = GOLDEN(k, G)
         assert montgomery_ladder(curve, k, G, randomize_z=False) == reference
-        assert double_and_add_always(curve, k, G) == reference
-        assert tnaf_multiply(curve, k, G) == reference
         trace = COP.point_multiply(k, G, initial_z=1)
         assert trace.result == reference
 

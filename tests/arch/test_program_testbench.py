@@ -1,14 +1,10 @@
-"""Tests for microcode analysis and the equivalence testbench."""
-
-import random
+"""Tests for microcode analysis and listings."""
 
 import pytest
 
 from repro.arch import (
     CoprocessorConfig,
     EccCoprocessor,
-    EquivalenceTestbench,
-    Opcode,
     analyze_program,
     format_listing,
 )
@@ -79,44 +75,3 @@ class TestProgramAnalysis:
                     for i in trace.instructions]
 
         assert opcode_cycle_columns(0x3A7) == opcode_cycle_columns(0x155)
-
-
-class TestEquivalenceTestbench:
-    def test_campaign_passes_on_default_design(self):
-        bench = EquivalenceTestbench()
-        report = bench.run_campaign(runs=3, rng=random.Random(1))
-        assert report.all_passed
-        assert report.runs == 3 + 6  # corners included
-
-    def test_coverage_goals_hit(self):
-        bench = EquivalenceTestbench()
-        report = bench.run_campaign(runs=2, rng=random.Random(2))
-        points = report.coverage_points
-        assert points["bit_zero"] and points["bit_one"]
-        assert points["min_scalar"] and points["max_scalar"]
-        assert points["sparse_key"]
-        assert report.coverage >= 5 / 6
-
-    def test_opcodes_covered(self):
-        bench = EquivalenceTestbench()
-        report = bench.run_campaign(runs=1, rng=random.Random(3),
-                                    include_corners=False)
-        assert {Opcode.MUL, Opcode.SQR, Opcode.ADD, Opcode.LDI} <= \
-            report.opcodes_seen
-
-    def test_report_str(self):
-        bench = EquivalenceTestbench()
-        report = bench.run_campaign(runs=1, rng=random.Random(4),
-                                    include_corners=False)
-        assert "PASS" in str(report)
-
-    def test_mismatch_detection(self):
-        """A corrupted golden comparison is reported, not swallowed."""
-        bench = EquivalenceTestbench()
-        # Sabotage: make the golden model lie.
-        bench._golden = lambda k, p: p
-        rng = random.Random(5)
-        ok = bench.check(12345, bench.dut.domain.generator, rng)
-        assert not ok
-        assert not bench.report.all_passed
-        assert "FAIL" in str(bench.report)

@@ -1,18 +1,15 @@
-"""Tests for scalar/point blinding and the register-usage profiles."""
+"""Tests for scalar and point blinding."""
 
 import random
 
 import pytest
 
 from repro.ec import (
-    MEMORY_PROFILES,
     NIST_K163,
     blind_scalar,
     blinded_scalar_multiply,
-    memory_profile,
     montgomery_ladder_full,
     point_blinded_multiply,
-    register_area_ge,
 )
 
 CURVE, G, ORDER = NIST_K163.curve, NIST_K163.generator, NIST_K163.order
@@ -83,47 +80,3 @@ class TestPointBlinding:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             point_blinded_multiply(CURVE, -1, G, random.Random(9))
-
-
-class TestMemoryProfiles:
-    def test_paper_claim_six_vs_eight(self):
-        """Section 4: the x-only ladder fits six m-bit registers, 'the
-        best known algorithm for ECPM over a prime field uses 8'."""
-        ours = memory_profile("mpl-xonly-koblitz")
-        prime = memory_profile("coz-prime-field")
-        assert ours.registers == 6
-        assert prime.registers == 8
-
-    def test_coprocessor_matches_profile(self):
-        from repro.arch import CoprocessorConfig
-
-        assert CoprocessorConfig().core_register_count == \
-            memory_profile("mpl-xonly-koblitz").registers
-
-    def test_generic_b_needs_seven(self):
-        from repro.arch import CoprocessorConfig
-        from repro.ec import NIST_B163
-
-        profile = memory_profile("mpl-xonly-generic")
-        config = CoprocessorConfig(domain=NIST_B163)
-        assert config.core_register_count == profile.registers == 7
-
-    def test_storage_and_area(self):
-        profile = memory_profile("mpl-xonly-koblitz")
-        assert profile.storage_bits(163) == 6 * 163
-        assert register_area_ge("mpl-xonly-koblitz") == 6 * 163 * 6.0
-
-    def test_register_saving_in_ge(self):
-        """The two saved registers are worth ~2 kGE of silicon."""
-        saving = register_area_ge("coz-prime-field") - register_area_ge(
-            "mpl-xonly-koblitz"
-        )
-        assert 1800 < saving < 2200
-
-    def test_unknown_profile(self):
-        with pytest.raises(KeyError, match="known profiles"):
-            memory_profile("magic")
-
-    def test_profiles_consistent(self):
-        for profile in MEMORY_PROFILES.values():
-            assert profile.registers == len(profile.live_values)

@@ -2,9 +2,8 @@
 
 These tests cross every layer boundary at once, the way the deployed
 system would: the Peeters–Hermans tag computes its point
-multiplications *on the coprocessor model*, randomness comes from the
-TRNG-fed DRBG subsystem, and the energy ledger is settled with the
-calibrated model — protocol correctness, hardware cycle counts and
+multiplications *on the coprocessor model*, and the energy ledger is
+settled with the calibrated model — protocol correctness, hardware cycle counts and
 joules in a single flow.
 """
 
@@ -16,13 +15,10 @@ from repro.arch import CoprocessorConfig, EccCoprocessor
 from repro.ec import NIST_K163
 from repro.energy import ComputeEnergyTable, RadioModel, protocol_energy
 from repro.power import calibrate_energy_model
-from repro.primitives import AesCtrDrbg, DeviceRandomness, TrngModel
 from repro.protocols import (
     PeetersHermansReader,
     PeetersHermansTag,
-    ShamirSecretSharing,
     run_identification,
-    threshold_point_multiply,
 )
 from repro.sca import coprocessor_timing_report
 
@@ -97,36 +93,3 @@ class TestProtocolOnCoprocessor:
         energy = protocol_energy("on-chip PH", result.tag_ops, 2.0,
                                  RadioModel(), ComputeEnergyTable())
         assert energy.total_j > energy.communication_j > 0
-
-
-class TestTrngToProtocol:
-    def test_device_randomness_drives_a_session(self):
-        """TRNG -> health tests -> DRBG -> protocol nonces + ladder Z."""
-        device_rng = DeviceRandomness(TrngModel(random.Random(55)))
-        ring = NIST_K163.scalar_ring
-        reader = PeetersHermansReader(NIST_K163,
-                                      ring.random_scalar(device_rng))
-        coprocessor = EccCoprocessor(CoprocessorConfig())
-        backend = CoprocessorBackend(coprocessor)
-        tag = PeetersHermansTag(NIST_K163, ring.random_scalar(device_rng),
-                                reader.public, multiplier=backend)
-        reader.register(1, tag.identity_point)
-        result = run_identification(tag, reader, device_rng)
-        assert result.accepted
-        assert device_rng.reseeds >= 1
-
-
-class TestThresholdOnLadder:
-    def test_shared_identity_point(self):
-        """Three body-network nodes jointly compute the tag identity
-        point without any node holding the whole secret."""
-        rng = AesCtrDrbg(99)
-        ring = NIST_K163.scalar_ring
-        sss = ShamirSecretSharing(ring, threshold=2, participants=3)
-        secret = ring.random_scalar(rng)
-        shares = sss.split(secret, rng)
-        joint = threshold_point_multiply(
-            NIST_K163.curve, sss, shares[:2], NIST_K163.generator, rng
-        )
-        direct = NIST_K163.curve.multiply_naive(secret, NIST_K163.generator)
-        assert joint == direct

@@ -1,13 +1,19 @@
-"""Scoring the battery-depletion posture: back-compat is pinned."""
+"""Scoring the battery-depletion posture.
+
+Plain score rows (each defense set, alone and with other postures)
+are pinned in ``test_score_golden.py``; these tests name the rules.
+"""
 
 import pytest
 
+from repro.adversary import defense_config
 from repro.arch.coprocessor import CoprocessorConfig
 from repro.ec.curves import get_curve
 from repro.security import (
+    AbstractionLevel,
     BATTERY_DEPLETION_THREAT,
-    defense_countermeasures,
-    pyramid_with_defenses,
+    defense_posture,
+    pyramid_for_config,
     score_design,
 )
 from repro.security.pyramid import PAPER_THREATS
@@ -18,68 +24,60 @@ def config():
     return CoprocessorConfig(domain=get_curve("K-163"), digit_size=4)
 
 
+def score(config, name, **kwargs):
+    return score_design(
+        config, postures=[defense_posture(defense_config(name))], **kwargs)
+
+
 class TestBackCompat:
     def test_no_defenses_keeps_the_eight_threat_score(self, config):
-        """``defenses=None`` is the paper's original account —
-        byte-identical, battery-depletion not even mentioned."""
-        score = score_design(config)
-        assert score.total == len(PAPER_THREATS) == 8
-        assert score.value == 1.0
-        assert BATTERY_DEPLETION_THREAT.name not in score.closed
-        assert BATTERY_DEPLETION_THREAT.name not in score.open_doors
+        """No posture is the paper's original account — battery
+        depletion not even mentioned."""
+        result = score_design(config)
+        assert result.total == len(PAPER_THREATS) == 8
+        assert result.value == 1.0
+        assert BATTERY_DEPLETION_THREAT.name not in result.closed
+        assert BATTERY_DEPLETION_THREAT.name not in result.open_doors
 
 
 class TestDefenseScoring:
     def test_primary_defense_closes_the_door(self, config):
         for name in ("budget-cap", "wake-gating", "full"):
-            score = score_design(config, defenses=name)
-            assert score.total == 9
-            assert BATTERY_DEPLETION_THREAT.name in score.closed, name
+            result = score(config, name)
+            assert result.total == 9
+            assert BATTERY_DEPLETION_THREAT.name in result.closed, name
 
     def test_no_defense_opens_the_door(self, config):
-        score = score_design(config, defenses="none")
-        assert score.total == 9
-        assert score.open_doors == (BATTERY_DEPLETION_THREAT.name,)
-        assert score.value == pytest.approx(8 / 9)
+        result = score(config, "none")
+        assert result.total == 9
+        assert result.open_doors == (BATTERY_DEPLETION_THREAT.name,)
+        assert result.value == pytest.approx(8 / 9)
 
     def test_backoff_alone_is_supporting_not_primary(self, config):
         """Throttling slows the bleed but bounds nothing — the door
         stays open, exactly like circuit-level hygiene elsewhere."""
-        score = score_design(config, defenses="backoff")
-        assert BATTERY_DEPLETION_THREAT.name in score.open_doors
-
-    def test_accepts_dicts_and_configs(self, config):
-        from repro.adversary import defense_config
-
-        as_dict = score_design(
-            config, defenses={"name": "x", "wake_gating": True})
-        as_config = score_design(config,
-                                 defenses=defense_config("wake-gating"))
-        assert BATTERY_DEPLETION_THREAT.name in as_dict.closed
-        assert BATTERY_DEPLETION_THREAT.name in as_config.closed
+        assert BATTERY_DEPLETION_THREAT.name in \
+            score(config, "backoff").open_doors
 
     def test_composes_with_vdd_and_findings(self, config):
-        score = score_design(config, vdd=0.9, defenses="none")
-        assert set(score.open_doors) == \
+        result = score(config, "none", vdd=0.9)
+        assert set(result.open_doors) == \
             {"fault-attack", BATTERY_DEPLETION_THREAT.name}
 
 
 class TestPyramidWithDefenses:
     def test_extends_the_pyramid(self, config):
-        from repro.adversary import defense_config
-
-        pyramid = pyramid_with_defenses(config, defense_config("full"))
+        pyramid = pyramid_for_config(
+            config, [defense_posture(defense_config("full"))])
         names = [t.name for t in pyramid.threats]
         assert BATTERY_DEPLETION_THREAT.name in names
         assert pyramid.uncovered_threats() == []
-        report = pyramid.report()
-        assert "wake-up radio gating" in report
+        assert "wake-up radio gating" in pyramid.report()
 
     def test_countermeasure_levels(self):
-        from repro.adversary import defense_config
-        from repro.security import AbstractionLevel
-
-        measures = defense_countermeasures(defense_config("full"))
+        posture = defense_posture(defense_config("full"))
+        assert posture.threat is BATTERY_DEPLETION_THREAT
+        measures = posture.countermeasures
         by_name = {cm.name: cm for cm in measures}
         assert len(measures) == 3
         gating = by_name["authenticated wake-up radio gating"]
