@@ -12,33 +12,29 @@ results are pure functions of ``(spec, cohort_index)``; workers never
 share a tag; the summary is assembled in cohort order — worker count
 and chaos-kill history are invisible in the bytes.
 
-Supervision is the campaign layer's
-:class:`~repro.campaign.supervisor.ShardSupervisor`, reused verbatim:
-a chaos-killed worker retries from scratch and determinism makes the
-retry byte-identical; a cohort that keeps dying is quarantined and the
-soak reports ``degraded`` instead of hanging.
+Supervision, chaos, the cohort files and the summary come from the
+soak kernel's :func:`repro.soak.run_cohorts`: a chaos-killed worker
+retries from scratch and determinism makes the retry byte-identical; a
+cohort that keeps dying is quarantined and the soak reports
+``degraded`` instead of hanging.  This module keeps the tag's cohort
+simulation, the attack rulebook and the totals fold.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import math
-import os
-import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional
 
-from ..campaign.chaos import (CHAOS_CRASH_EXIT_CODE, ChaosConfig,
-                              ChaosInjectedError)
-from ..campaign.store import _atomic_write_bytes, file_digest
 from ..channel import LossProfile, derive_channel_seed
-from ..obs import runtime as _obs_runtime
-from ..obs.alerts import ALERTS_NAME, default_rulebook, write_alert_log
+from ..obs.alerts import default_rulebook
 from ..obs.metrics import MetricRegistry, strip_wall_metrics
-from ..obs.stream import (TELEMETRY_NAME, make_event, run_pipeline,
-                          spread_drain_events, write_telemetry)
+from ..obs.stream import make_event, spread_drain_events
 from ..protocols.session import RetransmissionPolicy
+from ..soak import (SUMMARY_NAME, CohortReport, arrival_gap, chaos_kill,
+                    rounded_sum, run_cohort_attempt, run_cohorts)
 from .defense import (DEFENSE_SETS, DefenseConfig, WakeUpRadio,
                       defense_config)
 from .engine import (ADVERSARY_NAMES, SESSION_KINDS, run_attack_session)
@@ -48,7 +44,6 @@ __all__ = ["AttackSpec", "AttackReport", "run_attack_soak",
            "run_attack_cohort", "simulate_attack_cohort",
            "SUMMARY_NAME", "ATTACK_OUTCOMES"]
 
-SUMMARY_NAME = "summary.json"
 _SCHEMA_VERSION = 1
 
 #: Every way an attack-lab session can end.  The summary enumerates
@@ -149,21 +144,10 @@ class AttackSpec:
                                    index, 0, 0)
         return ADVERSARY_NAMES[pick % len(ADVERSARY_NAMES)]
 
-    @staticmethod
-    def cohort_filename(cohort_index: int) -> str:
-        return f"cohort-{cohort_index:05d}.json"
-
 
 # ----------------------------------------------------------------------
 # one cohort = one tag under one flood
 # ----------------------------------------------------------------------
-
-def _arrival_gap(seed: int, index: int, rate: float) -> float:
-    """Deterministic exponential-ish inter-arrival gap."""
-    unit = derive_channel_seed(seed, "adversary/arrival", index, 0, 0) \
-        / 2.0 ** 64
-    return -math.log(max(unit, 1e-12)) / rate
-
 
 def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
                            crash_after: Optional[int] = None,
@@ -191,8 +175,8 @@ def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
     for i in range(spec.sessions):
         index = base + i
         if i:
-            arrival += _arrival_gap(spec.seed, index,
-                                    spec.arrival_rate)
+            arrival += arrival_gap(spec.seed, "adversary/arrival",
+                                   index, spec.arrival_rate)
         start = max(clock, arrival)
         result = run_attack_session(
             spec.session_kind(index), defense,
@@ -204,20 +188,8 @@ def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
         clock = start + result.elapsed_s
         results.append(result)
         if crash_after is not None and len(results) >= crash_after:
-            # Die the way a killed worker does: torn temp file,
-            # no result, the tag abandoned mid-flood.  The flight
-            # recorder dumps first — the black box is the only
-            # telemetry that survives the kill.
-            _obs_runtime.flight_dump(
-                "chaos-kill", cohort=cohort_index,
-                sessions_completed=len(results))
-            if crash_tmp_path is not None:
-                try:
-                    with open(crash_tmp_path, "wb") as f:
-                        f.write(b"chaos: torn attack write\x00" * 4)
-                except OSError:
-                    pass
-            os._exit(CHAOS_CRASH_EXIT_CODE)
+            chaos_kill(crash_tmp_path, cohort=cohort_index,
+                       sessions_completed=len(results))
 
     by_outcome: Dict[str, int] = {k: 0 for k in ATTACK_OUTCOMES}
     by_kind: Dict[str, int] = {}
@@ -287,56 +259,9 @@ def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
     }
 
 
-def run_attack_cohort(spec_dict: dict, directory: str,
-                      cohort_index: int, attempt: int,
-                      chaos_dict: Optional[dict]) -> dict:
-    """The supervised worker task: simulate, write, report."""
-    spec = AttackSpec.from_dict(spec_dict)
-    chaos = None if chaos_dict is None \
-        else ChaosConfig.from_dict(chaos_dict)
-    crash_after = None
-    if chaos is not None:
-        fault = chaos.execution_fault(cohort_index, attempt)
-        if fault == "crash":
-            crash_after = max(1, spec.sessions // 2)
-        elif fault == "hang":
-            time.sleep(chaos.hang_seconds)
-        elif fault == "error":
-            raise ChaosInjectedError(
-                f"injected attack-soak failure (cohort {cohort_index}, "
-                f"attempt {attempt})"
-            )
-        elif fault == "slow":
-            time.sleep(chaos.slow_seconds)
-
-    crash_tmp = os.path.join(
-        directory, spec.cohort_filename(cohort_index) + ".tmp")
-    with _obs_runtime.shard_scope(cohort_index) as rt:
-        payload = simulate_attack_cohort(spec, cohort_index,
-                                         crash_after=crash_after,
-                                         crash_tmp_path=crash_tmp)
-        if rt is not None:
-            rt.registry.merge_snapshot(payload["metrics"])
-
-    name = spec.cohort_filename(cohort_index)
-    path = os.path.join(directory, name)
-    _atomic_write_bytes(
-        path, json.dumps(payload, indent=1, sort_keys=True).encode())
-    digest = file_digest(path)
-
-    if chaos is not None and chaos.corrupts(cohort_index, attempt):
-        with open(path, "r+b") as f:
-            f.seek(16)
-            byte = f.read(1) or b"\x00"
-            f.seek(16)
-            f.write(bytes([byte[0] ^ 0xFF]))
-
-    return {
-        "shard": cohort_index,
-        "file": name,
-        "sha256": digest,
-        "artifacts": [(name, digest)],
-    }
+#: The supervised worker task: one cohort attempt of this family.
+run_attack_cohort = functools.partial(run_cohort_attempt, AttackSpec,
+                                      simulate_attack_cohort)
 
 
 def telemetry_window_s(spec: AttackSpec) -> float:
@@ -367,19 +292,36 @@ def attack_rulebook(spec: AttackSpec):
 # the coordinator
 # ----------------------------------------------------------------------
 
+def _attack_totals(cohorts: List[dict]) -> dict:
+    """The summary's ``totals``: cohort aggregates in cohort order."""
+    def total(key):
+        return sum(c[key] for c in cohorts)
+
+    tag_uj = rounded_sum(c["tag_energy_uj"] for c in cohorts)
+    adversary_uj = rounded_sum(c["adversary_energy_uj"] for c in cohorts)
+    return {
+        "sessions": total("sessions"),
+        "outcomes": {k: sum(c["outcomes"].get(k, 0) for c in cohorts)
+                     for k in sorted(ATTACK_OUTCOMES)},
+        "legit_sessions": total("legit_sessions"),
+        "legit_accepted": total("legit_accepted"),
+        "wake_refusals": total("wake_refusals"),
+        "budget_refusals": total("budget_refusals"),
+        "tag_energy_uj": tag_uj,
+        "adversary_energy_uj": adversary_uj,
+        "amplification": round(tag_uj / adversary_uj, 6)
+        if adversary_uj > 0 else 0.0,
+        "peak_window_uj": round(max((c["peak_window_uj"] for c in cohorts),
+                                    default=0.0), 6),
+    }
+
+
 @dataclass
-class AttackReport:
+class AttackReport(CohortReport):
     """What one attack soak established, plus where the summary is."""
 
-    outcome: str                   # clean | degraded
-    spec_digest: str
-    directory: str
-    adversary: str
-    defense: str
-    cohorts_total: int
-    cohorts_completed: int
-    quarantined: List[int] = dataclass_field(default_factory=list)
-    retried_attempts: int = 0
+    adversary: str = ""
+    defense: str = ""
     sessions: int = 0
     outcomes: Dict[str, int] = dataclass_field(default_factory=dict)
     legit_sessions: int = 0
@@ -390,10 +332,6 @@ class AttackReport:
     peak_window_uj: float = 0.0
     wake_refusals: int = 0
     budget_refusals: int = 0
-    alert_firings: int = 0
-    session_uj_p99: Optional[float] = None
-    summary_path: str = ""
-    wall_s: float = 0.0
 
     @property
     def legit_success_rate(self) -> float:
@@ -407,10 +345,7 @@ class AttackReport:
         lines = [
             f"attack soak {self.spec_digest[:12]}: {self.outcome}",
             f"  adversary {self.adversary}  defense {self.defense}",
-            f"  cohorts   {self.cohorts_completed}/{self.cohorts_total}"
-            + (f"  (quarantined: "
-               f"{', '.join(map(str, self.quarantined))})"
-               if self.quarantined else ""),
+            self.cohorts_line(),
             f"  sessions  {self.sessions}  [{buckets}]",
             f"  legit     {self.legit_accepted}/{self.legit_sessions} "
             f"honest sessions accepted "
@@ -421,151 +356,21 @@ class AttackReport:
             f"  defenses  {self.wake_refusals} wakes refused, "
             f"{self.budget_refusals} budget refusals, peak window "
             f"{self.peak_window_uj:.1f} uJ",
-            f"  telemetry {self.alert_firings} alert firing(s), "
-            f"session p99 "
-            + (f"{self.session_uj_p99:.1f} uJ"
-               if self.session_uj_p99 is not None else "-"),
-            f"  retries   {self.retried_attempts} worker attempts "
-            f"beyond the first",
-            f"  wall      {self.wall_s:.1f} s",
-            f"  summary   {self.summary_path}",
         ]
-        return "\n".join(lines)
+        return "\n".join(lines + self.run_lines())
 
 
 def run_attack_soak(directory: str, spec: AttackSpec, *,
                     workers: Optional[int] = None,
-                    chaos: Optional[ChaosConfig] = None,
+                    chaos=None,
                     policy=None,
                     on_event=None) -> AttackReport:
-    """Drive every cohort under supervision; write ``summary.json``.
-
-    The summary is a pure function of the spec — cohort aggregates in
-    cohort order, metric snapshots merged in cohort order, wall-clock
-    families stripped — so ``cmp`` across worker counts (and across
-    chaos-kill histories) matches byte for byte.
-    """
-    from ..campaign.acquire import default_workers
-    from ..campaign.supervisor import ShardSupervisor
-
-    started = time.monotonic()
-    os.makedirs(directory, exist_ok=True)
-    for name in os.listdir(directory):
-        if name.endswith(".tmp"):
-            try:
-                os.unlink(os.path.join(directory, name))
-            except OSError:
-                pass
-
-    records: Dict[int, dict] = {}
-    supervisor = ShardSupervisor(
-        spec, directory,
-        workers=default_workers(workers),
-        policy=policy,
-        chaos=chaos,
-        task=run_attack_cohort,
-        on_success=lambda record, attempt: records.__setitem__(
-            record["shard"], record),
-        on_event=on_event,
-    )
-    outcome = supervisor.run(list(range(spec.cohorts)))
-    quarantined = sorted(outcome.quarantined)
-
-    merged = MetricRegistry()
-    cohort_summaries = []
-    telemetry_events = []
-    report = AttackReport(
-        outcome="degraded" if quarantined else "clean",
-        spec_digest=spec.digest(),
-        directory=str(directory),
-        adversary=spec.adversary,
-        defense=spec.defense,
-        cohorts_total=spec.cohorts,
-        cohorts_completed=len(records),
-        quarantined=quarantined,
-        retried_attempts=outcome.retried_attempts,
-        outcomes={k: 0 for k in ATTACK_OUTCOMES},
-    )
-    for index in sorted(records):
-        path = os.path.join(directory, records[index]["file"])
-        with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
-        merged.merge_snapshot(payload["metrics"])
-        telemetry_events.extend(payload.get("telemetry", ()))
-        cohort_summaries.append({k: v for k, v in payload.items()
-                                 if k not in ("metrics", "telemetry")})
-        report.sessions += payload["sessions"]
-        for key in ATTACK_OUTCOMES:
-            report.outcomes[key] += payload["outcomes"].get(key, 0)
-        report.legit_sessions += payload["legit_sessions"]
-        report.legit_accepted += payload["legit_accepted"]
-        report.wake_refusals += payload["wake_refusals"]
-        report.budget_refusals += payload["budget_refusals"]
-        report.tag_energy_uj = round(
-            report.tag_energy_uj + payload["tag_energy_uj"], 6)
-        report.adversary_energy_uj = round(
-            report.adversary_energy_uj
-            + payload["adversary_energy_uj"], 6)
-        report.peak_window_uj = max(report.peak_window_uj,
-                                    payload["peak_window_uj"])
-    report.amplification = round(
-        report.tag_energy_uj / report.adversary_energy_uj, 6) \
-        if report.adversary_energy_uj > 0 else 0.0
-
-    # Live telemetry: fold every cohort's ordered event stream through
-    # the aggregator + default rulebook.  Events are pure functions of
-    # (spec, cohort) and the fold order is total, so telemetry.json
-    # and alerts.json are byte-identical across worker counts too.
-    rules = attack_rulebook(spec)
-    live, alert_records = run_pipeline(telemetry_events, rules,
-                                       window_s=rules[0].window_s)
-    write_telemetry(os.path.join(directory, TELEMETRY_NAME), live)
-    alert_log = write_alert_log(
-        os.path.join(directory, ALERTS_NAME), rules, alert_records)
-    session_uj = live["series"].get("session_uj", {})
-    report.alert_firings = alert_log["firings"]
-    report.session_uj_p99 = session_uj.get("p99")
-
-    summary = {
-        "schema_version": _SCHEMA_VERSION,
-        "spec": spec.identity_dict(),
-        "spec_digest": spec.digest(),
-        "outcome": report.outcome,
-        "quarantined": quarantined,
-        "cohorts": cohort_summaries,
-        "totals": {
-            "sessions": report.sessions,
-            "outcomes": {k: report.outcomes[k]
-                         for k in sorted(report.outcomes)},
-            "legit_sessions": report.legit_sessions,
-            "legit_accepted": report.legit_accepted,
-            "wake_refusals": report.wake_refusals,
-            "budget_refusals": report.budget_refusals,
-            "tag_energy_uj": report.tag_energy_uj,
-            "adversary_energy_uj": report.adversary_energy_uj,
-            "amplification": report.amplification,
-            "peak_window_uj": round(report.peak_window_uj, 6),
-        },
-        "telemetry": {
-            "events": live["events"],
-            "session_uj": {key: session_uj.get(key)
-                           for key in ("count", "p50", "p95", "p99",
-                                       "max")},
-            "alerts": {
-                "firings": alert_log["firings"],
-                "by_rule": alert_log["firings_by_rule"],
-            },
-        },
-        "metrics": strip_wall_metrics(merged.snapshot()),
-    }
-    summary_path = os.path.join(directory, SUMMARY_NAME)
-    _atomic_write_bytes(
-        summary_path,
-        json.dumps(summary, indent=1, sort_keys=True).encode())
-    report.summary_path = summary_path
-    report.wall_s = time.monotonic() - started
-
-    rt = _obs_runtime.current()
-    if rt is not None:
-        _obs_runtime.merge_shard_metrics(rt, sorted(records))
-    return report
+    """Drive every cohort under supervision and write ``summary.json``
+    (plus ``telemetry.json`` and ``alerts.json``) through
+    :func:`repro.soak.run_cohorts`; ``cmp`` across worker counts and
+    chaos-kill histories matches byte for byte."""
+    report = functools.partial(AttackReport, adversary=spec.adversary,
+                               defense=spec.defense)
+    return run_cohorts(directory, spec, run_attack_cohort, _attack_totals,
+                       attack_rulebook(spec), report, workers=workers,
+                       chaos=chaos, policy=policy, on_event=on_event)

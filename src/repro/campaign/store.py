@@ -62,15 +62,6 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
-    """Alias of :func:`repro.obs.metrics.atomic_write_bytes` — one
-    write-tmp-fsync-rename discipline for every artifact the repo
-    persists.  The temp file keeps the ``.tmp`` suffix so
-    :meth:`TraceStore.initialize`'s débris sweep still collects
-    orphans from crashed writers."""
-    atomic_write_bytes(path, payload)
-
-
 @dataclass(frozen=True)
 class ShardRecord:
     """Manifest entry for one completed shard."""
@@ -258,7 +249,7 @@ class TraceStore:
             ],
         }
         payload = json.dumps(manifest, indent=1).encode()
-        _atomic_write_bytes(self.manifest_path, payload)
+        atomic_write_bytes(self.manifest_path, payload)
 
     # ------------------------------------------------------------------
     # shard writing
@@ -290,13 +281,13 @@ class TraceStore:
 
         buffer = io.BytesIO()
         np.save(buffer, samples)
-        _atomic_write_bytes(samples_path, buffer.getvalue())
+        atomic_write_bytes(samples_path, buffer.getvalue())
 
         aux = {
             "points": [[hex(p.x), hex(p.y)] for p in points],
             "z": None if z_values is None else [hex(z) for z in z_values],
         }
-        _atomic_write_bytes(aux_path, json.dumps(aux).encode())
+        atomic_write_bytes(aux_path, json.dumps(aux).encode())
 
         return {
             "index": index,

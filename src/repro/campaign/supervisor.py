@@ -39,6 +39,7 @@ from dataclasses import dataclass, field as dataclass_field
 from multiprocessing.connection import wait as _wait_for_any
 from typing import Callable, Optional
 
+from ..obs.metrics import atomic_write_bytes
 from .chaos import ChaosConfig, chaos_acquire_shard
 from .errors import (
     DATA_INTEGRITY,
@@ -46,7 +47,7 @@ from .errors import (
     classify_exception,
 )
 from .spec import CampaignSpec, derive_seed
-from .store import _atomic_write_bytes, file_digest
+from .store import file_digest
 
 __all__ = ["RetryPolicy", "FailureEvent", "FailureLog", "Quarantine",
            "ShardSupervisor", "SupervisorOutcome", "run_shard_attempt",
@@ -239,7 +240,7 @@ class Quarantine:
             {"shards": {str(k): entries[k] for k in sorted(entries)}},
             indent=1,
         ).encode()
-        _atomic_write_bytes(self.path, payload)
+        atomic_write_bytes(self.path, payload)
 
     def clear(self) -> list:
         """Release every quarantined shard; returns their indices."""

@@ -179,6 +179,36 @@ def _obs_session(obs_dir, **kwargs):
     return obs_runtime.session(str(obs_dir), **kwargs)
 
 
+def _run_obs_dir(directory, obs: bool, obs_profile: bool):
+    """``<directory>/obs`` when ``--obs``/``--obs-profile`` asked for
+    tracing, else None."""
+    return os.path.join(str(directory), "obs") \
+        if (obs or obs_profile) else None
+
+
+@contextlib.contextmanager
+def _slice_progress(quiet: bool):
+    """The sweep verbs' ``slices done/total`` line on stderr, or None
+    when quiet; ends the line once the sweep returns."""
+    if quiet:
+        yield None
+        return
+    yield lambda done, total: print(f"\r  slices {done}/{total}", end="",
+                                    file=sys.stderr, flush=True)
+    print(file=sys.stderr)
+
+
+def _soak_exit(output: str, failed: bool, degraded: bool,
+               reason: str = "") -> "tuple[str, int]":
+    """The soak verbs' exit contract: ``EXIT_FAILED`` when a floor
+    broke (with ``reason`` appended when the report does not already
+    show it), ``EXIT_DEGRADED`` when degraded, else ``EXIT_OK``."""
+    if failed:
+        return (output + (f"\n  FAILED: {reason}" if reason else ""),
+                EXIT_FAILED)
+    return output, EXIT_DEGRADED if degraded else EXIT_OK
+
+
 def cmd_campaign_acquire(directory: str, spec, workers=None,
                          quiet: bool = False, shard_timeout=None,
                          max_attempts=None, chaos: str = None,
@@ -207,8 +237,7 @@ def cmd_campaign_acquire(directory: str, spec, workers=None,
     if chaos:
         chaos_config = ChaosConfig.parse(chaos, seed=chaos_seed,
                                          only_shards=chaos_shards)
-    obs_dir = os.path.join(str(directory), "obs") \
-        if (obs or obs_profile) else None
+    obs_dir = _run_obs_dir(directory, obs, obs_profile)
     engine = AcquisitionEngine(directory, spec, workers=workers,
                                reporter=reporter,
                                shard_timeout=shard_timeout,
@@ -507,8 +536,7 @@ def cmd_dse_explore(directory: str, spec, workers=None,
                 max_attempts, RetryPolicy.deterministic_attempts
             ),
         )
-    obs_dir = os.path.join(str(directory), "obs") \
-        if (obs or obs_profile) else None
+    obs_dir = _run_obs_dir(directory, obs, obs_profile)
     engine = ExplorationEngine(directory, spec, workers=workers,
                                shard_timeout=shard_timeout,
                                retry_policy=policy)
@@ -695,26 +723,18 @@ def cmd_protocol_soak(protocol: str = "peeters-hermans",
     spec = FleetSpec(protocol=protocol, curve=curve, sessions=sessions,
                      seed=seed, sweep=tuple(sweep or DEFAULT_SWEEP),
                      distance_m=distance)
-    progress = None
-    if not quiet:
-        def progress(done, total):
-            print(f"\r  slices {done}/{total}", end="",
-                  file=sys.stderr, flush=True)
-    with _obs_session(obs_dir, kind="protocol-soak", seed=seed,
-                      config_digest=fleet_spec_digest(spec),
-                      profile=obs_profile,
-                      argv=["protocol", "soak", "--protocol", protocol]):
+    with _slice_progress(quiet) as progress, \
+            _obs_session(obs_dir, kind="protocol-soak", seed=seed,
+                         config_digest=fleet_spec_digest(spec),
+                         profile=obs_profile,
+                         argv=["protocol", "soak", "--protocol",
+                               protocol]):
         report = run_fleet(spec, workers=workers, progress=progress)
-    if not quiet:
-        print(file=sys.stderr)
     floor = min(point.availability for point in report.points)
-    if report.fully_available:
-        code = EXIT_OK
-    elif floor >= min_availability:
-        code = EXIT_DEGRADED
-    else:
-        code = EXIT_FAILED
-    return report.summary(), code
+    return _soak_exit(report.summary(),
+                      failed=not report.fully_available
+                      and floor < min_availability,
+                      degraded=not report.fully_available)
 
 
 def cmd_protocol_amortize(protocol: str = "peeters-hermans",
@@ -735,45 +755,30 @@ def cmd_protocol_amortize(protocol: str = "peeters-hermans",
     ``1`` below the floor.  With ``directory`` the worker-invariant
     ``summary.json`` is written there (the CI ``cmp`` artifact).
     """
-    import json as _json
-
-    from .campaign.store import _atomic_write_bytes
     from .obs.integration import fleet_spec_digest
     from .protocols.amortized import AmortizedSpec, run_amortized_soak
     from .protocols.fleet import DEFAULT_SWEEP
+    from .soak import write_summary
 
     spec = AmortizedSpec(
         protocol=protocol, backend=backend, curve=curve,
         epoch_messages=epoch, messages=messages, sessions=sessions,
         seed=seed, sweep=tuple(sweep or DEFAULT_SWEEP),
         distance_m=distance)
-    progress = None
-    if not quiet:
-        def progress(done, total):
-            print(f"\r  slices {done}/{total}", end="",
-                  file=sys.stderr, flush=True)
-    with _obs_session(obs_dir, kind="protocol-amortize", seed=seed,
-                      config_digest=fleet_spec_digest(spec),
-                      profile=obs_profile,
-                      argv=["protocol", "amortize",
-                            "--backend", backend]):
+    with _slice_progress(quiet) as progress, \
+            _obs_session(obs_dir, kind="protocol-amortize", seed=seed,
+                         config_digest=fleet_spec_digest(spec),
+                         profile=obs_profile,
+                         argv=["protocol", "amortize",
+                               "--backend", backend]):
         report = run_amortized_soak(spec, workers=workers,
                                     progress=progress)
-    if not quiet:
-        print(file=sys.stderr)
     if directory:
-        os.makedirs(str(directory), exist_ok=True)
-        _atomic_write_bytes(
-            os.path.join(str(directory), "summary.json"),
-            _json.dumps(report.summary_payload(), indent=1,
-                        sort_keys=True).encode())
-    if report.fully_delivered:
-        code = EXIT_OK
-    elif report.min_delivery_rate >= min_delivery:
-        code = EXIT_DEGRADED
-    else:
-        code = EXIT_FAILED
-    return report.summary(), code
+        write_summary(directory, report.summary_payload())
+    return _soak_exit(report.summary(),
+                      failed=not report.fully_delivered
+                      and report.min_delivery_rate < min_delivery,
+                      degraded=not report.fully_delivered)
 
 
 # ----------------------------------------------------------------------
@@ -1028,21 +1033,19 @@ def cmd_server_soak(directory: str, spec, workers=None, chaos=None,
     """
     from .server import run_soak
 
-    obs_dir = os.path.join(str(directory), "obs") \
-        if (obs or obs_profile) else None
-    with _obs_session(obs_dir, kind="server-soak", seed=spec.seed,
+    with _obs_session(_run_obs_dir(directory, obs, obs_profile),
+                      kind="server-soak", seed=spec.seed,
                       config_digest=spec.digest(), profile=obs_profile,
                       argv=["server", "soak", "--dir", str(directory)]):
         report = run_soak(directory, spec, workers=workers,
                           chaos=_server_chaos(chaos, chaos_seed))
-    output = report.text()
-    if report.sessions and report.acceptance_rate < min_acceptance:
-        output += (f"\n  FAILED: acceptance {report.acceptance_rate:.1%}"
-                   f" below the floor {min_acceptance:.1%}")
-        return output, EXIT_FAILED
-    if report.outcome == "degraded":
-        return output, EXIT_DEGRADED
-    return output, EXIT_OK
+    return _soak_exit(
+        report.text(),
+        failed=bool(report.sessions)
+        and report.acceptance_rate < min_acceptance,
+        degraded=report.outcome == "degraded",
+        reason=f"acceptance {report.acceptance_rate:.1%} below the "
+               f"floor {min_acceptance:.1%}")
 
 
 def cmd_server_run(spec, metrics_port=None, serve_seconds: float = 0.0,
@@ -1194,23 +1197,19 @@ def cmd_attack_soak(directory: str, spec, workers=None, chaos=None,
     """
     from .adversary import run_attack_soak
 
-    obs_dir = os.path.join(str(directory), "obs") \
-        if (obs or obs_profile) else None
-    with _obs_session(obs_dir, kind="attack-soak", seed=spec.seed,
+    with _obs_session(_run_obs_dir(directory, obs, obs_profile),
+                      kind="attack-soak", seed=spec.seed,
                       config_digest=spec.digest(), profile=obs_profile,
                       argv=["attack", "soak", "--dir", str(directory)]):
         report = run_attack_soak(directory, spec, workers=workers,
                                  chaos=_server_chaos(chaos, chaos_seed))
-    output = report.text()
-    if (report.legit_sessions
-            and report.legit_success_rate < min_legit_success):
-        output += (f"\n  FAILED: legit success "
-                   f"{report.legit_success_rate:.1%} below the floor "
-                   f"{min_legit_success:.1%}")
-        return output, EXIT_FAILED
-    if report.outcome == "degraded":
-        return output, EXIT_DEGRADED
-    return output, EXIT_OK
+    return _soak_exit(
+        report.text(),
+        failed=bool(report.legit_sessions)
+        and report.legit_success_rate < min_legit_success,
+        degraded=report.outcome == "degraded",
+        reason=f"legit success {report.legit_success_rate:.1%} below "
+               f"the floor {min_legit_success:.1%}")
 
 
 def cmd_power_run(curve: str = "TOY-B17", seed: int = 2013,
@@ -1286,36 +1285,26 @@ def cmd_power_soak(directory: str, spec, workers=None,
     completion floor held, ``EXIT_FAILED`` when the floor broke or a
     session died unclean.
     """
-    import json as _json
-
     from .obs.integration import fleet_spec_digest
-    from .obs.metrics import atomic_write_bytes
     from .protocols.fleet import run_power_soak
+    from .soak import write_summary
 
     directory = str(directory)
-    os.makedirs(directory, exist_ok=True)
-    obs_dir = os.path.join(directory, "obs") \
-        if (obs or obs_profile) else None
-    with _obs_session(obs_dir, kind="power-soak", seed=spec.seed,
+    with _obs_session(_run_obs_dir(directory, obs, obs_profile),
+                      kind="power-soak", seed=spec.seed,
                       config_digest=fleet_spec_digest(spec),
                       profile=obs_profile,
                       argv=["power", "soak", "--dir", directory]):
         report = run_power_soak(spec, workers=workers)
-    payload = _json.dumps(report.summary_payload(), indent=1,
-                          sort_keys=True).encode()
-    summary_path = os.path.join(directory, "summary.json")
-    atomic_write_bytes(summary_path, payload)
-    output = report.summary() + f"\n  wrote {summary_path}"
-    if not report.all_clean:
-        return (output + "\n  FAILED: a session died without a typed "
-                "abort", EXIT_FAILED)
+    summary_path = write_summary(directory, report.summary_payload())
     fraction = report.completed / report.sessions
-    if fraction < min_completed:
-        return (output + f"\n  FAILED: completion {fraction:.1%} below "
-                f"the floor {min_completed:.1%}", EXIT_FAILED)
-    if report.completed < report.sessions:
-        return output, EXIT_DEGRADED
-    return output, EXIT_OK
+    return _soak_exit(
+        report.summary() + f"\n  wrote {summary_path}",
+        failed=not report.all_clean or fraction < min_completed,
+        degraded=report.completed < report.sessions,
+        reason="a session died without a typed abort"
+        if not report.all_clean else
+        f"completion {fraction:.1%} below the floor {min_completed:.1%}")
 
 
 def _power_soak_spec_from_args(args) -> "object":
@@ -1941,6 +1930,9 @@ def _protocol_main(args) -> int:
     """Dispatch a ``protocol`` verb under the exit-code contract."""
     code = EXIT_OK
     try:
+        sweep = None
+        if getattr(args, "sweep", None):
+            sweep = [float(s) for s in args.sweep.split(",") if s]
         if args.verb == "run":
             output = cmd_protocol_run(
                 protocol=args.protocol, curve=args.curve, loss=args.loss,
@@ -1949,9 +1941,6 @@ def _protocol_main(args) -> int:
                 obs_dir=args.obs_dir, obs_profile=args.obs_profile,
             )
         elif args.verb == "amortize":
-            sweep = None
-            if args.sweep:
-                sweep = [float(s) for s in args.sweep.split(",") if s]
             output, code = cmd_protocol_amortize(
                 protocol=args.protocol, backend=args.backend,
                 curve=args.curve, epoch=args.epoch,
@@ -1963,9 +1952,6 @@ def _protocol_main(args) -> int:
                 obs_profile=args.obs_profile,
             )
         else:
-            sweep = None
-            if args.sweep:
-                sweep = [float(s) for s in args.sweep.split(",") if s]
             output, code = cmd_protocol_soak(
                 protocol=args.protocol, curve=args.curve,
                 sessions=args.sessions, seed=args.seed, sweep=sweep,

@@ -36,18 +36,17 @@ session_index)``:
   same decomposition, so the span tree's µJ sum *equals* the record's
   total by construction.
 
-Fan-out (:func:`run_amortized_soak`) follows the fleet discipline:
-embarrassingly parallel sessions, records keyed and sorted, a
+Fan-out (:func:`run_amortized_soak`) is the fleet's, through the soak
+kernel's :func:`repro.soak.sweep_records`: embarrassingly parallel
+sessions, records in session order, a
 :meth:`~AmortizedReport.summary_payload` of worker-invariant facts
 only, and a summary table rendered from the metrics read-back path.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import hashlib
-import os
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Sequence, Tuple
 
@@ -55,7 +54,8 @@ from ..backends import AeadTagError, EngineTrace, get_backend
 from ..backends.base import SYMMETRIC_BACKEND_NAMES
 from ..channel import BodyAreaChannel, derive_channel_seed
 from ..obs import runtime as _obs_runtime
-from .fleet import DEFAULT_SWEEP, _loss_salt
+from ..soak import sweep_records
+from .fleet import DEFAULT_SWEEP, _loss_salt, validate_sweep
 from .session import RetransmissionPolicy, make_adapter, \
     run_resilient_session
 
@@ -122,11 +122,7 @@ class AmortizedSpec:
             raise ValueError("need at least one session")
         if self.max_attempts_per_message < 1:
             raise ValueError("need at least one attempt per message")
-        if not self.sweep:
-            raise ValueError("sweep needs at least one loss rate")
-        for loss in self.sweep:
-            if not 0.0 <= loss < 1.0:
-                raise ValueError(f"loss rate {loss} outside [0, 1)")
+        validate_sweep(self.sweep)
 
     # -- session-posture knobs -----------------------------------------
 
@@ -634,57 +630,24 @@ def run_amortized_soak(spec: AmortizedSpec,
     """Run the whole sweep, optionally across worker processes.
 
     Fleet discipline: ``workers=0`` forces in-process execution,
-    records are keyed and sorted, and the report cannot depend on
-    worker count or scheduling.
+    records come back in session order, and the report cannot depend
+    on worker count or scheduling.
     """
     from ..obs.integration import record_amortized_report
 
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
-    jobs: List[Tuple[float, List[int]]] = []
-    chunk = max(1, spec.sessions // max(1, workers * 4))
-    for loss in spec.sweep:
-        for start in range(0, spec.sessions, chunk):
-            jobs.append((loss, list(range(start,
-                                          min(start + chunk,
-                                              spec.sessions)))))
-
     rt = _obs_runtime.current()
-    with contextlib.ExitStack() as stack:
-        soak_span = None
-        if rt is not None:
-            soak_span = stack.enter_context(rt.span(
-                "backends.soak", key=0,
-                protocol=spec.protocol, backend=spec.backend,
-                epoch=spec.epoch_messages, sessions=spec.sessions,
-                points=len(spec.sweep),
-            ))
-        by_loss = {loss: [] for loss in spec.sweep}
-        done = 0
-        if workers <= 1 or len(jobs) == 1:
-            for loss, indices in jobs:
-                by_loss[loss].extend(
-                    _run_amortized_slice(spec, loss, indices))
-                done += 1
-                if progress:
-                    progress(done, len(jobs))
-        else:
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                futures = {
-                    pool.submit(_run_amortized_slice, spec, loss,
-                                indices): loss
-                    for loss, indices in jobs}
-                for future in concurrent.futures.as_completed(futures):
-                    by_loss[futures[future]].extend(future.result())
-                    done += 1
-                    if progress:
-                        progress(done, len(jobs))
-
+    soak_span = rt.span(
+        "backends.soak", key=0,
+        protocol=spec.protocol, backend=spec.backend,
+        epoch=spec.epoch_messages, sessions=spec.sessions,
+        points=len(spec.sweep),
+    ) if rt is not None else contextlib.nullcontext()
+    with soak_span as span:
+        by_loss = sweep_records(_run_amortized_slice, spec, workers,
+                                progress)
         points = []
         for key, loss in enumerate(sorted(spec.sweep)):
-            records = sorted(by_loss[loss],
-                             key=lambda r: r.session_index)
-            point = AmortizedPoint(frame_loss=loss, records=records)
+            point = AmortizedPoint(frame_loss=loss, records=by_loss[loss])
             points.append(point)
             if rt is not None:
                 rt.tracer.event(
@@ -696,7 +659,6 @@ def run_amortized_soak(spec: AmortizedSpec,
         report = AmortizedReport(spec=spec, points=points)
         if rt is not None:
             record_amortized_report(rt.registry, report)
-            if soak_span is not None:
-                soak_span.set(delivered=report.fully_delivered,
-                              pays=report.amortization_pays)
+            span.set(delivered=report.fully_delivered,
+                     pays=report.amortization_pays)
     return report

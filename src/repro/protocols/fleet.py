@@ -11,25 +11,24 @@ frame-loss sweep and report, per loss rate,
 
 Sessions are embarrassingly parallel (every session derives its keys,
 nonces and channel behaviour from ``(seed, session_index)`` alone), so
-the fleet fans out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-exactly like :mod:`repro.campaign.runner` fans out shards — and, like
-there, the aggregate is order-independent: results are keyed and
-sorted, so worker scheduling cannot change a single reported digit.
+the fleet fans out through the soak kernel's :func:`repro.soak.fan_out`
+in slices of sessions, and the aggregate is order-independent: results
+come back in job order, so worker scheduling cannot change a single
+reported digit.  The power soak below fans out the same way.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import hashlib
-import os
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
 from ..channel import LossProfile
 from ..obs import runtime as _obs_runtime
+from ..soak import fan_out, session_slices, sweep_records
 
 if TYPE_CHECKING:  # lazy at runtime to avoid the energy <-> protocols
     # import cycle (repro.energy.comparison imports repro.protocols.ops)
@@ -47,6 +46,19 @@ __all__ = ["FleetSpec", "SessionRecord", "SweepPoint", "FleetReport",
 
 #: Frame-loss points of the default sweep (0–20%, the ISSUE's range).
 DEFAULT_SWEEP: Tuple[float, ...] = (0.0, 0.05, 0.10, 0.20)
+
+
+def validate_sweep(sweep: Sequence[float]) -> None:
+    """A sweep is one or more distinct loss rates in [0, 1): results
+    are keyed by loss rate, so a repeated rate would be run and counted
+    twice."""
+    if not sweep:
+        raise ValueError("sweep needs at least one loss rate")
+    for loss in sweep:
+        if not 0.0 <= loss < 1.0:
+            raise ValueError(f"loss rate {loss} outside [0, 1)")
+    if len(set(sweep)) != len(sweep):
+        raise ValueError(f"sweep repeats a loss rate: {tuple(sweep)}")
 
 
 @dataclass(frozen=True)
@@ -75,11 +87,7 @@ class FleetSpec:
                              f"(know {', '.join(PROTOCOL_NAMES)})")
         if self.sessions < 1:
             raise ValueError("need at least one session")
-        if not self.sweep:
-            raise ValueError("sweep needs at least one loss rate")
-        for loss in self.sweep:
-            if not 0.0 <= loss < 1.0:
-                raise ValueError(f"loss rate {loss} outside [0, 1)")
+        validate_sweep(self.sweep)
 
     def profile(self, frame_loss: float) -> LossProfile:
         """The channel at one sweep point, BER tied to the distance."""
@@ -579,57 +587,34 @@ def _run_power_slice(spec: PowerSoakSpec,
     return records
 
 
-def run_power_soak(spec: PowerSoakSpec, workers: Optional[int] = None,
-                   progress=None) -> PowerSoakReport:
+def run_power_soak(spec: PowerSoakSpec,
+                   workers: Optional[int] = None) -> PowerSoakReport:
     """Soak a fleet of sessions under seeded power-cut schedules.
 
     Same fan-out discipline as :func:`run_fleet`: sessions are
-    embarrassingly parallel, records are keyed and sorted, and the
-    report cannot depend on worker count or scheduling.
+    embarrassingly parallel, records come back in session order, and
+    the report cannot depend on worker count or scheduling.
     """
     from ..obs.integration import record_intermittent_result
 
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
-    chunk = max(1, spec.sessions // max(1, workers * 4))
-    jobs = [list(range(start, min(start + chunk, spec.sessions)))
-            for start in range(0, spec.sessions, chunk)]
-
     rt = _obs_runtime.current()
-    with contextlib.ExitStack() as stack:
-        soak_span = None
+    soak_span = rt.span(
+        "power.soak", key=0, curve=spec.curve, sessions=spec.sessions,
+        cuts=spec.cuts, interval=spec.checkpoint_interval,
+    ) if rt is not None else contextlib.nullcontext()
+    with soak_span as span:
+        jobs = [(spec, indices)
+                for indices in session_slices(spec.sessions, workers)]
+        report = PowerSoakReport(spec=spec, records=[
+            record for records in fan_out(_run_power_slice, jobs, workers)
+            for record in records])
         if rt is not None:
-            soak_span = stack.enter_context(rt.span(
-                "power.soak", key=0, curve=spec.curve,
-                sessions=spec.sessions, cuts=spec.cuts,
-                interval=spec.checkpoint_interval,
-            ))
-        records: List[PowerSessionRecord] = []
-        done = 0
-        if workers <= 1 or len(jobs) == 1:
-            for indices in jobs:
-                records.extend(_run_power_slice(spec, indices))
-                done += 1
-                if progress:
-                    progress(done, len(jobs))
-        else:
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                futures = [pool.submit(_run_power_slice, spec, indices)
-                           for indices in jobs]
-                for future in concurrent.futures.as_completed(futures):
-                    records.extend(future.result())
-                    done += 1
-                    if progress:
-                        progress(done, len(jobs))
-        records.sort(key=lambda r: r.session_index)
-        report = PowerSoakReport(spec=spec, records=records)
-        if rt is not None:
-            for record in records:
+            for record in report.records:
                 record_intermittent_result(rt.registry, record)
-            soak_span.set(completed=report.completed,
-                          accepted=report.accepted,
-                          clean=report.all_clean,
-                          digest=report.outcome_digest()[:16])
+            span.set(completed=report.completed,
+                     accepted=report.accepted,
+                     clean=report.all_clean,
+                     digest=report.outcome_digest()[:16])
     return report
 
 
@@ -643,52 +628,22 @@ def run_fleet(spec: FleetSpec, workers: Optional[int] = None,
     """
     from ..obs.integration import fleet_spec_digest, record_fleet_report
 
-    if workers is None:
-        workers = min(os.cpu_count() or 1, 8)
-    jobs: List[Tuple[float, List[int]]] = []
-    chunk = max(1, spec.sessions // max(1, workers * 4))
-    for loss in spec.sweep:
-        for start in range(0, spec.sessions, chunk):
-            jobs.append((loss, list(range(start, min(start + chunk,
-                                                     spec.sessions)))))
-
     rt = _obs_runtime.current()
-    with contextlib.ExitStack() as stack:
-        soak_span = None
-        if rt is not None:
-            # Deterministic attrs only — no worker count, so two runs
-            # of the same spec produce byte-identical span trees
-            # whatever the parallelism.
-            soak_span = stack.enter_context(rt.span(
-                "protocol.soak", key=0,
-                protocol=spec.protocol, spec=fleet_spec_digest(spec),
-                sessions=spec.sessions, points=len(spec.sweep),
-            ))
-        by_loss: Dict[float, List[SessionRecord]] = {loss: []
-                                                     for loss in spec.sweep}
-        done = 0
-        if workers <= 1 or len(jobs) == 1:
-            for loss, indices in jobs:
-                by_loss[loss].extend(_run_slice(spec, loss, indices))
-                done += 1
-                if progress:
-                    progress(done, len(jobs))
-        else:
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                futures = {pool.submit(_run_slice, spec, loss, indices):
-                           loss for loss, indices in jobs}
-                for future in concurrent.futures.as_completed(futures):
-                    by_loss[futures[future]].extend(future.result())
-                    done += 1
-                    if progress:
-                        progress(done, len(jobs))
-
+    # Deterministic attrs only — no worker count, so two runs of the
+    # same spec produce byte-identical span trees whatever the
+    # parallelism.
+    soak_span = rt.span(
+        "protocol.soak", key=0, protocol=spec.protocol,
+        spec=fleet_spec_digest(spec), sessions=spec.sessions,
+        points=len(spec.sweep),
+    ) if rt is not None else contextlib.nullcontext()
+    with soak_span as span:
+        by_loss = sweep_records(_run_slice, spec, workers, progress)
         points = []
         for key, loss in enumerate(sorted(spec.sweep)):
-            records = sorted(by_loss[loss], key=lambda r: r.session_index)
             point = SweepPoint(frame_loss=loss,
                                profile=spec.profile(loss),
-                               records=records)
+                               records=by_loss[loss])
             points.append(point)
             if rt is not None:
                 rt.tracer.event(
@@ -701,7 +656,6 @@ def run_fleet(spec: FleetSpec, workers: Optional[int] = None,
         report = FleetReport(spec=spec, points=points)
         if rt is not None:
             record_fleet_report(rt.registry, report)
-            if soak_span is not None:
-                soak_span.set(available=report.fully_available,
-                              monotone=report.energy_monotone)
+            span.set(available=report.fully_available,
+                     monotone=report.energy_monotone)
     return report

@@ -25,8 +25,9 @@ The subsystem is a layer cake, bottom up:
   per-session deadlines, graceful shedding under overload, live
   ``repro_server_*`` metrics and ``server.accept > session > search``
   obs spans;
-* :mod:`.soak` — cohort-sharded soak runs under the campaign chaos
-  harness, with summaries byte-identical across worker counts;
+* :mod:`.soak` — cohort-sharded soak runs on the soak kernel
+  (:mod:`repro.soak`), with summaries byte-identical across worker
+  counts and chaos;
 * :mod:`.http` — the live ``/metrics`` Prometheus text endpoint.
 """
 

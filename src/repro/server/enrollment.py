@@ -43,11 +43,12 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..campaign.chaos import (CHAOS_CRASH_EXIT_CODE, ChaosConfig,
                               ChaosInjectedError)
-from ..campaign.store import _atomic_write_bytes, file_digest
+from ..campaign.store import file_digest
 from ..channel.frame import compress_point, decompress_point, \
     point_width_bytes
 from ..ec.curves import get_curve
 from ..ec.point import AffinePoint
+from ..obs.metrics import atomic_write_bytes
 from .errors import EnrollmentError
 from ..protocols.database import TagDatabase
 
@@ -221,7 +222,7 @@ def enroll_shard(spec_dict: dict, directory: str, shard_index: int,
 
     name = spec.shard_filename(shard_index)
     path = os.path.join(directory, name)
-    _atomic_write_bytes(path, bytes(out))
+    atomic_write_bytes(path, bytes(out))
     digest = file_digest(path)
 
     if chaos is not None and chaos.corrupts(shard_index, attempt):
@@ -381,7 +382,7 @@ def enroll_fleet(directory: str, spec: EnrollmentSpec, *,
         "spec_digest": spec.digest(),
         "shards": entries,
     }
-    _atomic_write_bytes(
+    atomic_write_bytes(
         manifest_path,
         json.dumps(manifest, indent=1, sort_keys=True).encode(),
     )

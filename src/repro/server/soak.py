@@ -10,39 +10,29 @@ on its own virtual-time loop.  Cohort results are pure functions of
 summary is assembled in cohort order — so scheduling, worker count
 and crash/retry history are invisible in the output.
 
-Worker supervision is the campaign layer's
-:class:`~repro.campaign.supervisor.ShardSupervisor`, reused verbatim:
-a chaos-killed worker (``os._exit`` mid-simulation) is a transient
-failure, the cohort is retried from scratch (determinism makes the
-retry byte-identical), and a cohort that keeps failing is quarantined
-— the soak degrades loudly instead of hanging.
-
-Each cohort file carries the deterministic aggregates *and* a
-wall-stripped metric snapshot; the summary merges snapshots in cohort
-order, exactly the discipline of
-:func:`repro.obs.runtime.merge_shard_metrics`.
+Supervision, chaos, the cohort files and the summary come from the
+soak kernel's :func:`repro.soak.run_cohorts`: a chaos-killed worker
+(``os._exit`` mid-simulation) is a transient failure, the cohort is
+retried from scratch (determinism makes the retry byte-identical), and
+a cohort that keeps failing is quarantined — the soak degrades loudly
+instead of hanging.  This module keeps the cohort simulation, the
+fleet rulebook and the totals fold.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import math
-import os
-import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..campaign.chaos import (CHAOS_CRASH_EXIT_CODE, ChaosConfig,
-                              ChaosInjectedError)
-from ..campaign.store import _atomic_write_bytes, file_digest
 from ..channel import LossProfile, derive_channel_seed
-from ..obs import runtime as _obs_runtime
-from ..obs.alerts import ALERTS_NAME, default_rulebook, write_alert_log
+from ..obs.alerts import default_rulebook
 from ..obs.metrics import MetricRegistry, strip_wall_metrics
-from ..obs.stream import (TELEMETRY_NAME, make_event, run_pipeline,
-                          spread_drain_events, write_telemetry)
-from ..protocols.session import RetransmissionPolicy
+from ..obs.stream import make_event, spread_drain_events
+from ..soak import (SUMMARY_NAME, CohortReport, arrival_gap, chaos_kill,
+                    rounded_sum, run_cohort_attempt, run_cohorts)
 from .enrollment import EnrollmentStore
 from .errors import (AdmissionRejectedError, ReplayQuarantinedError,
                      ServerError, SourceThrottledError)
@@ -53,7 +43,6 @@ __all__ = ["SoakSpec", "SoakReport", "run_soak", "run_cohort",
            "simulate_cohort", "soak_rulebook", "SUMMARY_NAME",
            "SESSION_OUTCOMES"]
 
-SUMMARY_NAME = "summary.json"
 _SCHEMA_VERSION = 1
 
 #: The full enumeration of session outcomes a soak can observe.  The
@@ -170,20 +159,20 @@ class SoakSpec:
             return f"adv-{index % 4}"
         return f"tag-{index}"
 
-    @staticmethod
-    def cohort_filename(cohort_index: int) -> str:
-        return f"cohort-{cohort_index:05d}.json"
-
 
 # ----------------------------------------------------------------------
 # one cohort = one independent simulation
 # ----------------------------------------------------------------------
 
-def _arrival_gap(seed: int, index: int, rate: float) -> float:
-    """Deterministic exponential-ish inter-arrival gap."""
-    unit = derive_channel_seed(seed, "server/arrival", index, 0, 0) \
-        / 2.0 ** 64
-    return -math.log(max(unit, 1e-12)) / rate
+def _check_fleet(spec: SoakSpec, verify: bool) -> EnrollmentStore:
+    store = EnrollmentStore(spec.store_dir, verify=verify)
+    if store.spec.digest() != spec.enrollment_digest:
+        raise ServerError(
+            f"store at {spec.store_dir} holds fleet "
+            f"{store.spec.digest()[:12]}..., soak spec wants "
+            f"{spec.enrollment_digest[:12]}..."
+        )
+    return store
 
 
 def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
@@ -198,13 +187,7 @@ def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
     byte-identically.  ``registry`` lets a caller watch the metrics
     live (the CLI's ``server run`` serves it over HTTP mid-flight).
     """
-    store = EnrollmentStore(spec.store_dir, verify=False)
-    if store.spec.digest() != spec.enrollment_digest:
-        raise ServerError(
-            f"store at {spec.store_dir} holds fleet "
-            f"{store.spec.digest()[:12]}..., soak spec wants "
-            f"{spec.enrollment_digest[:12]}..."
-        )
+    store = _check_fleet(spec, verify=False)
     loop = SimLoop()
     registry = registry if registry is not None else MetricRegistry()
     server = IdentificationServer(
@@ -228,8 +211,8 @@ def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
         for i in range(spec.sessions):
             index = base + i
             if i:
-                await loop.sleep(_arrival_gap(spec.seed, index,
-                                              spec.arrival_rate))
+                await loop.sleep(arrival_gap(spec.seed, "server/arrival",
+                                             index, spec.arrival_rate))
             try:
                 submit_vts[index] = loop.now
                 futures.append(server.submit(
@@ -255,20 +238,8 @@ def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
             outcomes.append(await future)
             concluded += 1
             if crash_after is not None and concluded >= crash_after:
-                # Die the way a killed worker does: torn temp file,
-                # no result, simulation abandoned mid-session.  The
-                # flight recorder dumps first — the black box is the
-                # only telemetry that survives the kill.
-                _obs_runtime.flight_dump(
-                    "chaos-kill", cohort=cohort_index,
-                    sessions_concluded=concluded)
-                if crash_tmp_path is not None:
-                    try:
-                        with open(crash_tmp_path, "wb") as f:
-                            f.write(b"chaos: torn soak write\x00" * 4)
-                    except OSError:
-                        pass
-                os._exit(CHAOS_CRASH_EXIT_CODE)
+                chaos_kill(crash_tmp_path, cohort=cohort_index,
+                           sessions_concluded=concluded)
         await server.close()
         return outcomes, submit_vts, shed_events, shed_indices, \
             shed_reasons
@@ -338,60 +309,9 @@ def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
     }
 
 
-def run_cohort(spec_dict: dict, directory: str, cohort_index: int,
-               attempt: int, chaos_dict: Optional[dict]) -> dict:
-    """The supervised worker task: simulate, write, report.
-
-    Chaos faults mirror the campaign layer's: ``crash`` kills the
-    worker mid-simulation (after half the cohort's sessions conclude),
-    ``corrupt`` flips a byte after the digest was computed so only the
-    supervisor's independent re-hash can notice.
-    """
-    spec = SoakSpec.from_dict(spec_dict)
-    chaos = None if chaos_dict is None else ChaosConfig.from_dict(chaos_dict)
-    crash_after = None
-    if chaos is not None:
-        fault = chaos.execution_fault(cohort_index, attempt)
-        if fault == "crash":
-            crash_after = max(1, spec.sessions // 2)
-        elif fault == "hang":
-            time.sleep(chaos.hang_seconds)
-        elif fault == "error":
-            raise ChaosInjectedError(
-                f"injected soak failure (cohort {cohort_index}, "
-                f"attempt {attempt})"
-            )
-        elif fault == "slow":
-            time.sleep(chaos.slow_seconds)
-
-    crash_tmp = os.path.join(
-        directory, spec.cohort_filename(cohort_index) + ".tmp")
-    with _obs_runtime.shard_scope(cohort_index) as rt:
-        payload = simulate_cohort(spec, cohort_index,
-                                  crash_after=crash_after,
-                                  crash_tmp_path=crash_tmp)
-        if rt is not None:
-            rt.registry.merge_snapshot(payload["metrics"])
-
-    name = spec.cohort_filename(cohort_index)
-    path = os.path.join(directory, name)
-    _atomic_write_bytes(
-        path, json.dumps(payload, indent=1, sort_keys=True).encode())
-    digest = file_digest(path)
-
-    if chaos is not None and chaos.corrupts(cohort_index, attempt):
-        with open(path, "r+b") as f:
-            f.seek(16)
-            byte = f.read(1) or b"\x00"
-            f.seek(16)
-            f.write(bytes([byte[0] ^ 0xFF]))
-
-    return {
-        "shard": cohort_index,
-        "file": name,
-        "sha256": digest,
-        "artifacts": [(name, digest)],
-    }
+#: The supervised worker task: one cohort attempt of this family.
+run_cohort = functools.partial(run_cohort_attempt, SoakSpec,
+                               simulate_cohort)
 
 
 #: The fleet soak's p99 alert line, in µJ.  A private-identification
@@ -418,17 +338,36 @@ def soak_rulebook(spec: SoakSpec):
 # the coordinator
 # ----------------------------------------------------------------------
 
+def _soak_totals(cohorts: List[dict]) -> dict:
+    """The summary's ``totals``: cohort aggregates in cohort order."""
+    def outcomes(key):
+        return sum(c["outcomes"].get(key, 0) for c in cohorts)
+
+    def shed(reason):
+        return sum(c.get("shed_reasons", {}).get(reason, 0) for c in cohorts)
+
+    return {
+        "sessions": sum(c["sessions"] for c in cohorts),
+        "accepted": outcomes("accepted"),
+        "shed": sum(c["shed"] for c in cohorts),
+        "deadline": outcomes("deadline"),
+        "adversarial": outcomes("adversarial"),
+        "budget_exhausted": outcomes("budget_exhausted"),
+        "throttled": shed("throttled"),
+        "shed_quarantined": shed("quarantined"),
+        "correct": sum(c["correct"] for c in cohorts),
+        "peak_in_flight": max((c["peak_in_flight"] for c in cohorts),
+                              default=0),
+        "tag_energy_uj": rounded_sum(c["tag_energy_uj"] for c in cohorts),
+        "reader_energy_uj": rounded_sum(c["reader_energy_uj"]
+                                        for c in cohorts),
+    }
+
+
 @dataclass
-class SoakReport:
+class SoakReport(CohortReport):
     """What one soak accomplished, plus where the summary lives."""
 
-    outcome: str                   # clean | degraded
-    spec_digest: str
-    directory: str
-    cohorts_total: int
-    cohorts_completed: int
-    quarantined: List[int] = dataclass_field(default_factory=list)
-    retried_attempts: int = 0
     sessions: int = 0
     accepted: int = 0
     shed: int = 0
@@ -441,10 +380,6 @@ class SoakReport:
     peak_in_flight: int = 0
     tag_energy_uj: float = 0.0
     reader_energy_uj: float = 0.0
-    alert_firings: int = 0
-    session_uj_p99: Optional[float] = None
-    summary_path: str = ""
-    wall_s: float = 0.0
 
     @property
     def acceptance_rate(self) -> float:
@@ -453,10 +388,7 @@ class SoakReport:
     def text(self) -> str:
         lines = [
             f"soak {self.spec_digest[:12]}: {self.outcome}",
-            f"  cohorts   {self.cohorts_completed}/{self.cohorts_total}"
-            + (f"  (quarantined: "
-               f"{', '.join(map(str, self.quarantined))})"
-               if self.quarantined else ""),
+            self.cohorts_line(),
             f"  sessions  {self.sessions}  accepted {self.accepted} "
             f"({self.acceptance_rate:.1%})  shed {self.shed}  "
             f"deadline {self.deadline}",
@@ -470,159 +402,21 @@ class SoakReport:
             f"(per cohort)",
             f"  energy    tag {self.tag_energy_uj:.1f} uJ, "
             f"reader {self.reader_energy_uj:.1f} uJ",
-            f"  telemetry {self.alert_firings} alert firing(s), "
-            f"session p99 "
-            + (f"{self.session_uj_p99:.1f} uJ"
-               if self.session_uj_p99 is not None else "-"),
-            f"  retries   {self.retried_attempts} worker attempts "
-            f"beyond the first",
-            f"  wall      {self.wall_s:.1f} s",
-            f"  summary   {self.summary_path}",
         ]
-        return "\n".join(lines)
+        return "\n".join(lines + self.run_lines())
 
 
 def run_soak(directory: str, spec: SoakSpec, *,
              workers: Optional[int] = None,
-             chaos: Optional[ChaosConfig] = None,
+             chaos=None,
              policy=None,
              on_event=None) -> SoakReport:
-    """Drive every cohort under supervision and write ``summary.json``.
-
-    The summary is a pure function of the spec: cohort aggregates in
-    cohort order, metric snapshots merged in cohort order, wall-clock
-    families stripped.  ``cmp`` two summaries from different worker
-    counts and they match.
-    """
-    from ..campaign.acquire import default_workers
-    from ..campaign.supervisor import ShardSupervisor
-
-    started = time.monotonic()
-    os.makedirs(directory, exist_ok=True)
-    for name in os.listdir(directory):
-        if name.endswith(".tmp"):
-            try:
-                os.unlink(os.path.join(directory, name))
-            except OSError:
-                pass
-
+    """Drive every cohort under supervision and write ``summary.json``
+    (plus ``telemetry.json`` and ``alerts.json``) through
+    :func:`repro.soak.run_cohorts`; ``cmp`` two summaries from
+    different worker counts and they match."""
     # Fail fast on a wrong or corrupt fleet before spawning workers.
-    store = EnrollmentStore(spec.store_dir, verify=True)
-    if store.spec.digest() != spec.enrollment_digest:
-        raise ServerError(
-            f"store at {spec.store_dir} holds fleet "
-            f"{store.spec.digest()[:12]}..., soak spec wants "
-            f"{spec.enrollment_digest[:12]}..."
-        )
-
-    records: Dict[int, dict] = {}
-    supervisor = ShardSupervisor(
-        spec, directory,
-        workers=default_workers(workers),
-        policy=policy,
-        chaos=chaos,
-        task=run_cohort,
-        on_success=lambda record, attempt: records.__setitem__(
-            record["shard"], record),
-        on_event=on_event,
-    )
-    outcome = supervisor.run(list(range(spec.cohorts)))
-    quarantined = sorted(outcome.quarantined)
-
-    merged = MetricRegistry()
-    cohort_summaries = []
-    telemetry_events = []
-    report = SoakReport(
-        outcome="degraded" if quarantined else "clean",
-        spec_digest=spec.digest(),
-        directory=str(directory),
-        cohorts_total=spec.cohorts,
-        cohorts_completed=len(records),
-        quarantined=quarantined,
-        retried_attempts=outcome.retried_attempts,
-    )
-    for index in sorted(records):
-        path = os.path.join(directory, records[index]["file"])
-        with open(path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
-        merged.merge_snapshot(payload["metrics"])
-        telemetry_events.extend(payload.get("telemetry", ()))
-        aggregates = {k: v for k, v in payload.items()
-                      if k not in ("metrics", "telemetry")}
-        cohort_summaries.append(aggregates)
-        report.sessions += payload["sessions"]
-        report.accepted += payload["outcomes"].get("accepted", 0)
-        report.deadline += payload["outcomes"].get("deadline", 0)
-        report.adversarial += payload["outcomes"].get("adversarial", 0)
-        report.budget_exhausted += \
-            payload["outcomes"].get("budget_exhausted", 0)
-        report.shed += payload["shed"]
-        reasons = payload.get("shed_reasons", {})
-        report.throttled += reasons.get("throttled", 0)
-        report.shed_quarantined += reasons.get("quarantined", 0)
-        report.correct += payload["correct"]
-        report.peak_in_flight = max(report.peak_in_flight,
-                                    payload["peak_in_flight"])
-        report.tag_energy_uj = round(
-            report.tag_energy_uj + payload["tag_energy_uj"], 6)
-        report.reader_energy_uj = round(
-            report.reader_energy_uj + payload["reader_energy_uj"], 6)
-
-    # Live telemetry: fold every cohort's ordered event stream through
-    # the aggregator + the fleet rulebook.  Events are pure functions
-    # of (spec, cohort) and the fold order is total, so telemetry.json
-    # and alerts.json are byte-identical across worker counts too.
-    rules = soak_rulebook(spec)
-    live, alert_records = run_pipeline(telemetry_events, rules,
-                                       window_s=rules[0].window_s)
-    write_telemetry(os.path.join(directory, TELEMETRY_NAME), live)
-    alert_log = write_alert_log(
-        os.path.join(directory, ALERTS_NAME), rules, alert_records)
-    session_uj = live["series"].get("session_uj", {})
-    report.alert_firings = alert_log["firings"]
-    report.session_uj_p99 = session_uj.get("p99")
-
-    summary = {
-        "schema_version": _SCHEMA_VERSION,
-        "spec": spec.identity_dict(),
-        "spec_digest": spec.digest(),
-        "outcome": report.outcome,
-        "quarantined": quarantined,
-        "cohorts": cohort_summaries,
-        "totals": {
-            "sessions": report.sessions,
-            "accepted": report.accepted,
-            "shed": report.shed,
-            "deadline": report.deadline,
-            "adversarial": report.adversarial,
-            "budget_exhausted": report.budget_exhausted,
-            "throttled": report.throttled,
-            "shed_quarantined": report.shed_quarantined,
-            "correct": report.correct,
-            "peak_in_flight": report.peak_in_flight,
-            "tag_energy_uj": report.tag_energy_uj,
-            "reader_energy_uj": report.reader_energy_uj,
-        },
-        "telemetry": {
-            "events": live["events"],
-            "session_uj": {key: session_uj.get(key)
-                           for key in ("count", "p50", "p95", "p99",
-                                       "max")},
-            "alerts": {
-                "firings": alert_log["firings"],
-                "by_rule": alert_log["firings_by_rule"],
-            },
-        },
-        "metrics": strip_wall_metrics(merged.snapshot()),
-    }
-    summary_path = os.path.join(directory, SUMMARY_NAME)
-    _atomic_write_bytes(
-        summary_path,
-        json.dumps(summary, indent=1, sort_keys=True).encode())
-    report.summary_path = summary_path
-    report.wall_s = time.monotonic() - started
-
-    rt = _obs_runtime.current()
-    if rt is not None:
-        _obs_runtime.merge_shard_metrics(rt, sorted(records))
-    return report
+    _check_fleet(spec, verify=True)
+    return run_cohorts(directory, spec, run_cohort, _soak_totals,
+                       soak_rulebook(spec), SoakReport, workers=workers,
+                       chaos=chaos, policy=policy, on_event=on_event)

@@ -35,6 +35,8 @@ class TestSpec:
             AmortizedSpec(backend="aes-gcm")
         with pytest.raises(ValueError):
             AmortizedSpec(sweep=(1.0,))
+        with pytest.raises(ValueError, match="repeats a loss rate"):
+            AmortizedSpec(sweep=(0.1, 0.1))
 
     def test_score_design_posture_duck_typing(self):
         # The spec *is* a session posture: a finite epoch and the

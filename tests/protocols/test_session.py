@@ -186,6 +186,20 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             make_adapter("schnorr", None)
 
+    def test_fleet_spec_validation(self):
+        with pytest.raises(ValueError):
+            FleetSpec(protocol="rot13")
+        with pytest.raises(ValueError):
+            FleetSpec(sessions=0)
+        with pytest.raises(ValueError):
+            FleetSpec(sweep=())
+        with pytest.raises(ValueError):
+            FleetSpec(sweep=(1.0,))
+        # Points are keyed by loss rate: a repeated rate would run and
+        # count every session twice.
+        with pytest.raises(ValueError, match="repeats a loss rate"):
+            FleetSpec(sessions=3, sweep=(0.1, 0.1))
+
 
 class TestEnergyAccounting:
     def test_retries_cost_microjoules(self):
