@@ -8,11 +8,11 @@ machinery the honest stack uses — the real
 :class:`~repro.protocols.peeters_hermans.PeetersHermansTag` (so the
 nonce single-use lifecycle is enforced by the genuine object), the
 real frame codec, the real :class:`~repro.channel.BodyAreaChannel`,
-and the tag-side state machine of
-:mod:`repro.protocols.session` (ported the way
-:class:`repro.server.reader._SessionExchange` ports it) — so every µJ
-the attack drains is priced by the same energy model the paper's
-honest sessions use.
+and the session layer's own
+:class:`~repro.protocols.session.SessionEngine`, subclassed: the tag
+is the engine's initiator, a scripted counterpart replaces its
+responder — so every µJ the attack drains is priced by the same
+energy model the paper's honest sessions use.
 
 Four adversaries, each keyed to a weakness of the three-round flow:
 
@@ -39,7 +39,6 @@ byte-identical across worker counts and chaos retries.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Tuple
@@ -47,16 +46,10 @@ from typing import List, Optional, Tuple
 from ..channel import (
     BodyAreaChannel,
     Frame,
-    FrameCorruptedError,
-    FrameError,
     LossProfile,
-    compress_point,
-    decode_frame,
     derive_channel_seed,
-    encode_frame,
     int_from_bytes,
     int_to_bytes,
-    scalar_width_bytes,
 )
 from ..ec.curves import get_curve
 from ..obs import runtime as _obs_runtime
@@ -64,7 +57,10 @@ from ..protocols.peeters_hermans import (
     PeetersHermansReader,
     PeetersHermansTag,
 )
-from ..protocols.session import RetransmissionPolicy
+from ..protocols.session import (PayloadRejectedError,
+                                 PeetersHermansAdapter,
+                                 RetransmissionPolicy, SessionEngine,
+                                 SessionHalt)
 from .defense import DefenseConfig, WakeUpRadio, WAKE_TOKEN_BYTES
 from .errors import AdversaryError, BudgetExhaustedError
 
@@ -79,7 +75,8 @@ ADVERSARY_NAMES = ("bogus-flood", "replay-flood", "amplification",
 #: mixed in to prove the defended tag still serves it.
 SESSION_KINDS = ADVERSARY_NAMES + ("legit",)
 
-_TAG, _ADVERSARY = 0, 1
+#: The scripted counterpart is the engine's responder.
+_ADVERSARY = 1
 
 #: How many wake attempts an adversary (or reader) makes before giving
 #: up on a tag that will not power up, and their spacing.
@@ -141,17 +138,17 @@ class _Policy:
     kind = "abstract"
     knows_wake_key = False
 
-    def __init__(self, engine: "_AttackEngine"):
+    def __init__(self, engine: "_AttackSession"):
         self.engine = engine
         self.challenges_sent = 0
 
-    def _challenge_scalar(self, epoch: int) -> int:
+    def _challenge(self, epoch: int) -> bytes:
         """A deterministic in-range challenge (forged or drawn)."""
         e = self.engine
         n = e.domain.scalar_ring.n
         draw = derive_channel_seed(e.seed, f"adversary/{self.kind}/e",
                                    e.session_index, epoch, 0)
-        return 1 + draw % (n - 1)
+        return int_to_bytes(1 + draw % (n - 1), e._scalar_width)
 
     def on_commit(self, frame: Frame) -> None:
         """The tag's m0 arrived (one per epoch)."""
@@ -173,27 +170,23 @@ class _ReplayFlood(_Policy):
 
     def __init__(self, engine):
         super().__init__(engine)
-        self.captured: Optional[Tuple[int, int, bytes]] = None
+        self.captured: Optional[Tuple[int, bytes]] = None
 
     def on_commit(self, frame: Frame) -> None:
         e = self.engine
         if self.captured is None:
-            scalar = self._challenge_scalar(frame.epoch)
-            payload = int_to_bytes(scalar, e.scalar_width)
-            self.captured = (frame.epoch, 0, payload)
+            self.captured = (frame.epoch, self._challenge(frame.epoch))
             self.challenges_sent += 1
-            e.adv_send(frame.epoch, 1, 0, "e", payload)
+            e.adv_send(*self.captured)
             # ... then hammer the live epoch with exact copies: the
             # tag must reject every one (nonce single-use), or leak s
             # twice under one r.
-            epoch, attempt, data = self.captured
             for i in range(_REPLAY_BURST):
-                e.push(e.now + (i + 1) * _REPLAY_SPACING_S,
-                       "adv-replay", epoch, attempt, data)
+                e._push(e.now + (i + 1) * _REPLAY_SPACING_S,
+                        "adv-replay", *self.captured)
         else:
             # Later epochs only ever see the stale capture.
-            epoch, attempt, data = self.captured
-            e.adv_send(epoch, 1, attempt, "e", data, replayed=True)
+            e.adv_send(*self.captured)
 
 
 class _Amplification(_Policy):
@@ -208,20 +201,17 @@ class _Amplification(_Policy):
         self._payloads = {}
 
     def on_commit(self, frame: Frame) -> None:
-        e = self.engine
-        payload = int_to_bytes(self._challenge_scalar(frame.epoch),
-                               e.scalar_width)
+        payload = self._challenge(frame.epoch)
         self._payloads[frame.epoch] = payload
         self.challenges_sent += 1
-        e.adv_send(frame.epoch, 1, 0, "e", payload)
+        self.engine.adv_send(frame.epoch, payload)
 
     def on_response(self, frame: Frame) -> None:
         # The response arrived fine — pretend it did not: bump the
         # attempt counter so the tag presumes loss and burns an epoch.
-        e = self.engine
         payload = self._payloads.get(frame.epoch)
         if payload is not None:
-            e.adv_send(frame.epoch, 1, 1, "e", payload, replayed=True)
+            self.engine.adv_send(frame.epoch, payload, attempt=1)
 
 
 class _Abandonment(_Policy):
@@ -232,11 +222,8 @@ class _Abandonment(_Policy):
     def on_commit(self, frame: Frame) -> None:
         if self.challenges_sent:
             return  # vanished
-        e = self.engine
-        payload = int_to_bytes(self._challenge_scalar(frame.epoch),
-                               e.scalar_width)
         self.challenges_sent += 1
-        e.adv_send(frame.epoch, 1, 0, "e", payload)
+        self.engine.adv_send(frame.epoch, self._challenge(frame.epoch))
 
 
 class _Legit(_Policy):
@@ -248,15 +235,19 @@ class _Legit(_Policy):
     def on_commit(self, frame: Frame) -> None:
         e = self.engine
         try:
-            payload = e.reader_handle_m0(frame)
-        except AdversaryError:
+            payload = e.handle_m0(frame.payload, e.rng_resp)
+        except PayloadRejectedError:
             return
-        if payload is not None:
-            self.challenges_sent += 1
-            e.adv_send(frame.epoch, 1, 0, "e", payload)
+        self.challenges_sent += 1
+        e.adv_send(frame.epoch, payload)
 
     def on_response(self, frame: Frame) -> None:
-        self.engine.reader_conclude(frame)
+        e = self.engine
+        try:
+            e.concluded = e.conclude(frame.payload)
+        except PayloadRejectedError:
+            return
+        e._note(f"concluded: {e.concluded[2]}")
 
 
 _POLICIES = {
@@ -268,7 +259,7 @@ _POLICIES = {
 }
 
 
-def make_attack_policy(kind: str, engine: "_AttackEngine") -> _Policy:
+def make_attack_policy(kind: str, engine: "_AttackSession") -> _Policy:
     try:
         cls = _POLICIES[kind]
     except KeyError:
@@ -282,14 +273,18 @@ def make_attack_policy(kind: str, engine: "_AttackEngine") -> _Policy:
 # the engine
 # ----------------------------------------------------------------------
 
-class _AttackEngine:
+class _AttackSession(SessionEngine, PeetersHermansAdapter):
     """One tag under one scripted counterpart over one lossy channel.
 
-    The tag side is the session layer's initiator state machine with
-    two graceful-degradation hooks spliced in front of every energy
-    spend: the wake gate (no protocol work without an authenticated
-    wake) and the energy budget (no charge past the per-window cap).
+    The shared session engine, as its own Peeters–Hermans adapter: the
+    tag is the initiator, the script is the responder.  Two
+    graceful-degradation hooks sit in front of every tag energy spend:
+    the wake gate (the main radio stays dark until an authenticated
+    wake) and the energy budget (a charge past the per-window cap
+    halts the session).
     """
+
+    roles = ("tag", "adversary")
 
     def __init__(self, kind: str, defense: DefenseConfig,
                  channel: BodyAreaChannel, policy: RetransmissionPolicy,
@@ -302,98 +297,57 @@ class _AttackEngine:
         from ..energy.comparison import ComputeEnergyTable
         from ..energy.radio import RadioModel
 
-        self.kind = kind
-        self.defense = defense
-        self.channel = channel
-        self.policy = policy
-        self.seed = seed
-        self.session_index = session_index
-        self.distance_m = distance_m
-        self.budget = budget if budget is not None else defense.budget()
-        self.domain = get_curve(curve)
-        self.scalar_width = scalar_width_bytes(self.domain.order)
-        self.table = ComputeEnergyTable()
-        self.radio = RadioModel()
-
-        self.session_id = derive_channel_seed(
-            seed, "adversary/session-id", session_index, 0, 0) & 0xFFFFFFFF
-        self.rng_tag = random.Random(derive_channel_seed(
-            seed, "adversary/role/tag", session_index, 0, 0))
-        self.rng_reader = random.Random(derive_channel_seed(
-            seed, "adversary/role/reader", session_index, 0, 0))
-
         # Real endpoints: the honest reader provisions the tag (it
         # holds Y = y*P); attack policies never touch the reader.
+        domain = get_curve(curve)
+        ring = domain.scalar_ring
         key_rng = random.Random(derive_channel_seed(
             seed, "adversary/keys", session_index, 0, 0))
-        ring = self.domain.scalar_ring
-        curve_obj = self.domain.curve
-        self.reader = PeetersHermansReader(self.domain,
-                                           ring.random_scalar(key_rng))
-        self.tag = PeetersHermansTag(
-            self.domain, ring.random_scalar(key_rng), self.reader.public,
-            multiplier=lambda k, point, rng: curve_obj.multiply_naive(
+        reader = PeetersHermansReader(domain, ring.random_scalar(key_rng))
+        tag = PeetersHermansTag(
+            domain, ring.random_scalar(key_rng), reader.public,
+            multiplier=lambda k, point, rng: domain.curve.multiply_naive(
                 k, point))
-        self.reader.register(session_index + 1, self.tag.identity_point)
-        self._commitment = None
-        self._reader_challenge: Optional[int] = None
+        reader.register(session_index + 1, tag.identity_point)
+        PeetersHermansAdapter.__init__(self, domain, tag, reader)
+        SessionEngine.__init__(
+            self, self, channel, policy, seed, session_index,
+            streams=("adversary/session-id", "adversary/role/tag",
+                     "adversary/role/reader"),
+            start_at=start_at)
+        if defense.max_session_epochs:
+            self.max_epochs = min(self.max_epochs,
+                                  defense.max_session_epochs)
+        self.backoff_scale = defense.restart_backoff_scale
+        self.init_state = "dark"
 
+        self.kind = kind
+        self.defense = defense
+        self.distance_m = distance_m
+        self.budget = budget if budget is not None else defense.budget()
+        self.radio = RadioModel()
         self.wake = wake if wake is not None else WakeUpRadio(
             WakeUpRadio.derive_key(seed))
 
         # Per-action tag costs in µJ (compute side; radio priced per
         # frame at send/receive time).
+        table = ComputeEnergyTable()
         n_bits = ring.n.bit_length()
-        self._commit_uj = (self.table.point_multiplication_j
-                           + n_bits * self.table.random_bit_j) * 1e6
-        self._respond_uj = (self.table.point_multiplication_j
-                            + self.table.modular_multiplication_j) * 1e6
+        self._commit_uj = (table.point_multiplication_j
+                           + n_bits * table.random_bit_j) * 1e6
+        self._respond_uj = (table.point_multiplication_j
+                            + table.modular_multiplication_j) * 1e6
 
-        self.now = start_at
-        self.started_at = start_at
-        self._queue: list = []
-        self._seq = 0
-        self._timer_seq = 0
-
-        # tag state
-        self.tag_state = "dark"
-        self.epoch = -1
-        self.consumed_m1_attempt: Optional[int] = None
-        self.aborted_phase: Optional[str] = None
-        self.budget_dead = False
-
-        # verdicts / bookkeeping
-        self.concluded: Optional[Tuple[bool, Optional[int], str]] = None
-        self.frames_sent = 0
         self.wake_attempts = 0
         self.wake_refusals = 0
-        self.replayed = 0
-        self.stale = 0
-        self.payload_rejected = 0
         self.responses_emitted = 0
         self.budget_refusals = 0
         self.tag_uj = 0.0
         self.adversary_uj = 0.0
-        self.log: List[str] = []
 
         self.policy_script = make_attack_policy(kind, self)
 
-    # -- helpers -------------------------------------------------------
-
-    @property
-    def max_epochs(self) -> int:
-        if self.defense.max_session_epochs:
-            return min(self.policy.max_epochs,
-                       self.defense.max_session_epochs)
-        return self.policy.max_epochs
-
-    def push(self, at: float, event: str, *args) -> None:
-        self._seq += 1
-        heapq.heappush(self._queue, (at, self._seq, event, args))
-
-    def _note(self, text: str) -> None:
-        self.log.append(
-            f"{(self.now - self.started_at) * 1000:9.3f}ms {text}")
+    # -- energy --------------------------------------------------------
 
     def _tx_uj(self, nbytes: int) -> float:
         return self.radio.transmit_energy(nbytes * 8, self.distance_m) \
@@ -402,61 +356,59 @@ class _AttackEngine:
     def _rx_uj(self, nbytes: int) -> float:
         return self.radio.receive_energy(nbytes * 8) * 1e6
 
-    def _charge_tag(self, uj: float, what: str) -> bool:
-        """Spend tag energy, or refuse via the budget and go dark."""
+    def _charge_tag(self, uj: float, what: str) -> None:
+        """Spend tag energy, or refuse via the budget and halt dark."""
         if self.budget is not None:
             try:
                 self.budget.charge(uj, self.now)
             except BudgetExhaustedError as exc:
                 self.budget_refusals += 1
-                self.budget_dead = True
                 self._note(f"budget refused {what}: {exc}")
-                return False
+                raise SessionHalt(
+                    "budget_exhausted",
+                    "energy budget cap reached; tag dark until the "
+                    "window rolls") from None
         self.tag_uj += uj
-        return True
 
-    # -- wire ----------------------------------------------------------
+    def _account_tx(self, sender: int, data: bytes) -> None:
+        if sender == _ADVERSARY:
+            self.adversary_uj += self._tx_uj(len(data))
+            return
+        # Every transmitted tag bit, retransmissions included, is an
+        # energy event; frames_sent counts tag-side frames only.
+        self._charge_tag(self._tx_uj(len(data)), "tx")
+        super()._account_tx(sender, data)
 
-    def adv_send(self, epoch: int, round_index: int, attempt: int,
-                 label: str, payload: bytes, *,
-                 replayed: bool = False) -> None:
-        """The counterpart transmits one protocol frame."""
-        frame = Frame(self.session_id, epoch % 256, round_index,
-                      attempt, _ADVERSARY, label, payload)
-        data = encode_frame(frame)
-        self.adversary_uj += self._tx_uj(len(data))
-        frame_id = epoch * 3 + round_index
-        deliveries = self.channel.transmit(data, frame_id, attempt,
-                                           self.now)
-        self._note(f"tx adversary {label} epoch={epoch} "
-                   f"attempt={attempt}"
-                   + (" (replayed)" if replayed else ""))
-        for delivery in deliveries:
-            self.push(delivery.at, "deliver", _TAG, delivery.data)
+    def _account_rx(self, role: int, data: bytes) -> bool:
+        if role == _ADVERSARY:
+            self.adversary_uj += self._rx_uj(len(data))
+            return True
+        if self.init_state == "dark":
+            return False  # main radio is off; nothing to receive
+        self._charge_tag(self._rx_uj(len(data)), "rx frame")
+        return super()._account_rx(role, data)
 
-    def _tag_send(self, round_index: int, label: str,
-                  payload: bytes) -> bool:
-        frame = Frame(self.session_id, self.epoch % 256, round_index, 0,
-                      _TAG, label, payload)
-        data = encode_frame(frame)
-        # Compute already charged by the caller; the frame's bits are
-        # charged here — every retransmitted bit is an energy event.
-        if not self._charge_tag(self._tx_uj(len(data)),
-                                f"tx {label}"):
-            return False
-        self.tag.ops.tx_bits += len(data) * 8
-        self.frames_sent += 1
-        frame_id = self.epoch * 3 + round_index
-        deliveries = self.channel.transmit(data, frame_id, 0, self.now)
-        self._note(f"tx tag {label} epoch={self.epoch} "
-                   f"bytes={len(data)} -> {len(deliveries)} copies")
-        for delivery in deliveries:
-            self.push(delivery.at, "deliver", _ADVERSARY, delivery.data)
-        return True
+    # -- the tag (initiator) -------------------------------------------
+
+    def make_m0(self, rng) -> bytes:
+        self._charge_tag(self._commit_uj, "commit")
+        return super().make_m0(rng)
+
+    def make_m2(self, payload: bytes, rng) -> bytes:
+        # Validate before charging: a garbage challenge must not cost
+        # a point multiplication that never runs.
+        if len(payload) != self._scalar_width:
+            raise PayloadRejectedError("challenge has the wrong width")
+        if not 1 <= int_from_bytes(payload) < self.domain.scalar_ring.n:
+            raise PayloadRejectedError("challenge out of range")
+        self._charge_tag(self._respond_uj, "respond")
+        response = super().make_m2(payload, rng)
+        self.responses_emitted += 1
+        return response
 
     # -- wake gating ---------------------------------------------------
 
-    def _send_wakes(self) -> None:
+    def _start(self) -> None:
         """The counterpart's wake schedule (legit: authentic token)."""
         if self.policy_script.knows_wake_key:
             token = self.wake.token(self.session_id)
@@ -465,14 +417,14 @@ class _AttackEngine:
                                          self.session_index, 0, 0)
             token = forged.to_bytes(WAKE_TOKEN_BYTES, "big")
         for attempt in range(_WAKE_ATTEMPTS):
-            self.push(self.started_at + attempt * _WAKE_INTERVAL_S,
-                      "wake-tx", token, attempt)
+            self._push(self.started_at + attempt * _WAKE_INTERVAL_S,
+                       "wake-tx", token, attempt)
 
     def _wake_rx(self, token: bytes) -> None:
         """The always-on wake receiver hears a token (budget-exempt)."""
         self.tag_uj += self.defense.wake_rx_uj
         self.wake_attempts += 1
-        if self.tag_state != "dark":
+        if self.init_state != "dark":
             return  # already up; late wake copies are noise
         if self.defense.wake_gating \
                 and not self.wake.verify(self.session_id, token):
@@ -483,196 +435,40 @@ class _AttackEngine:
         self._note("wake accepted: protocol layer powering up")
         self._start_epoch()
 
-    # -- tag state machine (the session layer's initiator) -------------
+    def _on_event(self, kind: str, args: tuple) -> None:
+        if kind == "wake-tx":
+            token, attempt = args
+            self.adversary_uj += self._tx_uj(len(token))
+            for delivery in self.channel.transmit(
+                    token, -(attempt + 1), attempt, self.now):
+                self._push(delivery.at, "wake-rx", delivery.data)
+        elif kind == "wake-rx":
+            self._wake_rx(*args)
+        else:  # "adv-replay": a scheduled copy of a captured challenge
+            self.adv_send(*args)
 
-    def _arm_timer(self, at: float) -> None:
-        self._timer_seq += 1
-        self.push(at, "timer", self._timer_seq)
+    # -- the script (responder) ----------------------------------------
 
-    def _start_epoch(self) -> None:
-        if self.budget_dead:
-            return
-        if self.epoch + 1 >= self.max_epochs:
-            self.aborted_phase = self.tag_state
-            self._note(f"abort: epoch budget exhausted in "
-                       f"{self.tag_state}")
-            return
-        if self.epoch >= 0:
-            self.tag.abort()
-        if not self._charge_tag(self._commit_uj, "commit"):
-            return
-        self.epoch += 1
-        self.consumed_m1_attempt = None
-        self.tag_state = "await-m1"
-        payload = compress_point(self.domain.curve,
-                                 self.tag.commit(self.rng_tag))
-        if self._tag_send(0, "R", payload):
-            self._arm_timer(self.now + self.policy.round_deadline_s)
+    def adv_send(self, epoch: int, payload: bytes,
+                 attempt: int = 0) -> None:
+        """The counterpart transmits one challenge frame."""
+        self._send(_ADVERSARY, epoch, 1, attempt, "e", payload)
 
-    def _restart_epoch(self, reason: str) -> None:
-        if self.budget_dead or self.aborted_phase is not None:
-            return
-        self._note(f"epoch {self.epoch} failed ({reason})")
-        delay = self.policy.epoch_backoff(self.seed, self.session_index,
-                                          self.epoch + 1) \
-            * self.defense.restart_backoff_scale
-        self.tag_state = "backoff"
-        self.push(self.now + delay, "epoch")
-
-    def _tag_frame(self, frame: Frame) -> None:
-        if frame.round_index != 1:
-            self.stale += 1
-            return
-        if frame.epoch != self.epoch % 256:
-            self.stale += 1
-            self._note(f"rx tag: stale challenge (epoch {frame.epoch})")
-            return
-        if self.tag_state == "await-m1":
-            if len(frame.payload) != self.scalar_width:
-                self.payload_rejected += 1
-                return
-            if not self._charge_tag(self._respond_uj, "respond"):
-                return
-            try:
-                s = self.tag.respond(int_from_bytes(frame.payload),
-                                     self.rng_tag)
-            except ValueError:
-                self.payload_rejected += 1
-                # the charge was optimistic; the energy price of
-                # validating a garbage scalar is negligible and the
-                # point multiplication never ran — refund it.
-                self.tag_uj -= self._respond_uj
-                if self.budget is not None:
-                    self.budget.window_spent_uj = max(
-                        0.0, self.budget.window_spent_uj
-                        - self._respond_uj)
-                    self.budget.total_spent_uj = max(
-                        0.0, self.budget.total_spent_uj
-                        - self._respond_uj)
-                return
-            self.responses_emitted += 1
-            self.consumed_m1_attempt = frame.attempt
-            if self._tag_send(2, "s",
-                              int_to_bytes(s, self.scalar_width)):
-                self.tag_state = "closing"
-                self._arm_timer(self.now + self.policy.round_deadline_s)
-        elif self.tag_state == "closing":
-            self.replayed += 1
-            if frame.attempt > (self.consumed_m1_attempt or 0):
-                # Retransmitted challenge after our response: the
-                # nonce is spent, the only safe recovery is a fresh
-                # epoch — exactly the lever amplification pulls.
-                self._note("rx tag: retransmitted challenge after "
-                           "response; response presumed lost")
-                self._restart_epoch("response presumed lost")
-            else:
-                self._note("rx tag: duplicate challenge replayed; "
-                           "nonce already consumed, rejected")
-
-    def _tag_timeout(self) -> None:
-        if self.tag_state in ("await-m1", "closing"):
-            self._restart_epoch(f"deadline expired in {self.tag_state}")
-
-    # -- honest reader side (legit sessions only) ----------------------
-
-    def reader_handle_m0(self, frame: Frame) -> Optional[bytes]:
-        from ..channel import decompress_point
-        try:
-            self._commitment = decompress_point(self.domain.curve,
-                                                frame.payload)
-        except FrameError:
-            return None
-        self._reader_challenge = self.reader.challenge(self.rng_reader)
-        return int_to_bytes(self._reader_challenge, self.scalar_width)
-
-    def reader_conclude(self, frame: Frame) -> None:
-        if len(frame.payload) != self.scalar_width:
-            return
-        identity = self.reader.identify(self._commitment,
-                                        self._reader_challenge,
-                                        int_from_bytes(frame.payload))
-        if identity is None:
-            self.concluded = (False, None, "tag not in the database")
-        else:
-            self.concluded = (True, identity,
-                              f"identified tag {identity}")
-        self._note(f"concluded: {self.concluded[2]}")
-
-    # -- main loop -----------------------------------------------------
-
-    def run(self) -> AttackSessionResult:
-        self._send_wakes()
-        while self._queue:
-            if self.concluded is not None or self.budget_dead \
-                    or self.aborted_phase is not None:
-                break
-            at, _seq, event, args = heapq.heappop(self._queue)
-            self.now = max(self.now, at)
-            if event == "wake-tx":
-                token, attempt = args
-                self.adversary_uj += self._tx_uj(len(token))
-                deliveries = self.channel.transmit(
-                    token, -(attempt + 1), attempt, self.now)
-                for delivery in deliveries:
-                    self.push(delivery.at, "wake-rx", delivery.data)
-            elif event == "wake-rx":
-                (token,) = args
-                self._wake_rx(token)
-            elif event == "deliver":
-                role, data = args
-                if role == _ADVERSARY:
-                    self.adversary_uj += self._rx_uj(len(data))
-                    try:
-                        frame = decode_frame(data)
-                    except (FrameCorruptedError, FrameError):
-                        continue
-                    if frame.sender != _TAG:
-                        continue
-                    if frame.round_index == 0:
-                        self.policy_script.on_commit(frame)
-                    elif frame.round_index == 2:
-                        self.policy_script.on_response(frame)
-                else:
-                    if self.tag_state == "dark":
-                        # main radio is off; nothing to receive
-                        continue
-                    if not self._charge_tag(self._rx_uj(len(data)),
-                                            "rx frame"):
-                        continue
-                    self.tag.ops.rx_bits += len(data) * 8
-                    try:
-                        frame = decode_frame(data)
-                    except (FrameCorruptedError, FrameError):
-                        continue
-                    if frame.session != self.session_id \
-                            or frame.sender != _ADVERSARY:
-                        self.stale += 1
-                        continue
-                    self._tag_frame(frame)
-            elif event == "adv-replay":
-                epoch, attempt, data = args
-                self.adv_send(epoch, 1, attempt, "e", data,
-                              replayed=True)
-            elif event == "timer":
-                (seq,) = args
-                if seq != self._timer_seq:
-                    continue
-                self._tag_timeout()
-            elif event == "epoch":
-                self._start_epoch()
-        return self._result()
+    async def _responder_frame(self, frame: Frame) -> None:
+        if frame.round_index == 0:
+            self.policy_script.on_commit(frame)
+        elif frame.round_index == 2:
+            self.policy_script.on_response(frame)
 
     # -- verdict -------------------------------------------------------
 
-    def _result(self) -> AttackSessionResult:
+    def result(self) -> AttackSessionResult:
         if self.concluded is not None:
             accepted, _identity, detail = self.concluded
             outcome = "accepted" if accepted else "rejected"
-        elif self.budget_dead:
-            outcome = "budget_exhausted"
-            detail = ("energy budget cap reached; tag dark until the "
-                      "window rolls")
-        elif self.tag_state == "dark":
+        elif self.halt is not None:
+            outcome, detail = self.halt.outcome, self.halt.detail
+        elif self.init_state == "dark":
             outcome = "refused"
             detail = (f"all {self.wake_refusals} wake attempt(s) "
                       "carried invalid tokens; protocol layer never "
@@ -732,7 +528,7 @@ def run_attack_session(
     profile = profile if profile is not None else LossProfile()
     policy = policy or RetransmissionPolicy()
     channel = BodyAreaChannel(profile, seed=seed, session=session_index)
-    engine = _AttackEngine(
+    engine = _AttackSession(
         kind, defense, channel, policy, seed, session_index,
         curve=curve, distance_m=distance_m, start_at=start_at,
         budget=budget, wake=wake)
@@ -740,13 +536,15 @@ def run_attack_session(
     if rt is not None:
         with rt.span("adversary.session", key=session_index,
                      adversary=kind, defense=defense.name) as span:
-            result = engine.run()
+            engine.run()
+            result = engine.result()
             if span is not None:
                 span.set(outcome=result.outcome,
                          epochs=result.epochs_used,
                          tag_uj=round(result.tag_uj, 3))
     else:
-        result = engine.run()
+        engine.run()
+        result = engine.result()
     if registry is None and rt is not None:
         registry = rt.registry
     if registry is not None:

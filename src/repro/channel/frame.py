@@ -128,7 +128,10 @@ def decode_frame(data: bytes) -> Frame:
         offset = 10
         if len(data) < offset + label_len + 2 + 2:
             raise FrameFormatError("frame truncated inside the label")
-        label = data[offset:offset + label_len].decode()
+        try:
+            label = data[offset:offset + label_len].decode()
+        except UnicodeDecodeError:
+            raise FrameFormatError("frame label is not UTF-8") from None
         offset += label_len
         payload_len = int.from_bytes(data[offset:offset + 2], "big")
         offset += 2

@@ -28,7 +28,9 @@ explicit per-role state machines over :mod:`repro.channel`, with:
 
 The simulation is event-driven over a virtual clock and fully
 deterministic: identical ``(seed, loss profile)`` yield byte-identical
-transcripts, retry counts and energy totals.
+transcripts, retry counts and energy totals.  :class:`SessionEngine`
+is the repo's one three-round engine: the identification server and
+the adversary lab subclass it rather than keep their own copies.
 """
 
 from __future__ import annotations
@@ -76,10 +78,11 @@ from .peeters_hermans import PeetersHermansReader, PeetersHermansTag
 from .schnorr import SchnorrTag, SchnorrVerifier
 
 __all__ = ["SessionError", "StaleFrameError", "ReplayedFrameError",
-           "PayloadRejectedError", "PeerRejectedError",
-           "RetransmissionPolicy", "SessionResult",
-           "PeetersHermansAdapter", "SchnorrAdapter", "MutualAuthAdapter",
-           "run_resilient_session", "PROTOCOL_NAMES", "make_adapter"]
+           "PayloadRejectedError", "PeerRejectedError", "SessionHalt",
+           "RetransmissionPolicy", "SessionResult", "SessionEngine",
+           "ThreeRoundAdapter", "PeetersHermansAdapter", "SchnorrAdapter",
+           "MutualAuthAdapter", "run_resilient_session", "PROTOCOL_NAMES",
+           "make_adapter"]
 
 _INITIATOR, _RESPONDER = 0, 1
 
@@ -125,6 +128,20 @@ class PayloadRejectedError(SessionError):
 class PeerRejectedError(SessionError):
     """The peer failed authentication (e.g. the server MAC check);
     the session *completes* unaccepted rather than retrying."""
+
+
+class SessionHalt(SessionError):
+    """An endpoint stops the whole session with a final outcome.
+
+    Raised from an adapter or accounting hook (a tag whose energy
+    budget is spent, a reader that sees replayed commit material); the
+    engine stops dispatching and keeps the halt as its verdict.
+    """
+
+    def __init__(self, outcome: str, detail: str):
+        super().__init__(detail)
+        self.outcome = outcome
+        self.detail = detail
 
 
 # ----------------------------------------------------------------------
@@ -442,27 +459,58 @@ _PHASES = {
     "closing": "response sent, awaiting conclusion",
 }
 
+#: Seed streams of the session id and of the initiator's and the
+#: responder's RNGs; every caller keys its own.
+_STREAMS = ("session-id", "role/initiator", "role/responder")
 
-class _SessionEngine:
-    """Event-driven simulation of two endpoints over one channel."""
+
+class SessionEngine:
+    """Event-driven simulation of two endpoints over one channel.
+
+    The repo's one three-round engine: a private ``(time, seq)``
+    agenda with per-role timers, frame accounting, the initiator and
+    responder state machines and the dispatch loop.
+    :func:`run_resilient_session` drives it with a
+    :class:`ThreeRoundAdapter`; the identification server
+    (:mod:`repro.server.reader`) and the adversary lab
+    (:mod:`repro.adversary.engine`) subclass it — each its own adapter
+    — and override only these hooks:
+
+    * ``_advance(at)`` / ``_conclude(payload)``: awaitables for how the
+      clock moves and for the responder's closing check;
+    * ``_account_tx`` / ``_account_rx``: what a frame costs its
+      endpoint, and whether a receiver hears it at all;
+    * ``_start`` / ``_responder_frame`` / ``_on_event``: how the
+      session opens, the responder's side, and extra agenda events.
+
+    An endpoint that must stop the whole session raises
+    :class:`SessionHalt`.  :meth:`simulate` is the loop as a
+    coroutine; :meth:`run` drives it on the engine's private clock,
+    where nothing ever waits.
+    """
 
     def __init__(self, adapter: ThreeRoundAdapter, channel: BodyAreaChannel,
                  policy: RetransmissionPolicy, seed: int,
-                 session_index: int):
+                 session_index: int, *,
+                 streams: Tuple[str, str, str] = _STREAMS,
+                 start_at: float = 0.0):
         self.adapter = adapter
         self.channel = channel
         self.policy = policy
         self.seed = seed
         self.session_index = session_index
-        self.session_id = derive_channel_seed(seed, "session-id",
+        id_stream, init_stream, resp_stream = streams
+        self.session_id = derive_channel_seed(seed, id_stream,
                                               session_index, 0, 0) \
             & 0xFFFFFFFF
         self.rng_init = random.Random(derive_channel_seed(
-            seed, "role/initiator", session_index, 0, 0))
+            seed, init_stream, session_index, 0, 0))
         self.rng_resp = random.Random(derive_channel_seed(
-            seed, "role/responder", session_index, 0, 0))
+            seed, resp_stream, session_index, 0, 0))
+        self.max_epochs = policy.max_epochs
+        self.backoff_scale = 1.0
 
-        self.now = 0.0
+        self.now = self.started_at = start_at
         self._queue: list = []
         self._seq = 0
         self._timer_seq = [0, 0]
@@ -487,6 +535,7 @@ class _SessionEngine:
         self.concluded: Optional[Tuple[bool, Optional[int], str]] = None
         self.peer_rejected: Optional[str] = None
         self.aborted_phase: Optional[str] = None
+        self.halt: Optional[SessionHalt] = None
         self.log: List[str] = []
 
     # -- helpers -------------------------------------------------------
@@ -495,38 +544,52 @@ class _SessionEngine:
         self._seq += 1
         heapq.heappush(self._queue, (at, self._seq, kind, args))
 
-    def _arm_timer(self, role: int, at: float) -> None:
+    def _arm_timer(self, role: int) -> None:
         self._timer_seq[role] += 1
-        self._push(at, "timer", role, self._timer_seq[role])
+        self._push(self.now + self.policy.round_deadline_s, "timer", role,
+                   self._timer_seq[role])
 
     def _note(self, text: str) -> None:
-        self.log.append(f"{self.now * 1000:9.3f}ms {text}")
+        self.log.append(
+            f"{(self.now - self.started_at) * 1000:9.3f}ms {text}")
 
-    def _send(self, sender: int, round_index: int, attempt: int,
-              label: str, payload: bytes) -> None:
-        # round 1 is bound to the epoch the responder is serving
-        epoch = self.epoch if sender == _INITIATOR else self.resp_epoch
+    def _ops(self, role: int) -> OperationCount:
+        return self.adapter.initiator_ops() if role == _INITIATOR \
+            else self.adapter.responder_ops()
+
+    def _account_tx(self, sender: int, data: bytes) -> None:
+        """Charge one transmitted frame to its sender."""
+        self._ops(sender).tx_bits += len(data) * 8
+        self.frames_sent += 1
+
+    def _account_rx(self, role: int, data: bytes) -> bool:
+        """Charge one arriving frame to its receiver; False drops it
+        unheard."""
+        self._ops(role).rx_bits += len(data) * 8
+        return True
+
+    def _send(self, sender: int, epoch: int, round_index: int,
+              attempt: int, label: str, payload: bytes) -> None:
         frame = Frame(self.session_id, epoch, round_index, attempt,
                       sender, label, payload)
         data = encode_frame(frame)
-        ops = self.adapter.initiator_ops() if sender == _INITIATOR \
-            else self.adapter.responder_ops()
-        ops.tx_bits += len(data) * 8
-        self.frames_sent += 1
-        frame_id = epoch * 3 + round_index
-        deliveries = self.channel.transmit(data, frame_id, attempt,
-                                           self.now)
-        receiver = _RESPONDER if sender == _INITIATOR else _INITIATOR
+        self._account_tx(sender, data)
+        deliveries = self.channel.transmit(data, epoch * 3 + round_index,
+                                           attempt, self.now)
         self._note(f"tx {self.adapter.roles[sender]} {label} "
                    f"epoch={epoch} attempt={attempt} "
                    f"bytes={len(data)} -> {len(deliveries)} copies")
         for delivery in deliveries:
-            self._push(delivery.at, "deliver", receiver, delivery.data)
+            self._push(delivery.at, "deliver", 1 - sender, delivery.data)
 
     # -- initiator -----------------------------------------------------
 
+    def _start(self) -> None:
+        """Open the session: the initiator's first commit."""
+        self._start_epoch()
+
     def _start_epoch(self) -> None:
-        if self.epoch + 1 >= self.policy.max_epochs:
+        if self.epoch + 1 >= self.max_epochs:
             self.aborted_phase = _PHASES.get(self.init_state,
                                              self.init_state)
             self._note(f"abort: epoch budget exhausted in "
@@ -534,17 +597,21 @@ class _SessionEngine:
             return
         if self.epoch >= 0:
             self.adapter.reset_epoch()
+        # Commit before counting the epoch: a halt here (a spent
+        # energy budget) leaves it unused.
+        payload = self.adapter.make_m0(self.rng_init)
         self.epoch += 1
         self.consumed_m1_attempt = None
         self.init_state = "await-m1"
-        payload = self.adapter.make_m0(self.rng_init)
-        self._send(_INITIATOR, 0, 0, self.adapter.labels[0], payload)
-        self._arm_timer(_INITIATOR, self.now + self.policy.round_deadline_s)
+        self._send(_INITIATOR, self.epoch, 0, 0, self.adapter.labels[0],
+                   payload)
+        self._arm_timer(_INITIATOR)
 
     def _restart_epoch(self, reason: str) -> None:
         self._note(f"epoch {self.epoch} failed ({reason})")
         delay = self.policy.epoch_backoff(self.seed, self.session_index,
-                                          self.epoch + 1)
+                                          self.epoch + 1) \
+            * self.backoff_scale
         self.init_state = "backoff"
         self._push(self.now + delay, "epoch")
 
@@ -573,10 +640,10 @@ class _SessionEngine:
                 return
             self.consumed_m1_attempt = frame.attempt
             self.rounds_completed = max(self.rounds_completed, 2)
-            self._send(_INITIATOR, 2, 0, self.adapter.labels[2], response)
+            self._send(_INITIATOR, self.epoch, 2, 0, self.adapter.labels[2],
+                       response)
             self.init_state = "closing"
-            self._arm_timer(_INITIATOR,
-                            self.now + self.policy.round_deadline_s)
+            self._arm_timer(_INITIATOR)
         elif self.init_state == "closing":
             if frame.attempt > (self.consumed_m1_attempt or 0):
                 # A *retransmitted* challenge means the responder never
@@ -597,7 +664,7 @@ class _SessionEngine:
 
     # -- responder -----------------------------------------------------
 
-    def _responder_frame(self, frame: Frame) -> None:
+    async def _responder_frame(self, frame: Frame) -> None:
         if frame.round_index == 0:
             if frame.epoch < self.resp_epoch or (
                     frame.epoch == self.resp_epoch
@@ -620,9 +687,9 @@ class _SessionEngine:
             self.m1_bytes = m1
             self.m1_attempt = 0
             self.resp_state = "await-m2"
-            self._send(_RESPONDER, 1, 0, self.adapter.labels[1], m1)
-            self._arm_timer(_RESPONDER,
-                            self.now + self.policy.round_deadline_s)
+            self._send(_RESPONDER, self.resp_epoch, 1, 0,
+                       self.adapter.labels[1], m1)
+            self._arm_timer(_RESPONDER)
         elif frame.round_index == 2:
             if frame.epoch != self.resp_epoch:
                 self.stale += 1
@@ -633,7 +700,7 @@ class _SessionEngine:
                 self._note(f"rx reader: {ReplayedFrameError('duplicate response', epoch=frame.epoch, round_index=2)}")
                 return
             try:
-                self.concluded = self.adapter.conclude(frame.payload)
+                self.concluded = await self._conclude(frame.payload)
             except PayloadRejectedError as exc:
                 self.payload_rejected += 1
                 self._note(f"rx reader: {exc}")
@@ -660,65 +727,94 @@ class _SessionEngine:
                        "(challenge retries exhausted)")
             self.resp_state = "await-m0"
 
+    async def _conclude(self, payload: bytes
+                        ) -> Tuple[bool, Optional[int], str]:
+        """Responder: the closing check; (accepted, identity, detail)."""
+        return self.adapter.conclude(payload)
+
     # -- main loop -----------------------------------------------------
 
-    def run(self) -> None:
-        self._start_epoch()
-        while self._queue:
-            if self.concluded is not None or self.peer_rejected is not None \
-                    or self.aborted_phase is not None:
-                break
-            at, _seq, kind, args = heapq.heappop(self._queue)
-            self.now = max(self.now, at)
-            if kind == "deliver":
-                role, data = args
-                ops = self.adapter.initiator_ops() if role == _INITIATOR \
-                    else self.adapter.responder_ops()
-                ops.rx_bits += len(data) * 8
-                try:
-                    frame = decode_frame(data)
-                except FrameCorruptedError:
-                    self.corrupt += 1
-                    self._note(f"rx {self.adapter.roles[role]}: "
-                               "frame CRC mismatch, discarded")
-                    continue
-                except FrameError as exc:
-                    self.corrupt += 1
-                    self._note(f"rx {self.adapter.roles[role]}: {exc}")
-                    continue
-                if frame.session != self.session_id \
-                        or frame.sender == role:
-                    self.stale += 1
-                    continue
-                if role == _INITIATOR:
-                    self._initiator_frame(frame)
+    async def _advance(self, at: float) -> None:
+        """Move the clock to the agenda head's time."""
+        self.now = max(self.now, at)
+
+    def _on_event(self, kind: str, args: tuple) -> None:
+        """An agenda event a subclass scheduled."""
+        raise ValueError(f"unknown agenda event {kind!r}")
+
+    def _finished(self) -> bool:
+        return self.concluded is not None \
+            or self.peer_rejected is not None \
+            or self.aborted_phase is not None or self.halt is not None
+
+    async def _deliver(self, role: int, data: bytes) -> None:
+        if not self._account_rx(role, data):
+            return
+        try:
+            frame = decode_frame(data)
+        except FrameCorruptedError:
+            self.corrupt += 1
+            self._note(f"rx {self.adapter.roles[role]}: "
+                       "frame CRC mismatch, discarded")
+            return
+        except FrameError as exc:
+            self.corrupt += 1
+            self._note(f"rx {self.adapter.roles[role]}: {exc}")
+            return
+        if frame.session != self.session_id or frame.sender == role:
+            self.stale += 1
+            return
+        if role == _INITIATOR:
+            self._initiator_frame(frame)
+        else:
+            await self._responder_frame(frame)
+
+    async def simulate(self) -> None:
+        """Dispatch the agenda until a verdict, an abort or a halt."""
+        try:
+            self._start()
+            while self._queue and not self._finished():
+                at, _seq, kind, args = heapq.heappop(self._queue)
+                await self._advance(at)
+                if kind == "deliver":
+                    await self._deliver(*args)
+                elif kind == "timer":
+                    role, seq = args
+                    if seq != self._timer_seq[role]:
+                        continue  # superseded timer
+                    if role == _INITIATOR:
+                        self._initiator_timeout()
+                    else:
+                        self._responder_timeout()
+                elif kind == "epoch":
+                    self._start_epoch()
+                elif kind == "m1-retransmit":
+                    epoch, attempt = args
+                    if self.resp_state == "await-m2" \
+                            and self.resp_epoch == epoch \
+                            and self.m1_attempt == attempt:
+                        self._send(_RESPONDER, epoch, 1, attempt,
+                                   self.adapter.labels[1], self.m1_bytes)
+                        self._arm_timer(_RESPONDER)
                 else:
-                    self._responder_frame(frame)
-            elif kind == "timer":
-                role, seq = args
-                if seq != self._timer_seq[role]:
-                    continue  # superseded timer
-                if role == _INITIATOR:
-                    self._initiator_timeout()
-                else:
-                    self._responder_timeout()
-            elif kind == "epoch":
-                self._start_epoch()
-            elif kind == "m1-retransmit":
-                epoch, attempt = args
-                if self.resp_state == "await-m2" \
-                        and self.resp_epoch == epoch \
-                        and self.m1_attempt == attempt:
-                    self._send(_RESPONDER, 1, attempt,
-                               self.adapter.labels[1], self.m1_bytes)
-                    self._arm_timer(
-                        _RESPONDER,
-                        self.now + self.policy.round_deadline_s)
-        if self.concluded is None and self.peer_rejected is None \
-                and self.aborted_phase is None:
+                    self._on_event(kind, args)
+        except SessionHalt as halt:
+            self.halt = halt
+            self._note(f"halt ({halt.outcome}): {halt.detail}")
+        if not self._finished():
             # Queue drained without a verdict (should not happen: the
             # initiator timer chain is the liveness driver).
             self.aborted_phase = "event queue drained"
+
+    def run(self) -> None:
+        """Simulate on the private clock, where nothing ever waits."""
+        steps = self.simulate()
+        try:
+            steps.send(None)
+        except StopIteration:
+            return
+        steps.close()
+        raise RuntimeError("a private-clock session awaited a shared loop")
 
 
 def run_resilient_session(
@@ -745,7 +841,7 @@ def run_resilient_session(
     radio = radio or RadioModel()
     table = table or ComputeEnergyTable()
     channel = BodyAreaChannel(profile, seed=seed, session=session_index)
-    engine = _SessionEngine(adapter, channel, policy, seed, session_index)
+    engine = SessionEngine(adapter, channel, policy, seed, session_index)
     rt = _obs_runtime.current()
     if rt is not None:
         with rt.span("protocol.session", key=session_index,

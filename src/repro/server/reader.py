@@ -22,13 +22,15 @@ Three load-bearing design points:
   so concurrent sessions' EC work coalesces into batches; the tag side
   stays a live :class:`~repro.protocols.peeters_hermans.PeetersHermansTag`
   whose nonce-lifecycle guarantees are enforced by the real object.
-* **Session semantics are the session layer's.**  The per-session
-  exchange is a coroutine port of
-  :class:`repro.protocols.session._SessionEngine` — same frame codec,
-  same epoch/retransmission state machine, same rejection taxonomy,
-  same operation accounting — running on the shared virtual-time
-  :class:`~.simloop.SimLoop` so thousands of sessions interleave
-  deterministically.
+* **Session semantics are the session layer's.**  Each admitted
+  session is a subclass of
+  :class:`repro.protocols.session.SessionEngine` — the same frame
+  codec, epoch/retransmission state machine, rejection taxonomy and
+  operation accounting — whose coroutine is awaited on the shared
+  virtual-time :class:`~.simloop.SimLoop`, so thousands of sessions
+  interleave deterministically.  Only the clock (sleeping on the
+  loop), the reader's closing check (through the scheduler and the
+  search layer) and the halts (tag budget, replayed commits) differ.
 
 Everything deterministic (counts, energy, outcomes) lands in
 ``repro_server_*`` counters/gauges; wall-clock observations (search
@@ -38,31 +40,29 @@ strip.
 
 from __future__ import annotations
 
-import random
+import hashlib
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..channel import (
     BodyAreaChannel,
     Frame,
-    FrameCorruptedError,
     FrameError,
     LossProfile,
     compress_point,
-    decode_frame,
     decompress_point,
     derive_channel_seed,
-    encode_frame,
     int_from_bytes,
     int_to_bytes,
-    point_width_bytes,
-    scalar_width_bytes,
 )
 from ..obs import runtime as _obs_runtime
 from ..protocols.ops import OperationCount
 from ..protocols.peeters_hermans import PeetersHermansTag
-from ..protocols.session import RetransmissionPolicy
+from ..protocols.session import (PayloadRejectedError,
+                                 PeetersHermansAdapter,
+                                 RetransmissionPolicy, SessionEngine,
+                                 SessionHalt)
 from .enrollment import EnrollmentStore
 from .errors import AdmissionRejectedError, ServerError
 from .scheduler import NaiveScalarEngine, ScalarMultScheduler
@@ -83,7 +83,6 @@ ENERGY_UJ_BUCKETS = (10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
 #: Seconds buckets for the (wall-clock) search latency histogram.
 SEARCH_SECONDS_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
 
-_TAG, _READER = 0, 1
 _SHUTDOWN = object()
 
 
@@ -377,30 +376,32 @@ class IdentificationServer:
     async def _run_session(self, index: int,
                            source: Optional[str] = None,
                            adversarial: bool = False) -> SessionOutcome:
-        exchange = _SessionExchange(self, index, source=source,
-                                    adversarial=adversarial)
+        session = _ServerSession(self, index, source=source,
+                                 adversarial=adversarial)
         rt = _obs_runtime.current()
         span = rt.span("server.session", key=index) if rt is not None \
             else None
         try:
             if span is not None:
                 with span as sp:
-                    outcome = await exchange.run()
+                    await session.simulate()
+                    outcome = session.outcome()
                     if sp is not None:
                         sp.set(outcome=outcome.outcome,
                                epochs=outcome.epochs_used)
             else:
-                outcome = await exchange.run()
+                await session.simulate()
+                outcome = session.outcome()
         except SimCancelled:
-            if exchange.adversarial:
+            if session.adversarial:
                 # Ground truth wins the bucket: a malicious session
                 # timed out *because* it never meant to conclude.
-                outcome = exchange.as_outcome(
+                outcome = session.as_outcome(
                     "adversarial",
                     "malicious reader traffic; deadline expired")
             else:
-                outcome = exchange.as_outcome("deadline",
-                                              "session deadline expired")
+                outcome = session.as_outcome("deadline",
+                                             "session deadline expired")
         self._record_session(outcome)
         return outcome
 
@@ -522,118 +523,62 @@ class IdentificationServer:
             ).observe(outcome.tag_energy_uj)
 
 
-class _SessionExchange:
-    """One session's dual state machine, as a coroutine.
+class _ServerSession(SessionEngine, PeetersHermansAdapter):
+    """One admitted session: the shared engine on the server's loop.
 
-    A faithful port of :class:`repro.protocols.session._SessionEngine`
-    (Peeters–Hermans only): the same private ``(time, seq)`` agenda,
-    frame-rejection taxonomy, nonce lifecycle and bit accounting — but
-    time advances by awaiting the *shared* loop, and the reader's
-    closing verification awaits the scalar-mult scheduler and the
-    search layer instead of computing inline.  Within one session no
+    It is its own adapter.  The tag side is a live
+    :class:`~repro.protocols.peeters_hermans.PeetersHermansTag` (or,
+    for an ``adversarial`` session, a malicious reader replaying one
+    captured commitment); the reader side draws its challenge here and
+    answers the closing "which tag is this?" through the server's
+    scalar-mult scheduler and search layer.  Time advances by sleeping
+    on the shared :class:`~.simloop.SimLoop`; within one session no
     event is ever inserted behind the agenda head, so pop-then-sleep
-    preserves the engine's ordering exactly.
+    keeps the engine's ordering exactly.
     """
 
     def __init__(self, server: IdentificationServer, index: int, *,
                  source: Optional[str] = None,
                  adversarial: bool = False):
-        import heapq as _heapq
-        self._heapq = _heapq
-        self.server = server
-        self.loop = server.loop
-        self.policy = server.policy
-        self.seed = server.seed
-        self.index = index
-        self.source = source
-        self.adversarial = adversarial
         spec = server.spec
         domain = server.domain
-        self.domain = domain
-        self.ring = domain.scalar_ring
         curve = domain.curve
-
         self.expected_identity = spec.canonical_identity(
-            derive_channel_seed(self.seed, "server/identity", index,
+            derive_channel_seed(server.seed, "server/identity", index,
                                 0, 0) % spec.tags)
-        tag_secret = spec.secret_for(self.expected_identity)
         # Tag multiplications via multiply_naive: mathematically
         # identical to the randomized ladder, ~10x faster in wall
         # time, and the OperationCount (what energy is charged on)
         # does not depend on the algorithm.
-        self.tag = PeetersHermansTag(
-            domain, tag_secret, server.reader_public,
+        tag = PeetersHermansTag(
+            domain, spec.secret_for(self.expected_identity),
+            server.reader_public,
             multiplier=lambda k, point, rng: curve.multiply_naive(
                 k, point))
+        PeetersHermansAdapter.__init__(self, domain, tag, None)
+        SessionEngine.__init__(
+            self, self,
+            BodyAreaChannel(server.profile, seed=server.seed,
+                            session=index),
+            server.policy, server.seed, index,
+            streams=("server/session-id", "server/role/tag",
+                     "server/role/reader"),
+            start_at=server.loop.now)
+        self.server = server
+        self.loop = server.loop
+        self.source = source
+        self.adversarial = adversarial
+        self.ring = domain.scalar_ring
         self.reader_ops = OperationCount()
-        self.rng_tag = random.Random(derive_channel_seed(
-            self.seed, "server/role/tag", index, 0, 0))
-        self.rng_reader = random.Random(derive_channel_seed(
-            self.seed, "server/role/reader", index, 0, 0))
-        self.channel = BodyAreaChannel(server.profile, seed=self.seed,
-                                       session=index)
-        self.session_id = derive_channel_seed(
-            self.seed, "server/session-id", index, 0, 0) & 0xFFFFFFFF
-        self._scalar_width = scalar_width_bytes(domain.order)
-        self._point_width = point_width_bytes(domain.field.m)
-
-        self.started_at = self.loop.now
-        self._agenda: List[tuple] = []
-        self._seq = 0
-        self._timer_seq = [0, 0]
-
-        # tag (initiator) state
-        self.tag_state = "await-m1"
-        self.epoch = -1
-        self.consumed_m1_attempt: Optional[int] = None
-        # reader (responder) state
-        self.reader_state = "await-m0"
-        self.reader_epoch = -1
-        self._commitment = None
-        self._challenge: Optional[int] = None
-        self.m1_bytes: Optional[bytes] = None
-        self.m1_attempt = 0
-
-        # bookkeeping
-        self.frames_sent = 0
-        self.corrupt = 0
-        self.stale = 0
-        self.replayed = 0
-        self.payload_rejected = 0
         self.records_scanned = 0
-        self.concluded: Optional[Tuple[bool, Optional[int], str]] = None
-        self.aborted_phase: Optional[str] = None
-        self.detected_replay = False
-        self.budget_dead = False
         self._adv_commit: Optional[bytes] = None
 
-    # -- agenda --------------------------------------------------------
+    # -- the shared loop -----------------------------------------------
 
-    def _push(self, at: float, kind: str, *args) -> None:
-        self._seq += 1
-        self._heapq.heappush(self._agenda, (at, self._seq, kind, args))
-
-    def _arm_timer(self, role: int, at: float) -> None:
-        self._timer_seq[role] += 1
-        self._push(at, "timer", role, self._timer_seq[role])
-
-    def _ops(self, role: int) -> OperationCount:
-        return self.tag.ops if role == _TAG else self.reader_ops
-
-    def _send(self, sender: int, round_index: int, attempt: int,
-              label: str, payload: bytes) -> None:
-        epoch = self.epoch if sender == _TAG else self.reader_epoch
-        frame = Frame(self.session_id, epoch, round_index, attempt,
-                      sender, label, payload)
-        data = encode_frame(frame)
-        self._ops(sender).tx_bits += len(data) * 8
-        self.frames_sent += 1
-        frame_id = epoch * 3 + round_index
-        deliveries = self.channel.transmit(data, frame_id, attempt,
-                                           self.loop.now)
-        receiver = _READER if sender == _TAG else _TAG
-        for delivery in deliveries:
-            self._push(delivery.at, "deliver", receiver, delivery.data)
+    async def _advance(self, at: float) -> None:
+        if at > self.loop.now:
+            await self.loop.sleep(at - self.loop.now)
+        self.now = self.loop.now
 
     # -- tag side ------------------------------------------------------
 
@@ -643,43 +588,34 @@ class _SessionExchange:
                                self.server.config.distance_m
                                ).total_j * 1e6
 
-    def _start_epoch(self) -> None:
-        if self.budget_dead:
-            return
-        if self.epoch + 1 >= self.policy.max_epochs:
-            self.aborted_phase = self.tag_state
-            return
-        budget = self.server.config.tag_budget_uj
-        if not self.adversarial and budget > 0 \
-                and self._tag_energy_uj() >= budget:
-            # The tag's per-session µJ allowance is spent: it stops
-            # retrying instead of following retransmissions into a
-            # dead battery — the adversary lab's graceful-degradation
-            # contract, server-side.
-            self.budget_dead = True
-            return
-        if self.epoch >= 0 and not self.adversarial:
+    def reset_epoch(self) -> None:
+        if not self.adversarial:
             self.tag.abort()
-        self.epoch += 1
-        self.consumed_m1_attempt = None
-        self.tag_state = "await-m1"
+
+    def make_m0(self, rng) -> bytes:
         if self.adversarial:
             # A malicious reader replaying captured commit material:
             # the same bytes every epoch (and every session from this
             # source) — exactly what replay quarantine looks for.  No
             # real tag is involved, so no tag energy is drawn.
-            payload = self._adv_commit_payload()
-        else:
-            payload = compress_point(self.domain.curve,
-                                     self.tag.commit(self.rng_tag))
-        self._send(_TAG, 0, 0, "R", payload)
-        self._arm_timer(_TAG, self.loop.now + self.policy.round_deadline_s)
+            return self._adv_commit_payload()
+        budget = self.server.config.tag_budget_uj
+        if budget > 0 and self._tag_energy_uj() >= budget:
+            # The tag's per-session µJ allowance is spent: it stops
+            # retrying instead of following retransmissions into a
+            # dead battery — the adversary lab's graceful-degradation
+            # contract, server-side.
+            raise SessionHalt(
+                "budget_exhausted",
+                f"tag energy budget ({budget:g} uJ) spent; tag stopped "
+                f"retrying")
+        return super().make_m0(rng)
 
     def _adv_commit_payload(self) -> bytes:
         if self._adv_commit is None:
-            import hashlib as _hashlib
-            label = (self.source or f"session-{self.index}").encode()
-            draw = int.from_bytes(_hashlib.sha256(
+            label = (self.source or f"session-{self.session_index}"
+                     ).encode()
+            draw = int.from_bytes(hashlib.sha256(
                 b"repro.server/adv-commit/" + label).digest()[:8],
                 "big")
             k = 1 + draw % (self.ring.n - 1)
@@ -688,95 +624,34 @@ class _SessionExchange:
             self._adv_commit = compress_point(self.domain.curve, point)
         return self._adv_commit
 
-    def _restart_epoch(self) -> None:
-        delay = self.policy.epoch_backoff(self.seed, self.index,
-                                          self.epoch + 1)
-        self.tag_state = "backoff"
-        self._push(self.loop.now + delay, "epoch")
-
-    def _tag_frame(self, frame: Frame) -> None:
-        if self.adversarial:
-            # The malicious reader solicits work; it never answers
-            # challenges (it cannot — it holds no tag secret).
-            return
-        if frame.round_index != 1 or frame.epoch != self.epoch:
-            self.stale += 1
-            return
-        if self.tag_state == "await-m1":
-            if len(frame.payload) != self._scalar_width:
-                self.payload_rejected += 1
-                return
-            try:
-                s = self.tag.respond(int_from_bytes(frame.payload),
-                                     self.rng_tag)
-            except ValueError:
-                self.payload_rejected += 1
-                return
-            self.consumed_m1_attempt = frame.attempt
-            self._send(_TAG, 2, 0, "s",
-                       int_to_bytes(s, self._scalar_width))
-            self.tag_state = "closing"
-            self._arm_timer(_TAG,
-                            self.loop.now + self.policy.round_deadline_s)
-        elif self.tag_state == "closing":
-            self.replayed += 1
-            if frame.attempt > (self.consumed_m1_attempt or 0):
-                # Retransmitted challenge after our response: the
-                # response is presumed lost; the nonce is spent, so
-                # the only safe recovery is a fresh epoch.
-                self._restart_epoch()
-
-    def _tag_timeout(self) -> None:
-        if self.tag_state in ("await-m1", "closing"):
-            self._restart_epoch()
+    def _initiator_frame(self, frame: Frame) -> None:
+        # The malicious reader solicits work; it never answers
+        # challenges (it cannot — it holds no tag secret).
+        if not self.adversarial:
+            super()._initiator_frame(frame)
 
     # -- reader side ---------------------------------------------------
 
-    def _reader_m0(self, frame: Frame) -> None:
-        if frame.epoch < self.reader_epoch or (
-                frame.epoch == self.reader_epoch
-                and self.reader_state == "done"):
-            self.stale += 1
-            return
-        if frame.epoch == self.reader_epoch:
-            self.replayed += 1
-            return
+    def handle_m0(self, payload: bytes, rng) -> bytes:
         try:
             self._commitment = decompress_point(self.domain.curve,
-                                                frame.payload)
-        except FrameError:
-            self.payload_rejected += 1
-            return
-        if self.server.observe_commit(self.source, self.index,
-                                      frame.payload):
-            self.detected_replay = True
-            return
-        self._challenge = self.ring.random_scalar(self.rng_reader)
+                                                payload)
+        except FrameError as exc:
+            raise PayloadRejectedError(str(exc)) from None
+        if self.server.observe_commit(self.source, self.session_index,
+                                      payload):
+            raise SessionHalt(
+                "adversarial",
+                "commitment replayed from another session; source "
+                "quarantined")
+        self._challenge = self.ring.random_scalar(rng)
         self.reader_ops.random_bits += self.ring.n.bit_length()
-        self.reader_epoch = frame.epoch
-        self.m1_bytes = int_to_bytes(self._challenge,
-                                     self._scalar_width)
-        self.m1_attempt = 0
-        self.reader_state = "await-m2"
-        self._send(_READER, 1, 0, "e", self.m1_bytes)
-        self._arm_timer(_READER,
-                        self.loop.now + self.policy.round_deadline_s)
+        return int_to_bytes(self._challenge, self._scalar_width)
 
-    async def _reader_m2(self, frame: Frame) -> None:
-        if frame.epoch != self.reader_epoch:
-            self.stale += 1
-            return
-        if self.reader_state == "done":
-            self.replayed += 1
-            return
-        if len(frame.payload) != self._scalar_width:
-            self.payload_rejected += 1
-            return
-        verdict = await self._conclude(int_from_bytes(frame.payload))
-        self.reader_state = "done"
-        self.concluded = verdict
+    def responder_ops(self) -> OperationCount:
+        return self.reader_ops
 
-    async def _conclude(self, s: int
+    async def _conclude(self, payload: bytes
                         ) -> Tuple[bool, Optional[int], str]:
         """The reader's closing verification, through the scheduler
         and the search layer.  Mirrors
@@ -784,9 +659,12 @@ class _SessionExchange:
         identify` operation for operation — the µJ-exactness tests
         depend on the OperationCount matching the sync reader's.
         """
+        if len(payload) != self._scalar_width:
+            raise PayloadRejectedError("response has the wrong width")
         server = self.server
         curve, ring = self.domain.curve, self.ring
         e, commitment = self._challenge, self._commitment
+        s = int_from_bytes(payload)
         if not 1 <= e < ring.n or not 1 <= s < ring.n:
             return False, None, "tag not in the database"
         if not curve.is_on_curve(commitment) or commitment.is_infinity:
@@ -806,107 +684,33 @@ class _SessionExchange:
         if candidate.is_infinity:
             return False, None, "tag not in the database"
         needle = compress_point(curve, candidate)
-        identity, scanned = server._search(self.index, needle)
+        identity, scanned = server._search(self.session_index, needle)
         self.records_scanned += scanned
         if identity is None:
             return False, None, "tag not in the database"
         return True, identity, f"identified tag {identity}"
 
-    def _reader_timeout(self) -> None:
-        if self.reader_state != "await-m2":
-            return
-        if self.m1_attempt + 1 < self.policy.max_frame_attempts:
-            self.m1_attempt += 1
-            delay = self.policy.frame_backoff(self.seed, self.index,
-                                              self.reader_epoch,
-                                              self.m1_attempt)
-            self._push(self.loop.now + delay, "m1-retransmit",
-                       self.reader_epoch, self.m1_attempt)
-        else:
-            self.reader_state = "await-m0"
+    # -- reporting -----------------------------------------------------
 
-    # -- main loop -----------------------------------------------------
-
-    async def run(self) -> SessionOutcome:
-        self._start_epoch()
-        while self._agenda:
-            if self.concluded is not None \
-                    or self.aborted_phase is not None \
-                    or self.detected_replay or self.budget_dead:
-                break
-            at, _seq, kind, args = self._heapq.heappop(self._agenda)
-            if at > self.loop.now:
-                await self.loop.sleep(at - self.loop.now)
-            if kind == "deliver":
-                role, data = args
-                self._ops(role).rx_bits += len(data) * 8
-                try:
-                    frame = decode_frame(data)
-                except (FrameCorruptedError, FrameError):
-                    self.corrupt += 1
-                    continue
-                if frame.session != self.session_id \
-                        or frame.sender == role:
-                    self.stale += 1
-                    continue
-                if role == _TAG:
-                    self._tag_frame(frame)
-                elif frame.round_index == 0:
-                    self._reader_m0(frame)
-                elif frame.round_index == 2:
-                    await self._reader_m2(frame)
-                else:
-                    self.stale += 1
-            elif kind == "timer":
-                role, seq = args
-                if seq != self._timer_seq[role]:
-                    continue
-                if role == _TAG:
-                    self._tag_timeout()
-                else:
-                    self._reader_timeout()
-            elif kind == "epoch":
-                self._start_epoch()
-            elif kind == "m1-retransmit":
-                epoch, attempt = args
-                if self.reader_state == "await-m2" \
-                        and self.reader_epoch == epoch \
-                        and self.m1_attempt == attempt:
-                    self._send(_READER, 1, attempt, "e", self.m1_bytes)
-                    self._arm_timer(
-                        _READER,
-                        self.loop.now + self.policy.round_deadline_s)
+    def outcome(self) -> SessionOutcome:
+        """The verdict once :meth:`simulate` has returned."""
         if self.concluded is not None:
             accepted, identity, detail = self.concluded
             return self.as_outcome("accepted" if accepted
                                    else "rejected", detail,
                                    identity=identity)
-        if self.detected_replay:
-            return self.as_outcome(
-                "adversarial",
-                "commitment replayed from another session; source "
-                "quarantined")
-        if self.budget_dead:
-            return self.as_outcome(
-                "budget_exhausted",
-                f"tag energy budget "
-                f"({self.server.config.tag_budget_uj:g} uJ) spent; "
-                f"tag stopped retrying")
+        if self.halt is not None:
+            return self.as_outcome(self.halt.outcome, self.halt.detail)
         if self.adversarial:
             return self.as_outcome(
                 "adversarial",
                 "malicious reader traffic; session never completed")
         return self.as_outcome("aborted", "session aborted")
 
-    # -- reporting -----------------------------------------------------
-
     def as_outcome(self, outcome: str, detail: str,
                    identity: Optional[int] = None) -> SessionOutcome:
         from ..energy.comparison import protocol_energy
-        tag_energy = protocol_energy(
-            "peeters-hermans/tag", self.tag.ops,
-            self.server.config.distance_m)
-        tag_energy_uj = tag_energy.total_j * 1e6
+        tag_energy_uj = self._tag_energy_uj()
         if self.adversarial:
             # No real tag behind a malicious reader's traffic: the
             # initiator-side bits are the adversary's to pay, not a
@@ -916,7 +720,7 @@ class _SessionExchange:
             "peeters-hermans/reader", self.reader_ops,
             self.server.config.distance_m)
         return SessionOutcome(
-            index=self.index,
+            index=self.session_index,
             outcome=outcome,
             identity=identity,
             expected_identity=self.expected_identity,

@@ -8,11 +8,12 @@ interleave thousands of concurrent sessions differently.  This loop
 keeps asyncio's *shape* (``create_task`` / ``sleep`` / futures /
 queues, native ``async def`` coroutines) but replaces the clock with
 the same virtual-time heap discipline as the session layer's
-``_SessionEngine``: events execute in ``(time, sequence)`` order, and
-``loop.now`` only ever moves when the heap says so.  Everything the
-server does — admission, deadlines, channel deliveries, scheduler
-batch flushes — is an event on this one heap, which makes the whole
-service a pure function of its seed.
+:class:`~repro.protocols.session.SessionEngine`, whose ``simulate()``
+coroutine each server session awaits here: events execute in
+``(time, sequence)`` order, and ``loop.now`` only ever moves when the
+heap says so.  Everything the server does — admission, deadlines,
+channel deliveries, scheduler batch flushes — is an event on this one
+heap, which makes the whole service a pure function of its seed.
 
 The surface is deliberately tiny (the server needs nothing more):
 

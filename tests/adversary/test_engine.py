@@ -10,7 +10,9 @@ from repro.adversary import (
     defense_config,
     run_attack_session,
 )
-from repro.channel import LossProfile
+from repro.adversary.engine import _AttackSession
+from repro.channel import BodyAreaChannel, Frame, LossProfile, int_to_bytes
+from repro.protocols.session import RetransmissionPolicy
 
 SEED = 7
 LOSSY = LossProfile(frame_loss=0.1)
@@ -104,6 +106,38 @@ class TestDefenses:
         assert result.budget_refusals > 0
         assert budget.peak_window_uj <= cfg.budget_cap_uj
         assert result.tag_uj <= cfg.budget_cap_uj * 1.01
+
+
+class TestChallengeValidation:
+    def test_bad_challenge_is_rejected_before_any_charge(self):
+        """A challenge outside [1, n) is a payload rejection that costs
+        the tag nothing: the respond() charge is never made, so the
+        budget's peak never records energy that was not spent."""
+        cfg = defense_config("budget-cap")
+        budget = cfg.budget()
+        engine = _AttackSession(
+            "bogus-flood", cfg, BodyAreaChannel(LossProfile(), seed=SEED,
+                                                session=3),
+            RetransmissionPolicy(), SEED, 3, budget=budget)
+        engine._start_epoch()  # powered up: commit R sent, awaiting e
+
+        def challenge(e):
+            engine._initiator_frame(Frame(
+                engine.session_id, engine.epoch, 1, 0, 1, "e",
+                int_to_bytes(e, engine._scalar_width)))
+
+        spent = (engine.tag_uj, budget.window_spent_uj,
+                 budget.peak_window_uj)
+        for e in (0, engine.domain.scalar_ring.n):
+            challenge(e)
+        assert engine.payload_rejected == 2
+        assert engine.responses_emitted == 0
+        assert (engine.tag_uj, budget.window_spent_uj,
+                budget.peak_window_uj) == spent
+        # The nonce is still live: an in-range challenge is answered.
+        challenge(1)
+        assert engine.responses_emitted == 1
+        assert budget.peak_window_uj == budget.window_spent_uj > spent[1]
 
 
 class TestAcceptanceCriterion:

@@ -1,10 +1,13 @@
 """Tests for the CRC-protected frame codec and wire encodings."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel import (
     Frame,
     FrameCorruptedError,
+    FrameError,
     FrameFormatError,
     compress_point,
     crc16,
@@ -65,6 +68,43 @@ class TestCodec:
 
     def test_overhead_accounts_for_label(self):
         assert frame_overhead_bits("ss") == frame_overhead_bits("s") + 8
+
+    def test_non_utf8_label_is_a_format_error(self):
+        """A CRC-valid frame whose label is not UTF-8 (a corruption
+        that slipped past the CRC, or a crafted frame) is a typed
+        reject, never a ``UnicodeDecodeError``."""
+        body = bytes([1]) + (7).to_bytes(4, "big") + bytes([0, 1, 0, 1])
+        body += bytes([1, 0x80]) + (0).to_bytes(2, "big")
+        with pytest.raises(FrameFormatError, match="UTF-8"):
+            decode_frame(body + crc16(body).to_bytes(2, "big"))
+
+
+@st.composite
+def crc_valid_bodies(draw):
+    """Structured frame bodies with a correct CRC: arbitrary header
+    bytes, label and payload, with length fields that usually (but not
+    always) agree with what follows them."""
+    version = draw(st.one_of(st.just(1), st.integers(0, 255)))
+    header = draw(st.binary(min_size=8, max_size=8))
+    label = draw(st.binary(max_size=6))
+    label_len = draw(st.one_of(st.just(len(label)), st.integers(0, 255)))
+    payload = draw(st.binary(max_size=24))
+    payload_len = draw(st.one_of(st.just(len(payload)),
+                                 st.integers(0, 0xFFFF)))
+    body = bytes([version]) + header + bytes([label_len]) + label \
+        + payload_len.to_bytes(2, "big") + payload
+    return body + crc16(body).to_bytes(2, "big")
+
+
+class TestDecoderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(crc_valid_bodies())
+    def test_decodes_and_round_trips_or_raises_frame_error(self, data):
+        try:
+            frame = decode_frame(data)
+        except FrameError:
+            return
+        assert encode_frame(frame) == data
 
 
 class TestFieldEncodings:
