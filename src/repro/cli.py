@@ -1,35 +1,50 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Quick access to the library's headline artifacts without writing a
-script:
+Top-level commands print the library's headline artifacts:
 
 * ``info``      — design-point summary (curve, registers, cycles),
 * ``energy``    — the calibrated E1 operating-point report,
 * ``area``      — the gate-count table,
 * ``listing``   — the microcode listing of a point multiplication,
 * ``evaluate``  — the white-box attack battery (optionally against the
-  unprotected strawman),
-* ``campaign``  — the trace-acquisition and attack-campaign engine
-  (``acquire`` / ``status`` / ``attack`` / ``doctor`` on a campaign
-  directory).
+  unprotected strawman).
+
+Verb groups drive the experiments at each abstraction level:
+
+* ``campaign``  — trace acquisition and attacks on a campaign directory
+  (``acquire`` / ``status`` / ``attack`` / ``doctor``),
+* ``dse``       — design-space exploration with a security axis
+  (``explore`` / ``pareto`` / ``report``),
+* ``protocol``  — resilient sessions over the lossy channel
+  (``run`` / ``soak`` / ``amortize``),
+* ``obs``       — reports over traced runs
+  (``report`` / ``diff`` / ``tail`` / ``alerts`` / ``trend``),
+* ``server``    — the fleet identification service
+  (``enroll`` / ``soak`` / ``run``),
+* ``attack``    — the battery-depletion adversary lab (``run`` / ``soak``),
+* ``power``     — intermittent power and checkpoints (``run`` / ``soak``).
 
 Every command returns its report as a string (and prints it), so the
 CLI is testable without subprocesses.
 
-Campaign exit codes form a small contract for scripts and CI:
+Every verb exits under one contract for scripts and CI:
 
-* ``0`` — clean (full coverage, attack ran, status printed);
-* ``1`` — failed (a :class:`~repro.campaign.errors.CampaignError`:
-  integrity violation, schedule mismatch, refused partial store);
-* ``3`` — degraded (acquisition finished but shards are quarantined);
-* ``130`` — interrupted (Ctrl-C; progress is checkpointed and the
-  resume command is printed).
+* ``0`` — clean;
+* ``1`` — failed: a floor broke, or the input was bad.  The group's own
+  error (e.g. :class:`~repro.campaign.errors.CampaignError`), a
+  ``ValueError`` or a ``KeyError`` prints one ``<group> error:`` line;
+* ``3`` — degraded: the run finished but quarantined shards or
+  cohorts, fell short of 100% above its floor, or (``obs alerts``) an
+  alert fired;
+* ``130`` — interrupted (Ctrl-C; the group's notice says what was kept
+  and how to resume).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import os
 import random
 import sys
@@ -186,6 +201,43 @@ def _run_obs_dir(directory, obs: bool, obs_profile: bool):
         if (obs or obs_profile) else None
 
 
+def _obs_note(obs_dir, directory) -> list:
+    """The report line saying where a traced run's obs output went."""
+    if not obs_dir:
+        return []
+    return [f"observability: {obs_dir} "
+            f"(read with `python -m repro obs report --dir {directory}`)"]
+
+
+def _retry_policy(max_attempts):
+    """The supervisor policy for ``--max-attempts``; None keeps the
+    default."""
+    if max_attempts is None:
+        return None
+    from .campaign import RetryPolicy
+
+    return RetryPolicy(
+        max_attempts=max_attempts,
+        deterministic_attempts=min(max_attempts,
+                                   RetryPolicy.deterministic_attempts),
+    )
+
+
+def _chaos_config(chaos, chaos_seed: int, only_shards=None):
+    """The ``--chaos`` fault spec, parsed; None when chaos is off."""
+    if not chaos:
+        return None
+    from .campaign.chaos import ChaosConfig
+
+    return ChaosConfig.parse(chaos, seed=chaos_seed,
+                             only_shards=only_shards)
+
+
+def _csv(text, item=str):
+    """The items of a comma-separated option; None when it is unset."""
+    return None if not text else [item(s) for s in text.split(",") if s]
+
+
 @contextlib.contextmanager
 def _slice_progress(quiet: bool):
     """The sweep verbs' ``slices done/total`` line on stderr, or None
@@ -221,28 +273,16 @@ def cmd_campaign_acquire(directory: str, spec, workers=None,
     ``EXIT_DEGRADED`` when shards ended up quarantined.  With ``obs``
     (or ``obs_profile``) the run is traced into ``<directory>/obs``.
     """
-    from .campaign import AcquisitionEngine, ChaosConfig, ConsoleReporter, \
-        NullReporter, RetryPolicy
+    from .campaign import AcquisitionEngine, ConsoleReporter, NullReporter
 
     reporter = NullReporter() if quiet else ConsoleReporter()
-    policy = None
-    if max_attempts is not None:
-        policy = RetryPolicy(
-            max_attempts=max_attempts,
-            deterministic_attempts=min(
-                max_attempts, RetryPolicy.deterministic_attempts
-            ),
-        )
-    chaos_config = None
-    if chaos:
-        chaos_config = ChaosConfig.parse(chaos, seed=chaos_seed,
-                                         only_shards=chaos_shards)
     obs_dir = _run_obs_dir(directory, obs, obs_profile)
     engine = AcquisitionEngine(directory, spec, workers=workers,
                                reporter=reporter,
                                shard_timeout=shard_timeout,
-                               retry_policy=policy,
-                               chaos=chaos_config)
+                               retry_policy=_retry_policy(max_attempts),
+                               chaos=_chaos_config(chaos, chaos_seed,
+                                                   chaos_shards))
     with _obs_session(obs_dir, kind="campaign", seed=spec.seed,
                       config_digest=spec.digest(), profile=obs_profile,
                       argv=["campaign", "acquire", "--dir",
@@ -254,12 +294,7 @@ def cmd_campaign_acquire(directory: str, spec, workers=None,
         f"{spec.n_traces} traces on disk "
         f"({len(store.shard_records)} shard(s))",
         m.summary(),
-    ]
-    if obs_dir:
-        lines.append(
-            f"observability: {obs_dir} "
-            f"(read with `python -m repro obs report --dir {directory}`)"
-        )
+    ] + _obs_note(obs_dir, directory)
     if m.degraded:
         lines += [
             f"DEGRADED: shard(s) {m.quarantined_shards} quarantined — "
@@ -356,15 +391,13 @@ def cmd_campaign_doctor(directory: str, clear: bool = False,
     traced run left behind; ``--clear`` releases quarantined shards
     so the next ``acquire`` retries them.
     """
-    import os as _os
-
     from .campaign.supervisor import FailureLog, Quarantine
     from .obs.flightrec import load_flight_dumps
     from .obs.runtime import OBS_DIRNAME
 
     log = FailureLog(directory)
     quarantine = Quarantine(directory)
-    flights = load_flight_dumps(_os.path.join(directory, OBS_DIRNAME))
+    flights = load_flight_dumps(os.path.join(directory, OBS_DIRNAME))
     lines = [f"campaign {directory}: doctor report"]
     if not log.exists and not quarantine.entries() and not flights:
         lines.append("  no recorded failures — campaign is healthy")
@@ -490,17 +523,15 @@ def cmd_campaign_attack(directory: str, attack: str = "dpa",
 def _dse_spec_from_args(args) -> "object":
     from .dse import DesignSpaceSpec
 
-    def floats(text):
-        return tuple(float(x) for x in text.split(",") if x)
+    def items(text, item=str):
+        return tuple(_csv(text, item) or ())
 
     return DesignSpaceSpec(
-        digit_sizes=tuple(int(x) for x in args.digits.split(",") if x),
-        vdd_volts=floats(args.vdd),
-        frequencies_hz=floats(args.freq),
-        countermeasures=tuple(
-            s for s in args.countermeasures.split(",") if s),
-        backends=tuple(
-            s for s in getattr(args, "backends", "").split(",") if s),
+        digit_sizes=items(args.digits, int),
+        vdd_volts=items(args.vdd, float),
+        frequencies_hz=items(args.freq, float),
+        countermeasures=items(args.countermeasures),
+        backends=items(args.backends),
         curve=args.curve,
         seed=args.seed,
         whitebox=args.whitebox,
@@ -510,7 +541,7 @@ def _dse_spec_from_args(args) -> "object":
         max_area_ge=args.max_area_ge,
         min_security=(None if args.min_security < 0
                       else args.min_security),
-        objectives=tuple(s for s in args.objectives.split(",") if s),
+        objectives=items(args.objectives),
     )
 
 
@@ -525,21 +556,12 @@ def cmd_dse_explore(directory: str, spec, workers=None,
     With ``obs`` (or ``obs_profile``) the run is traced into
     ``<directory>/obs``.
     """
-    from .campaign import RetryPolicy
     from .dse import ExplorationEngine
 
-    policy = None
-    if max_attempts is not None:
-        policy = RetryPolicy(
-            max_attempts=max_attempts,
-            deterministic_attempts=min(
-                max_attempts, RetryPolicy.deterministic_attempts
-            ),
-        )
     obs_dir = _run_obs_dir(directory, obs, obs_profile)
     engine = ExplorationEngine(directory, spec, workers=workers,
                                shard_timeout=shard_timeout,
-                               retry_policy=policy)
+                               retry_policy=_retry_policy(max_attempts))
     with _obs_session(obs_dir, kind="dse", seed=spec.seed,
                       config_digest=spec.digest(), profile=obs_profile,
                       argv=["dse", "explore", "--dir", str(directory)]):
@@ -547,27 +569,23 @@ def cmd_dse_explore(directory: str, spec, workers=None,
     summary = result.summary()
     lines = [summary.splitlines()[0]] if quiet else [summary]
     lines.append(f"pareto front: {os.path.join(str(directory), 'pareto.json')}")
-    if obs_dir:
-        lines.append(
-            f"observability: {obs_dir} "
-            f"(read with `python -m repro obs report --dir {directory}`)"
-        )
+    lines += _obs_note(obs_dir, directory)
     if result.quarantined:
         return "\n".join(lines), EXIT_DEGRADED
     return "\n".join(lines), EXIT_OK
 
 
-def _dse_spec_from_directory(directory: str) -> "object":
-    import json as _json
-
-    from .dse import DesignSpaceSpec, SPACE_NAME
+def _read_explored(directory: str, name: str, decode):
+    """``decode`` applied to the JSON file ``name`` of an explored
+    directory; a missing, unreadable or wrong-shape file is a
+    :class:`~repro.dse.errors.DseError`."""
     from .dse.errors import DseError
 
-    path = os.path.join(str(directory), SPACE_NAME)
+    path = os.path.join(str(directory), name)
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return DesignSpaceSpec.from_dict(_json.load(f))
-    except (OSError, ValueError) as exc:
+            return decode(json.load(f))
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         raise DseError(
             f"{path} is missing or unreadable — run "
             f"`repro dse explore --dir {directory}` first ({exc})"
@@ -585,11 +603,10 @@ def cmd_dse_pareto(directory: str, objectives=None,
     measured is an error (explore first).
     """
     import dataclasses
-    import json as _json
 
-    from .dse import analyze_space
+    from .dse import DesignSpaceSpec, SPACE_NAME, analyze_space
 
-    spec = _dse_spec_from_directory(directory)
+    spec = _read_explored(directory, SPACE_NAME, DesignSpaceSpec.from_dict)
     overrides = {}
     if objectives is not None:
         overrides["objectives"] = tuple(objectives)
@@ -605,9 +622,9 @@ def cmd_dse_pareto(directory: str, objectives=None,
         spec = dataclasses.replace(spec, **overrides)
     rows, front = analyze_space(str(directory), spec)
     if as_json:
-        return _json.dumps({"objectives": list(spec.objectives),
-                            "front": front},
-                           indent=1, sort_keys=True), EXIT_OK
+        return json.dumps({"objectives": list(spec.objectives),
+                           "front": front},
+                          indent=1, sort_keys=True), EXIT_OK
     lines = [
         f"objectives: {', '.join(spec.objectives)}   "
         f"feasible: {sum(1 for r in rows if r['feasible'])}/{len(rows)}   "
@@ -619,27 +636,17 @@ def cmd_dse_pareto(directory: str, objectives=None,
 
 def cmd_dse_report(directory: str, as_json: bool = False) -> tuple:
     """The full evaluated grid of an explored directory."""
-    import json as _json
-
     from .dse import POINTS_NAME
-    from .dse.errors import DseError
 
-    path = os.path.join(str(directory), POINTS_NAME)
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            payload = _json.load(f)
-    except (OSError, ValueError) as exc:
-        raise DseError(
-            f"{path} is missing or unreadable — run "
-            f"`repro dse explore --dir {directory}` first ({exc})"
-        ) from None
-    if as_json:
-        return _json.dumps(payload, indent=1, sort_keys=True), EXIT_OK
-    rows = payload["rows"]
-    lines = [f"design space {directory}: {len(rows)} operating points "
-             f"(spec {payload['spec_digest']})"]
-    lines += _dse_rows_table(rows)
-    return "\n".join(lines), EXIT_OK
+    def render(payload):
+        if as_json:
+            return json.dumps(payload, indent=1, sort_keys=True)
+        rows = payload["rows"]
+        lines = [f"design space {directory}: {len(rows)} operating points "
+                 f"(spec {payload['spec_digest']})"]
+        return "\n".join(lines + _dse_rows_table(rows))
+
+    return _read_explored(directory, POINTS_NAME, render), EXIT_OK
 
 
 def _dse_rows_table(rows) -> list:
@@ -712,7 +719,7 @@ def cmd_protocol_soak(protocol: str = "peeters-hermans",
                       obs_profile: bool = False) -> "tuple[str, int]":
     """Run the availability sweep; ``(report, exit_code)``.
 
-    Exit-code contract (the campaign one): ``0`` when every session at
+    Exit codes (the module contract): ``0`` when every session at
     every loss rate eventually identified; ``3`` (degraded) when some
     aborted but every sweep point stayed at or above
     ``min_availability``; ``1`` when availability fell below the floor.
@@ -793,13 +800,11 @@ def cmd_obs_report(directory: str, as_json: bool = False, top: int = 10,
     Exits ``EXIT_FAILED`` when a required span name or metric family
     is absent (the CI guard against silently-degraded tracing).
     """
-    import json as _json
-
     from .obs import report as obs_report
 
     if as_json:
-        output = _json.dumps(obs_report.report_json(directory, top=top),
-                             indent=1, sort_keys=True)
+        output = json.dumps(obs_report.report_json(directory, top=top),
+                            indent=1, sort_keys=True)
     else:
         output = obs_report.render_report(directory, top=top)
     code = EXIT_OK
@@ -837,13 +842,11 @@ def cmd_obs_diff(path_a: str, path_b: str, patterns=None,
 def _telemetry_file(directory: str, name: str) -> str:
     """``<dir>/<name>`` or ``<dir>/obs/<name>`` — soaks write their
     telemetry next to the summary, traced runs under ``obs/``."""
-    import os as _os
-
     from .obs.runtime import OBS_DIRNAME
 
-    for candidate in (directory, _os.path.join(directory, OBS_DIRNAME)):
-        path = _os.path.join(candidate, name)
-        if _os.path.exists(path):
+    for candidate in (directory, os.path.join(directory, OBS_DIRNAME)):
+        path = os.path.join(candidate, name)
+        if os.path.exists(path):
             return path
     raise FileNotFoundError(
         f"no {name} under {directory} (directly or in "
@@ -859,18 +862,15 @@ def cmd_obs_tail(directory: str, as_json: bool = False) -> "tuple[str, int]":
     any crash flight-recorder dumps.  ``EXIT_FAILED`` (via the
     dispatcher) when the run recorded no telemetry.
     """
-    import json as _json
-    import os as _os
-
     from .obs.flightrec import load_flight_dumps
     from .obs.runtime import OBS_DIRNAME
     from .obs.stream import TELEMETRY_NAME
 
     path = _telemetry_file(directory, TELEMETRY_NAME)
     with open(path, "r", encoding="utf-8") as f:
-        snapshot = _json.load(f)
+        snapshot = json.load(f)
     if as_json:
-        return _json.dumps(snapshot, indent=1, sort_keys=True), EXIT_OK
+        return json.dumps(snapshot, indent=1, sort_keys=True), EXIT_OK
     lines = [
         f"obs tail: {path}",
         f"  {snapshot.get('events', 0)} event(s) from "
@@ -893,7 +893,7 @@ def cmd_obs_tail(directory: str, as_json: bool = False) -> "tuple[str, int]":
                 f"    peak window {peak['window']}: "
                 f"{peak['sum']:g} from {peak['source']}")
     dumps = []
-    for candidate in (directory, _os.path.join(directory, OBS_DIRNAME)):
+    for candidate in (directory, os.path.join(directory, OBS_DIRNAME)):
         dumps = load_flight_dumps(candidate)
         if dumps:
             break
@@ -917,15 +917,13 @@ def cmd_obs_alerts(directory: str,
     any alert fired (CI treats a firing like a degraded soak), and
     ``EXIT_FAILED`` (via the dispatcher) when no alert log exists.
     """
-    import json as _json
-
     from .obs.alerts import ALERTS_NAME, load_alert_log, render_alert_log
 
     path = _telemetry_file(directory, ALERTS_NAME)
     payload = load_alert_log(path)
     code = EXIT_DEGRADED if payload.get("firings", 0) else EXIT_OK
     if as_json:
-        return _json.dumps(payload, indent=1, sort_keys=True), code
+        return json.dumps(payload, indent=1, sort_keys=True), code
     return f"obs alerts: {path}\n" + render_alert_log(payload), code
 
 
@@ -937,18 +935,15 @@ def cmd_obs_trend(results_dir: str, label=None, write: bool = True,
     fold gains no history entry, so re-running after an unchanged
     bench refresh leaves the trend file byte-identical.
     """
-    import json as _json
-    import os as _os
-
     from .obs import trend as obs_trend
 
-    if not _os.path.isdir(results_dir):
+    if not os.path.isdir(results_dir):
         raise FileNotFoundError(f"no results directory {results_dir}")
     trend, folded = obs_trend.fold_trend(results_dir, label=label)
     if write:
         obs_trend.write_trend(results_dir, trend)
     if as_json:
-        return _json.dumps(trend, indent=1, sort_keys=True), EXIT_OK
+        return json.dumps(trend, indent=1, sort_keys=True), EXIT_OK
     output = obs_trend.render_trend(trend)
     output += ("\n  folded new entry for: " + ", ".join(folded)
                if folded else "\n  no figure changed — trend untouched")
@@ -958,14 +953,6 @@ def cmd_obs_trend(results_dir: str, label=None, write: bool = True,
 # ----------------------------------------------------------------------
 # server verbs
 # ----------------------------------------------------------------------
-
-def _server_chaos(chaos: "Optional[str]", chaos_seed: int):
-    if not chaos:
-        return None
-    from .campaign.chaos import ChaosConfig
-
-    return ChaosConfig.parse(chaos, seed=chaos_seed)
-
 
 def cmd_server_enroll(store_dir: str, tags: int = 10000,
                       shard_size: int = 65536, seed: int = 2013,
@@ -982,7 +969,7 @@ def cmd_server_enroll(store_dir: str, tags: int = 10000,
     spec = EnrollmentSpec(tags=tags, curve=curve, shard_size=shard_size,
                           seed=seed)
     report = enroll_fleet(store_dir, spec, workers=workers,
-                          chaos=_server_chaos(chaos, chaos_seed))
+                          chaos=_chaos_config(chaos, chaos_seed))
     lines = [
         f"fleet {spec.digest()[:12]}: {report.tags} tags over "
         f"{report.shards_total} shard(s) in {report.directory}",
@@ -1038,7 +1025,7 @@ def cmd_server_soak(directory: str, spec, workers=None, chaos=None,
                       config_digest=spec.digest(), profile=obs_profile,
                       argv=["server", "soak", "--dir", str(directory)]):
         report = run_soak(directory, spec, workers=workers,
-                          chaos=_server_chaos(chaos, chaos_seed))
+                          chaos=_chaos_config(chaos, chaos_seed))
     return _soak_exit(
         report.text(),
         failed=bool(report.sessions)
@@ -1202,7 +1189,7 @@ def cmd_attack_soak(directory: str, spec, workers=None, chaos=None,
                       config_digest=spec.digest(), profile=obs_profile,
                       argv=["attack", "soak", "--dir", str(directory)]):
         report = run_attack_soak(directory, spec, workers=workers,
-                                 chaos=_server_chaos(chaos, chaos_seed))
+                                 chaos=_chaos_config(chaos, chaos_seed))
     return _soak_exit(
         report.text(),
         failed=bool(report.legit_sessions)
@@ -1239,30 +1226,28 @@ def cmd_power_run(curve: str = "TOY-B17", seed: int = 2013,
         f"{base.total_uj:.2f} uJ ({base.checkpoint_uj:.2f} on "
         f"checkpoints), digest {base.outcome_digest[:16]}",
     ]
+
+    def verdict(result) -> str:
+        if result.completed and result.outcome_digest == base.outcome_digest:
+            return "IDENTICAL"
+        return result.abort_reason or "DIVERGED"
+
     lines.append(f"  {schedules} seeded schedule(s), {cuts} cuts around "
                  f"{on_cycles} cycles:")
     for index in range(schedules):
         sched = PowerCutSchedule.seeded(index, session, cuts,
                                         mean_on_cycles=on_cycles)
         result = run_with_schedule(spec, session, sched)
-        verdict = "IDENTICAL" if (result.completed and
-                                  result.outcome_digest
-                                  == base.outcome_digest) else (
-            result.abort_reason or "DIVERGED")
         lines.append(
             f"    cut-seed {index}: {result.power_cycles} cut(s), "
             f"{result.steps_wasted} step(s) re-executed, "
             f"{result.torn_discards} torn record(s) discarded "
-            f"-> {verdict}")
+            f"-> {verdict(result)}")
     scheds = adversarial_schedules(probe_timeline(spec, session))
     lines.append(f"  {len(scheds)} adversarially aimed cut(s):")
     for label in sorted(scheds):
         result = run_with_schedule(spec, session, scheds[label])
-        verdict = "IDENTICAL" if (result.completed and
-                                  result.outcome_digest
-                                  == base.outcome_digest) else (
-            result.abort_reason or "DIVERGED")
-        lines.append(f"    before {label:<22} -> {verdict}")
+        lines.append(f"    before {label:<22} -> {verdict(result)}")
     if attack:
         from .adversary.fieldcut import run_fieldcut_attack
 
@@ -1322,24 +1307,174 @@ def _power_soak_spec_from_args(args) -> "object":
     )
 
 
+# ----------------------------------------------------------------------
+# the parser and the one dispatcher
+# ----------------------------------------------------------------------
+
+# Ctrl-C notice per verb group; ``{resume}`` expands to the command line.
+# ``obs`` verbs keep no progress to resume, so Ctrl-C there stays a plain
+# KeyboardInterrupt.
+_INTERRUPTED = {
+    "campaign": "progress up to the last completed shard is "
+                "checkpointed in the manifest;\n"
+                "resume with: python -m repro {resume}",
+    "dse": "completed measurements are cached; "
+           "resume with: python -m repro {resume}",
+    "protocol": "the sweep is deterministic; rerunning the same command "
+                "reproduces it from scratch",
+    "server": "enrollment shards and finished cohorts are cached; "
+              "rerunning the same command resumes",
+    "attack": "the flood is deterministic; rerunning the same command "
+              "reproduces it from scratch",
+    "power": "the soak is deterministic; rerunning the same command "
+             "reproduces it from scratch",
+}
+
+
+def _group_error(group: str) -> type:
+    """The error class ``group`` reports as one ``<group> error:`` line
+    (imported on demand, so no verb loads another group's modules)."""
+    if group == "campaign":
+        from .campaign import CampaignError as error
+    elif group == "dse":
+        from .dse import DseError as error
+    elif group == "server":
+        from .server import ServerError as error
+    elif group == "attack":
+        from .adversary import AdversaryError as error
+    elif group == "power":
+        from .intermittent import IntermittentError as error
+    elif group == "obs":
+        error = FileNotFoundError
+    else:  # protocol: bad input arrives as ValueError/KeyError
+        error = ValueError
+    return error
+
+
 def main(argv=None) -> int:
     """Entry point; returns a process exit code."""
+    args = _parser().parse_args(argv)
+    if not hasattr(args, "verb"):  # a top-level command: no contract
+        _print(args.run(args))
+        return EXIT_OK
+    group = args.command
+    try:
+        result = args.run(args)
+    except KeyboardInterrupt:
+        if group not in _INTERRUPTED:
+            raise
+        argv = sys.argv[1:] if argv is None else argv
+        resume = " ".join(argv) if argv else "<the same command>"
+        print("\ninterrupted — " + _INTERRUPTED[group].format(resume=resume),
+              file=sys.stderr)
+        return EXIT_INTERRUPTED
+    except (_group_error(group), ValueError, KeyError) as exc:
+        print(f"{group} error: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+    output, code = result if isinstance(result, tuple) else (result, EXIT_OK)
+    _print(output)
+    return code
+
+
+def _print(output: str) -> None:
+    try:
+        print(output)
+    except BrokenPipeError:  # e.g. piped into `head`
+        pass
+
+
+def _add_workers(parser, in_process: bool = False) -> None:
+    parser.add_argument("--workers", type=int, default=None,
+                        help="worker processes (default: cores, max 8"
+                             + ("; 0 = in-process)" if in_process else ")"))
+
+
+def _add_retry(parser, attempt: str, unit: str) -> None:
+    parser.add_argument("--shard-timeout", type=float, default=None,
+                        help=f"watchdog seconds per {attempt} attempt "
+                             "(worker processes only)")
+    parser.add_argument("--max-attempts", type=int, default=None,
+                        help=f"attempts per {unit} before quarantine")
+
+
+def _add_chaos(parser, help_text: str = "fault injection, e.g. 'crash=0.3'",
+               metavar=None) -> None:
+    parser.add_argument("--chaos", default=None, metavar=metavar,
+                        help=help_text)
+    parser.add_argument("--chaos-seed", type=int, default=0)
+
+
+def _add_obs(parser, help_text: str = "trace the soak into <dir>/obs") -> None:
+    parser.add_argument("--obs", action="store_true", help=help_text)
+    parser.add_argument("--obs-profile", action="store_true",
+                        help="--obs plus perf_counter hot-path timers")
+
+
+def _add_obs_dir(parser, traced: str) -> None:
+    parser.add_argument("--obs-dir", default=None,
+                        help=f"trace the {traced} into this directory")
+    parser.add_argument("--obs-profile", action="store_true",
+                        help="also time the hot paths (needs --obs-dir)")
+
+
+def _add_server_sessions(parser) -> None:
+    """The options ``server soak`` and ``server run`` share."""
+    parser.add_argument("--store", required=True,
+                        help="enrolled fleet directory")
+    parser.add_argument("--sessions", type=int, default=200,
+                        help="sessions per cohort")
+    parser.add_argument("--rate", type=float, default=2000.0,
+                        help="mean session arrivals per virtual second")
+    parser.add_argument("--loss", type=float, default=0.1,
+                        help="frame-loss probability")
+    parser.add_argument("--seed", type=int, default=2013)
+    parser.add_argument("--capacity", type=int, default=256,
+                        help="concurrent sessions before queueing")
+    parser.add_argument("--admission-queue", type=int, default=64,
+                        help="queued admissions before shedding")
+    parser.add_argument("--deadline", type=float, default=2.0,
+                        help="per-session deadline (virtual seconds)")
+    parser.add_argument("--search", default="cached",
+                        choices=("cached", "uncached"),
+                        help="identification search mode")
+    parser.add_argument("--distance", type=float, default=0.5,
+                        help="radio distance in meters (sets the BER)")
+
+
+def _add_power_cuts(parser, cuts_help: str) -> None:
+    """The cut options ``power run`` and ``power soak`` share."""
+    parser.add_argument("--cuts", type=int, default=3, help=cuts_help)
+    parser.add_argument("--on-cycles", type=int, default=8000,
+                        help="mean power-on window (cycles)")
+    parser.add_argument("--interval", type=int, default=8,
+                        help="ladder steps between checkpoints")
+
+
+def _parser() -> argparse.ArgumentParser:
+    """Every command and verb; each parser's ``run`` default maps the
+    parsed ``args`` onto its ``cmd_*`` call."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="DAC 2013 low-energy ECC coprocessor reproduction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("info", help="design-point summary")
-    sub.add_parser("energy", help="calibrated operating-point report")
-    sub.add_parser("area", help="gate-count table")
+    sub.add_parser("info", help="design-point summary").set_defaults(
+        run=lambda a: cmd_info())
+    sub.add_parser("energy", help="calibrated operating-point report") \
+        .set_defaults(run=lambda a: cmd_energy())
+    sub.add_parser("area", help="gate-count table").set_defaults(
+        run=lambda a: cmd_area())
     listing = sub.add_parser("listing", help="microcode listing")
     listing.add_argument("--limit", type=int, default=40)
+    listing.set_defaults(run=lambda a: cmd_listing(limit=a.limit))
     evaluate = sub.add_parser("evaluate", help="white-box attack battery")
     evaluate.add_argument("--weak", action="store_true",
                           help="evaluate the unprotected strawman")
     evaluate.add_argument("--traces", type=int, default=80)
     evaluate.add_argument("--seed", type=int, default=2013,
                           help="master seed of the whole evaluation")
+    evaluate.set_defaults(run=lambda a: cmd_evaluate(
+        weak=a.weak, traces=a.traces, seed=a.seed))
 
     campaign = sub.add_parser(
         "campaign", help="trace-acquisition / attack campaign engine"
@@ -1351,8 +1486,7 @@ def main(argv=None) -> int:
     acquire.add_argument("--dir", required=True, help="campaign directory")
     acquire.add_argument("--traces", type=int, default=256)
     acquire.add_argument("--shard-size", type=int, default=64)
-    acquire.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: cores, max 8)")
+    _add_workers(acquire)
     acquire.add_argument("--scenario", default="protected",
                          choices=("unprotected", "known_randomness",
                                   "protected"))
@@ -1365,28 +1499,27 @@ def main(argv=None) -> int:
                          help="acquire full point multiplications")
     acquire.add_argument("--noise", type=float, default=38.0)
     acquire.add_argument("--quiet", action="store_true")
-    acquire.add_argument("--shard-timeout", type=float, default=None,
-                         help="watchdog seconds per shard attempt "
-                              "(worker processes only)")
-    acquire.add_argument("--max-attempts", type=int, default=None,
-                         help="attempts per shard before quarantine")
-    acquire.add_argument("--chaos", default=None, metavar="SPEC",
-                         help="inject deterministic faults, e.g. "
-                              "'crash=0.4,corrupt=0.25' (tests/CI only)")
-    acquire.add_argument("--chaos-seed", type=int, default=0)
+    _add_retry(acquire, "shard", "shard")
+    _add_chaos(acquire, "inject deterministic faults, e.g. "
+                        "'crash=0.4,corrupt=0.25' (tests/CI only)",
+               metavar="SPEC")
     acquire.add_argument("--chaos-shards", default=None,
                          help="comma-separated shard indices the chaos "
                               "faults apply to (default: all)")
     acquire.add_argument("--curve", default="K-163",
                          help="named curve (K-163, B-163, TOY-B17)")
-    acquire.add_argument("--obs", action="store_true",
-                         help="trace the run into <dir>/obs "
-                              "(spans, metrics, manifest)")
-    acquire.add_argument("--obs-profile", action="store_true",
-                         help="--obs plus perf_counter hot-path timers")
+    _add_obs(acquire, "trace the run into <dir>/obs "
+                      "(spans, metrics, manifest)")
+    acquire.set_defaults(run=lambda a: cmd_campaign_acquire(
+        a.dir, _campaign_spec_from_args(a), workers=a.workers,
+        quiet=a.quiet, shard_timeout=a.shard_timeout,
+        max_attempts=a.max_attempts, chaos=a.chaos,
+        chaos_seed=a.chaos_seed, chaos_shards=_csv(a.chaos_shards, int),
+        obs=a.obs, obs_profile=a.obs_profile))
 
     status = verbs.add_parser("status", help="manifest summary")
     status.add_argument("--dir", required=True)
+    status.set_defaults(run=lambda a: cmd_campaign_status(a.dir))
 
     attack = verbs.add_parser("attack", help="streaming attack on a "
                                              "campaign directory")
@@ -1401,6 +1534,9 @@ def main(argv=None) -> int:
     attack.add_argument("--allow-partial", action="store_true",
                         help="attack an incomplete store (the report "
                              "states which shards backed the statistics)")
+    attack.set_defaults(run=lambda a: cmd_campaign_attack(
+        a.dir, attack=a.attack, bits=a.bits, grid=_csv(a.grid, int),
+        verify=a.verify, allow_partial=a.allow_partial))
 
     doctor = verbs.add_parser(
         "doctor", help="inspect failures.jsonl and the quarantine"
@@ -1410,6 +1546,8 @@ def main(argv=None) -> int:
                         help="release quarantined shards for re-acquire")
     doctor.add_argument("--last", type=int, default=10,
                         help="failure events to show (most recent)")
+    doctor.set_defaults(run=lambda a: cmd_campaign_doctor(
+        a.dir, clear=a.clear, last=a.last))
 
     dse = sub.add_parser(
         "dse", help="design-space exploration with a security axis"
@@ -1458,18 +1596,14 @@ def main(argv=None) -> int:
                               "latency, power, energy, area_energy, "
                               "security; energy_per_message with "
                               "--backends)")
-    explore.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: cores, max 8)")
+    _add_workers(explore)
     explore.add_argument("--quiet", action="store_true")
-    explore.add_argument("--shard-timeout", type=float, default=None,
-                         help="watchdog seconds per measurement attempt "
-                              "(worker processes only)")
-    explore.add_argument("--max-attempts", type=int, default=None,
-                         help="attempts per cell before quarantine")
-    explore.add_argument("--obs", action="store_true",
-                         help="trace the run into <dir>/obs")
-    explore.add_argument("--obs-profile", action="store_true",
-                         help="--obs plus perf_counter hot-path timers")
+    _add_retry(explore, "measurement", "cell")
+    _add_obs(explore, "trace the run into <dir>/obs")
+    explore.set_defaults(run=lambda a: cmd_dse_explore(
+        a.dir, _dse_spec_from_args(a), workers=a.workers, quiet=a.quiet,
+        shard_timeout=a.shard_timeout, max_attempts=a.max_attempts,
+        obs=a.obs, obs_profile=a.obs_profile))
 
     dpareto = dverbs.add_parser(
         "pareto", help="re-rank an explored directory (no simulation)"
@@ -1487,6 +1621,10 @@ def main(argv=None) -> int:
                               "(negative disables)")
     dpareto.add_argument("--json", action="store_true",
                          help="machine-readable front")
+    dpareto.set_defaults(run=lambda a: cmd_dse_pareto(
+        a.dir, objectives=_csv(a.objectives),
+        max_latency_ms=a.max_latency_ms, max_area_ge=a.max_area_ge,
+        min_security=a.min_security, as_json=a.json))
 
     dreport = dverbs.add_parser(
         "report", help="the full evaluated grid of a directory"
@@ -1494,6 +1632,8 @@ def main(argv=None) -> int:
     dreport.add_argument("--dir", required=True)
     dreport.add_argument("--json", action="store_true",
                          help="dump points.json verbatim")
+    dreport.set_defaults(run=lambda a: cmd_dse_report(a.dir,
+                                                      as_json=a.json))
 
     protocol = sub.add_parser(
         "protocol", help="resilient sessions over the lossy channel"
@@ -1513,10 +1653,11 @@ def main(argv=None) -> int:
                       help="radio distance in meters (sets the BER)")
     prun.add_argument("--events", action="store_true",
                       help="print the per-frame event log")
-    prun.add_argument("--obs-dir", default=None,
-                      help="trace the sessions into this directory")
-    prun.add_argument("--obs-profile", action="store_true",
-                      help="also time the hot paths (needs --obs-dir)")
+    _add_obs_dir(prun, "sessions")
+    prun.set_defaults(run=lambda a: cmd_protocol_run(
+        protocol=a.protocol, curve=a.curve, loss=a.loss,
+        sessions=a.sessions, seed=a.seed, distance=a.distance,
+        events=a.events, obs_dir=a.obs_dir, obs_profile=a.obs_profile))
 
     psoak = pverbs.add_parser(
         "soak", help="availability/energy sweep over loss rates"
@@ -1531,18 +1672,18 @@ def main(argv=None) -> int:
     psoak.add_argument("--sweep", default=None,
                        help="comma-separated frame-loss rates "
                             "(default 0,0.05,0.1,0.2)")
-    psoak.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: cores, max 8; "
-                            "0 = in-process)")
+    _add_workers(psoak, in_process=True)
     psoak.add_argument("--distance", type=float, default=0.5)
     psoak.add_argument("--min-availability", type=float, default=0.99,
                        help="floor below which the soak FAILS "
                             "(above it but short of 100%% = degraded)")
     psoak.add_argument("--quiet", action="store_true")
-    psoak.add_argument("--obs-dir", default=None,
-                       help="trace the soak into this directory")
-    psoak.add_argument("--obs-profile", action="store_true",
-                       help="also time the hot paths (needs --obs-dir)")
+    _add_obs_dir(psoak, "soak")
+    psoak.set_defaults(run=lambda a: cmd_protocol_soak(
+        protocol=a.protocol, curve=a.curve, sessions=a.sessions,
+        seed=a.seed, sweep=_csv(a.sweep, float), workers=a.workers,
+        distance=a.distance, min_availability=a.min_availability,
+        quiet=a.quiet, obs_dir=a.obs_dir, obs_profile=a.obs_profile))
 
     pamort = pverbs.add_parser(
         "amortize",
@@ -1565,9 +1706,7 @@ def main(argv=None) -> int:
     pamort.add_argument("--sweep", default=None,
                         help="comma-separated frame-loss rates "
                              "(default 0,0.05,0.1,0.2)")
-    pamort.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: cores, max "
-                             "8; 0 = in-process)")
+    _add_workers(pamort, in_process=True)
     pamort.add_argument("--distance", type=float, default=0.5)
     pamort.add_argument("--min-delivery", type=float, default=0.95,
                         help="delivery floor below which the run "
@@ -1577,11 +1716,14 @@ def main(argv=None) -> int:
                         help="write the worker-invariant "
                              "summary.json here")
     pamort.add_argument("--quiet", action="store_true")
-    pamort.add_argument("--obs-dir", default=None,
-                        help="trace the run into this directory")
-    pamort.add_argument("--obs-profile", action="store_true",
-                        help="also time the hot paths (needs "
-                             "--obs-dir)")
+    _add_obs_dir(pamort, "run")
+    pamort.set_defaults(run=lambda a: cmd_protocol_amortize(
+        protocol=a.protocol, backend=a.backend, curve=a.curve,
+        epoch=a.epoch, messages=a.messages, sessions=a.sessions,
+        seed=a.seed, sweep=_csv(a.sweep, float), workers=a.workers,
+        distance=a.distance, min_delivery=a.min_delivery,
+        directory=a.dir, quiet=a.quiet, obs_dir=a.obs_dir,
+        obs_profile=a.obs_profile))
 
     obs = sub.add_parser(
         "obs", help="observability reports over a traced run"
@@ -1603,6 +1745,10 @@ def main(argv=None) -> int:
     oreport.add_argument("--require-metrics", default=None,
                          help="comma-separated metric families that "
                               "must appear (exit 1 otherwise)")
+    oreport.set_defaults(run=lambda a: cmd_obs_report(
+        a.dir, as_json=a.json, top=a.top,
+        require_spans=_csv(a.require_spans),
+        require_metrics=_csv(a.require_metrics)))
 
     odiff = overbs.add_parser(
         "diff", help="metric regression table between two runs"
@@ -1619,6 +1765,8 @@ def main(argv=None) -> int:
                        metavar="PCT",
                        help="exit 1 when any metric rose by more than "
                             "this percentage")
+    odiff.set_defaults(run=lambda a: cmd_obs_diff(
+        a.a, a.b, patterns=a.filter, max_regression=a.max_regression))
 
     otail = overbs.add_parser(
         "tail", help="live telemetry snapshot + flight-recorder dumps"
@@ -1627,6 +1775,7 @@ def main(argv=None) -> int:
                        help="soak/run directory holding telemetry.json")
     otail.add_argument("--json", action="store_true",
                        help="raw snapshot JSON")
+    otail.set_defaults(run=lambda a: cmd_obs_tail(a.dir, as_json=a.json))
 
     oalerts = overbs.add_parser(
         "alerts", help="alert log of one soak (exit 3 when any fired)"
@@ -1635,6 +1784,8 @@ def main(argv=None) -> int:
                          help="soak/run directory holding alerts.json")
     oalerts.add_argument("--json", action="store_true",
                          help="raw alert-log JSON")
+    oalerts.set_defaults(run=lambda a: cmd_obs_alerts(a.dir,
+                                                      as_json=a.json))
 
     otrend = overbs.add_parser(
         "trend", help="fold BENCH_*.json into the bench trend log"
@@ -1648,6 +1799,8 @@ def main(argv=None) -> int:
                         help="render only; do not update the trend file")
     otrend.add_argument("--json", action="store_true",
                         help="raw trend JSON")
+    otrend.set_defaults(run=lambda a: cmd_obs_trend(
+        a.results, label=a.label, write=not a.no_write, as_json=a.json))
 
     server = sub.add_parser(
         "server", help="fleet-scale private-identification service"
@@ -1664,67 +1817,35 @@ def main(argv=None) -> int:
                          help="tags per shard file")
     senroll.add_argument("--seed", type=int, default=2013)
     senroll.add_argument("--curve", default="TOY-B17")
-    senroll.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default: cores, max 8)")
-    senroll.add_argument("--chaos", default=None,
-                         help="fault injection, e.g. "
-                              "'crash=0.3,corrupt=0.2'")
-    senroll.add_argument("--chaos-seed", type=int, default=0)
+    _add_workers(senroll)
+    _add_chaos(senroll, "fault injection, e.g. 'crash=0.3,corrupt=0.2'")
+    senroll.set_defaults(run=lambda a: cmd_server_enroll(
+        a.dir, tags=a.tags, shard_size=a.shard_size, seed=a.seed,
+        curve=a.curve, workers=a.workers, chaos=a.chaos,
+        chaos_seed=a.chaos_seed))
 
     ssoak = sverbs.add_parser(
         "soak", help="supervised multi-cohort soak against a fleet"
     )
-    ssoak.add_argument("--store", required=True,
-                       help="enrolled fleet directory")
+    _add_server_sessions(ssoak)
     ssoak.add_argument("--dir", required=True,
                        help="soak output directory")
-    ssoak.add_argument("--sessions", type=int, default=200,
-                       help="sessions per cohort")
     ssoak.add_argument("--cohorts", type=int, default=4)
-    ssoak.add_argument("--rate", type=float, default=2000.0,
-                       help="mean session arrivals per virtual second")
-    ssoak.add_argument("--loss", type=float, default=0.1,
-                       help="frame-loss probability")
-    ssoak.add_argument("--seed", type=int, default=2013)
-    ssoak.add_argument("--capacity", type=int, default=256,
-                       help="concurrent sessions before queueing")
-    ssoak.add_argument("--admission-queue", type=int, default=64,
-                       help="queued admissions before shedding")
-    ssoak.add_argument("--deadline", type=float, default=2.0,
-                       help="per-session deadline (virtual seconds)")
-    ssoak.add_argument("--search", default="cached",
-                       choices=("cached", "uncached"),
-                       help="identification search mode")
-    ssoak.add_argument("--distance", type=float, default=0.5,
-                       help="radio distance in meters (sets the BER)")
-    ssoak.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: cores, max 8)")
-    ssoak.add_argument("--chaos", default=None,
-                       help="fault injection, e.g. 'crash=0.3'")
-    ssoak.add_argument("--chaos-seed", type=int, default=0)
+    _add_workers(ssoak)
+    _add_chaos(ssoak)
     ssoak.add_argument("--min-acceptance", type=float, default=0.9,
                        help="acceptance-rate floor below which the "
                             "soak FAILS")
-    ssoak.add_argument("--obs", action="store_true",
-                       help="trace the soak into <dir>/obs")
-    ssoak.add_argument("--obs-profile", action="store_true",
-                       help="--obs plus perf_counter hot-path timers")
+    _add_obs(ssoak)
+    ssoak.set_defaults(run=lambda a: cmd_server_soak(
+        a.dir, _server_soak_spec(a), workers=a.workers, chaos=a.chaos,
+        chaos_seed=a.chaos_seed, min_acceptance=a.min_acceptance,
+        obs=a.obs, obs_profile=a.obs_profile))
 
     srun = sverbs.add_parser(
         "run", help="one in-process cohort with live /metrics"
     )
-    srun.add_argument("--store", required=True,
-                      help="enrolled fleet directory")
-    srun.add_argument("--sessions", type=int, default=200)
-    srun.add_argument("--rate", type=float, default=2000.0)
-    srun.add_argument("--loss", type=float, default=0.1)
-    srun.add_argument("--seed", type=int, default=2013)
-    srun.add_argument("--capacity", type=int, default=256)
-    srun.add_argument("--admission-queue", type=int, default=64)
-    srun.add_argument("--deadline", type=float, default=2.0)
-    srun.add_argument("--search", default="cached",
-                      choices=("cached", "uncached"))
-    srun.add_argument("--distance", type=float, default=0.5)
+    _add_server_sessions(srun)
     srun.add_argument("--metrics-port", type=int, default=None,
                       help="serve /metrics on this port while running "
                            "(0 = ephemeral; omit to disable)")
@@ -1732,6 +1853,9 @@ def main(argv=None) -> int:
                       help="keep serving /metrics this long after the "
                            "run so a scrape loop sees the final state")
     srun.add_argument("--quiet", action="store_true")
+    srun.set_defaults(run=lambda a: cmd_server_run(
+        _server_soak_spec(a), metrics_port=a.metrics_port,
+        serve_seconds=a.serve_seconds, quiet=a.quiet))
 
     attack_p = sub.add_parser(
         "attack", help="adversary lab: battery-depletion floods vs "
@@ -1757,6 +1881,9 @@ def main(argv=None) -> int:
     arun.add_argument("--curve", default="TOY-B17")
     arun.add_argument("--distance", type=float, default=0.5,
                       help="radio distance in meters (sets the BER)")
+    arun.set_defaults(run=lambda a: cmd_attack_run(
+        adversary=a.adversary, defenses=a.defenses, sessions=a.sessions,
+        seed=a.seed, loss=a.loss, curve=a.curve, distance=a.distance))
 
     asoak = averbs.add_parser(
         "soak", help="supervised multi-cohort flood soak"
@@ -1786,18 +1913,17 @@ def main(argv=None) -> int:
                             "cap (uJ; 0 keeps the posture default)")
     asoak.add_argument("--budget-window", type=float, default=0.0,
                        help="override the budget window (seconds)")
-    asoak.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: cores, max 8)")
-    asoak.add_argument("--chaos", default=None,
-                       help="fault injection, e.g. 'crash=0.3'")
-    asoak.add_argument("--chaos-seed", type=int, default=0)
+    _add_workers(asoak)
+    _add_chaos(asoak)
     asoak.add_argument("--min-legit-success", type=float, default=0.0,
                        help="honest-session success floor below which "
                             "the soak FAILS")
-    asoak.add_argument("--obs", action="store_true",
-                       help="trace the soak into <dir>/obs")
-    asoak.add_argument("--obs-profile", action="store_true",
-                       help="--obs plus perf_counter hot-path timers")
+    _add_obs(asoak)
+    asoak.set_defaults(run=lambda a: cmd_attack_soak(
+        a.dir, _attack_spec_from_args(a), workers=a.workers,
+        chaos=a.chaos, chaos_seed=a.chaos_seed,
+        min_legit_success=a.min_legit_success, obs=a.obs,
+        obs_profile=a.obs_profile))
 
     power = sub.add_parser(
         "power", help="intermittent power: brownouts, checkpoints, "
@@ -1812,16 +1938,15 @@ def main(argv=None) -> int:
     wrun.add_argument("--curve", default="TOY-B17")
     wrun.add_argument("--seed", type=int, default=2013)
     wrun.add_argument("--session", type=int, default=0)
-    wrun.add_argument("--cuts", type=int, default=3,
-                      help="cuts per seeded schedule")
-    wrun.add_argument("--on-cycles", type=int, default=8000,
-                      help="mean power-on window (cycles)")
-    wrun.add_argument("--interval", type=int, default=8,
-                      help="ladder steps between checkpoints")
+    _add_power_cuts(wrun, "cuts per seeded schedule")
     wrun.add_argument("--schedules", type=int, default=5,
                       help="seeded cut schedules to replay")
     wrun.add_argument("--no-attack", action="store_true",
                       help="skip the field-cutting attack demo")
+    wrun.set_defaults(run=lambda a: cmd_power_run(
+        curve=a.curve, seed=a.seed, session=a.session, cuts=a.cuts,
+        on_cycles=a.on_cycles, interval=a.interval,
+        schedules=a.schedules, attack=not a.no_attack))
 
     wsoak = wverbs.add_parser(
         "soak", help="fleet soak under seeded power-cut schedules"
@@ -1834,329 +1959,16 @@ def main(argv=None) -> int:
     wsoak.add_argument("--seed", type=int, default=2013)
     wsoak.add_argument("--cut-seed", type=int, default=1,
                        help="seed of the cut-placement stream")
-    wsoak.add_argument("--cuts", type=int, default=3,
-                       help="cuts per session")
-    wsoak.add_argument("--on-cycles", type=int, default=8000,
-                       help="mean power-on window (cycles)")
-    wsoak.add_argument("--interval", type=int, default=8,
-                       help="ladder steps between checkpoints")
+    _add_power_cuts(wsoak, "cuts per session")
     wsoak.add_argument("--max-power-cycles", type=int, default=64,
                        help="restarts before a session aborts typed")
-    wsoak.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: cores, max 8; "
-                            "0 = in-process)")
+    _add_workers(wsoak, in_process=True)
     wsoak.add_argument("--min-completed", type=float, default=1.0,
                        help="completion floor below which the soak "
                             "FAILS")
-    wsoak.add_argument("--obs", action="store_true",
-                       help="trace the soak into <dir>/obs")
-    wsoak.add_argument("--obs-profile", action="store_true",
-                       help="--obs plus perf_counter hot-path timers")
-
-    args = parser.parse_args(argv)
-
-    if args.command == "info":
-        output = cmd_info()
-    elif args.command == "energy":
-        output = cmd_energy()
-    elif args.command == "area":
-        output = cmd_area()
-    elif args.command == "listing":
-        output = cmd_listing(limit=args.limit)
-    elif args.command == "campaign":
-        return _campaign_main(args, argv if argv is not None
-                              else sys.argv[1:])
-    elif args.command == "dse":
-        return _dse_main(args, argv if argv is not None
-                         else sys.argv[1:])
-    elif args.command == "protocol":
-        return _protocol_main(args)
-    elif args.command == "obs":
-        return _obs_main(args)
-    elif args.command == "server":
-        return _server_main(args)
-    elif args.command == "attack":
-        return _attack_main(args)
-    elif args.command == "power":
-        return _power_main(args)
-    else:
-        output = cmd_evaluate(weak=args.weak, traces=args.traces,
-                              seed=args.seed)
-    _print(output)
-    return EXIT_OK
-
-
-def _print(output: str) -> None:
-    try:
-        print(output)
-    except BrokenPipeError:  # e.g. piped into `head`
-        pass
-
-
-def _obs_main(args) -> int:
-    """Dispatch an ``obs`` verb under the exit-code contract."""
-    try:
-        if args.verb == "report":
-            output, code = cmd_obs_report(
-                args.dir, as_json=args.json, top=args.top,
-                require_spans=[s for s in
-                               (args.require_spans or "").split(",") if s],
-                require_metrics=[s for s in
-                                 (args.require_metrics or "").split(",")
-                                 if s],
-            )
-        elif args.verb == "diff":
-            output, code = cmd_obs_diff(
-                args.a, args.b, patterns=args.filter,
-                max_regression=args.max_regression,
-            )
-        elif args.verb == "tail":
-            output, code = cmd_obs_tail(args.dir, as_json=args.json)
-        elif args.verb == "alerts":
-            output, code = cmd_obs_alerts(args.dir, as_json=args.json)
-        else:
-            output, code = cmd_obs_trend(
-                args.results, label=args.label,
-                write=not args.no_write, as_json=args.json,
-            )
-    except FileNotFoundError as exc:
-        print(f"obs error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
-
-
-def _protocol_main(args) -> int:
-    """Dispatch a ``protocol`` verb under the exit-code contract."""
-    code = EXIT_OK
-    try:
-        sweep = None
-        if getattr(args, "sweep", None):
-            sweep = [float(s) for s in args.sweep.split(",") if s]
-        if args.verb == "run":
-            output = cmd_protocol_run(
-                protocol=args.protocol, curve=args.curve, loss=args.loss,
-                sessions=args.sessions, seed=args.seed,
-                distance=args.distance, events=args.events,
-                obs_dir=args.obs_dir, obs_profile=args.obs_profile,
-            )
-        elif args.verb == "amortize":
-            output, code = cmd_protocol_amortize(
-                protocol=args.protocol, backend=args.backend,
-                curve=args.curve, epoch=args.epoch,
-                messages=args.messages, sessions=args.sessions,
-                seed=args.seed, sweep=sweep, workers=args.workers,
-                distance=args.distance,
-                min_delivery=args.min_delivery, directory=args.dir,
-                quiet=args.quiet, obs_dir=args.obs_dir,
-                obs_profile=args.obs_profile,
-            )
-        else:
-            output, code = cmd_protocol_soak(
-                protocol=args.protocol, curve=args.curve,
-                sessions=args.sessions, seed=args.seed, sweep=sweep,
-                workers=args.workers, distance=args.distance,
-                min_availability=args.min_availability, quiet=args.quiet,
-                obs_dir=args.obs_dir, obs_profile=args.obs_profile,
-            )
-    except KeyboardInterrupt:
-        print("\ninterrupted — the sweep is deterministic; rerunning "
-              "the same command reproduces it from scratch",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except (ValueError, KeyError) as exc:
-        print(f"protocol error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
-
-
-def _server_main(args) -> int:
-    """Dispatch a ``server`` verb under the exit-code contract."""
-    from .server import ServerError
-
-    code = EXIT_OK
-    try:
-        if args.verb == "enroll":
-            output, code = cmd_server_enroll(
-                args.dir, tags=args.tags, shard_size=args.shard_size,
-                seed=args.seed, curve=args.curve, workers=args.workers,
-                chaos=args.chaos, chaos_seed=args.chaos_seed,
-            )
-        elif args.verb == "soak":
-            output, code = cmd_server_soak(
-                args.dir, _server_soak_spec(args), workers=args.workers,
-                chaos=args.chaos, chaos_seed=args.chaos_seed,
-                min_acceptance=args.min_acceptance,
-                obs=args.obs, obs_profile=args.obs_profile,
-            )
-        else:
-            output, code = cmd_server_run(
-                _server_soak_spec(args),
-                metrics_port=args.metrics_port,
-                serve_seconds=args.serve_seconds, quiet=args.quiet,
-            )
-    except KeyboardInterrupt:
-        print("\ninterrupted — enrollment shards and finished cohorts "
-              "are cached; rerunning the same command resumes",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except (ServerError, ValueError, KeyError) as exc:
-        print(f"server error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
-
-
-def _attack_main(args) -> int:
-    """Dispatch an ``attack`` verb under the exit-code contract."""
-    from .adversary import AdversaryError
-
-    code = EXIT_OK
-    try:
-        if args.verb == "run":
-            output = cmd_attack_run(
-                adversary=args.adversary, defenses=args.defenses,
-                sessions=args.sessions, seed=args.seed, loss=args.loss,
-                curve=args.curve, distance=args.distance,
-            )
-        else:
-            output, code = cmd_attack_soak(
-                args.dir, _attack_spec_from_args(args),
-                workers=args.workers, chaos=args.chaos,
-                chaos_seed=args.chaos_seed,
-                min_legit_success=args.min_legit_success,
-                obs=args.obs, obs_profile=args.obs_profile,
-            )
-    except KeyboardInterrupt:
-        print("\ninterrupted — the flood is deterministic; rerunning "
-              "the same command reproduces it from scratch",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except (AdversaryError, ValueError, KeyError) as exc:
-        print(f"attack error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
-
-
-def _power_main(args) -> int:
-    """Dispatch a ``power`` verb under the exit-code contract."""
-    from .intermittent import IntermittentError
-
-    code = EXIT_OK
-    try:
-        if args.verb == "run":
-            output = cmd_power_run(
-                curve=args.curve, seed=args.seed, session=args.session,
-                cuts=args.cuts, on_cycles=args.on_cycles,
-                interval=args.interval, schedules=args.schedules,
-                attack=not args.no_attack,
-            )
-        else:
-            output, code = cmd_power_soak(
-                args.dir, _power_soak_spec_from_args(args),
-                workers=args.workers, min_completed=args.min_completed,
-                obs=args.obs, obs_profile=args.obs_profile,
-            )
-    except KeyboardInterrupt:
-        print("\ninterrupted — the soak is deterministic; rerunning "
-              "the same command reproduces it from scratch",
-              file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except (IntermittentError, ValueError, KeyError) as exc:
-        print(f"power error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
-
-
-def _dse_main(args, argv) -> int:
-    """Dispatch a ``dse`` verb under the exit-code contract."""
-    from .dse import DseError
-
-    code = EXIT_OK
-    try:
-        if args.verb == "explore":
-            output, code = cmd_dse_explore(
-                args.dir, _dse_spec_from_args(args),
-                workers=args.workers, quiet=args.quiet,
-                shard_timeout=args.shard_timeout,
-                max_attempts=args.max_attempts,
-                obs=args.obs, obs_profile=args.obs_profile,
-            )
-        elif args.verb == "pareto":
-            objectives = None
-            if args.objectives:
-                objectives = [s for s in args.objectives.split(",") if s]
-            output, code = cmd_dse_pareto(
-                args.dir, objectives=objectives,
-                max_latency_ms=args.max_latency_ms,
-                max_area_ge=args.max_area_ge,
-                min_security=args.min_security,
-                as_json=args.json,
-            )
-        else:
-            output, code = cmd_dse_report(args.dir, as_json=args.json)
-    except KeyboardInterrupt:
-        resume = " ".join(argv) if argv else "<the same command>"
-        print(
-            "\ninterrupted — completed measurements are cached; "
-            f"resume with: python -m repro {resume}",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-    except DseError as exc:
-        print(f"dse error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
-
-
-def _campaign_main(args, argv) -> int:
-    """Dispatch a ``campaign`` verb under the exit-code contract."""
-    from .campaign import CampaignError
-
-    code = EXIT_OK
-    try:
-        if args.verb == "acquire":
-            chaos_shards = None
-            if args.chaos_shards:
-                chaos_shards = [int(s) for s in
-                                args.chaos_shards.split(",") if s]
-            output, code = cmd_campaign_acquire(
-                args.dir, _campaign_spec_from_args(args),
-                workers=args.workers, quiet=args.quiet,
-                shard_timeout=args.shard_timeout,
-                max_attempts=args.max_attempts,
-                chaos=args.chaos, chaos_seed=args.chaos_seed,
-                chaos_shards=chaos_shards,
-                obs=args.obs, obs_profile=args.obs_profile,
-            )
-        elif args.verb == "status":
-            output = cmd_campaign_status(args.dir)
-        elif args.verb == "doctor":
-            output = cmd_campaign_doctor(args.dir, clear=args.clear,
-                                         last=args.last)
-        else:
-            grid = None
-            if args.grid:
-                grid = [int(g) for g in args.grid.split(",") if g]
-            output = cmd_campaign_attack(args.dir, attack=args.attack,
-                                         bits=args.bits, grid=grid,
-                                         verify=args.verify,
-                                         allow_partial=args.allow_partial)
-    except KeyboardInterrupt:
-        resume = " ".join(argv) if argv else "<the same command>"
-        print(
-            "\ninterrupted — progress up to the last completed shard is "
-            "checkpointed in the manifest;\n"
-            f"resume with: python -m repro {resume}",
-            file=sys.stderr,
-        )
-        return EXIT_INTERRUPTED
-    except CampaignError as exc:
-        print(f"campaign error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-    _print(output)
-    return code
+    _add_obs(wsoak)
+    wsoak.set_defaults(run=lambda a: cmd_power_soak(
+        a.dir, _power_soak_spec_from_args(a), workers=a.workers,
+        min_completed=a.min_completed, obs=a.obs,
+        obs_profile=a.obs_profile))
+    return parser

@@ -214,12 +214,36 @@ class TestFailureLifecycle:
         assert "resume with" in err
         assert "campaign acquire" in err
 
-    def test_chaos_needs_processes_surfaces_cleanly(self, tmp_path):
-        # crash chaos with workers=1 is a usage error, raised before
+    def test_chaos_needs_processes_surfaces_cleanly(self, tmp_path, capsys):
+        # crash chaos with workers=1 is a usage error, reported before
         # any work starts.
-        with pytest.raises(ValueError, match="worker processes"):
-            main(self.ACQUIRE + ["--dir", str(tmp_path / "camp"),
-                                 "--chaos", "crash=1.0"])
+        assert main(self.ACQUIRE + ["--dir", str(tmp_path / "camp"),
+                                    "--chaos", "crash=1.0"]) == 1
+        err = capsys.readouterr().err
+        assert "campaign error:" in err
+        assert "worker processes" in err
+
+
+class TestBadInput:
+    """Bad input to ``campaign`` and ``dse`` exits 1 with one
+    ``<group> error:`` line, as in the other verb groups, never with a
+    traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dse", "explore", "--digits", "a"],
+        ["dse", "explore", "--vdd", "x"],
+        ["campaign", "acquire", "--chaos-shards", "a"],
+        ["campaign", "attack", "--grid", "a"],
+        ["campaign", "acquire", "--traces", "0"],
+        ["campaign", "acquire", "--curve", "NOPE"],
+        ["campaign", "acquire", "--chaos", "bogus=1"],
+    ], ids=" ".join)
+    def test_exits_1_with_one_error_line(self, tmp_path, capsys, argv):
+        code = main(argv + ["--dir", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{argv[0]} error:" in err
+        assert "Traceback" not in err
 
 
 class TestProtocolVerbs:

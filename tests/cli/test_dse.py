@@ -99,6 +99,20 @@ class TestReport:
             cmd_dse_report(str(tmp_path))
 
 
+@pytest.mark.parametrize("verb, name, content", [
+    ("report", "points.json", "[]"),
+    ("report", "points.json", '{"rows": 5, "spec_digest": "x"}'),
+    ("pareto", "space.json", '{"bogus": 1}'),
+])
+def test_wrong_shape_file_fails_with_one_line(tmp_path, capsys, verb, name,
+                                              content):
+    (tmp_path / name).write_text(content, encoding="utf-8")
+    assert main(["dse", verb, "--dir", str(tmp_path)]) == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("dse error:")
+    assert "explore" in err
+
+
 class TestObservability:
     def test_obs_run_satisfies_the_contract(self, tmp_path, capsys):
         directory = str(tmp_path / "obs-run")
