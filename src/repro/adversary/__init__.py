@@ -32,7 +32,6 @@ from .errors import (
     AdversaryError,
     BudgetExhaustedError,
     DefenseConfigError,
-    WakeTokenRejectedError,
 )
 from .soak import (
     ATTACK_OUTCOMES,
@@ -61,7 +60,6 @@ __all__ = [
     "FieldCutOutcome",
     "SUMMARY_NAME",
     "WAKE_TOKEN_BYTES",
-    "WakeTokenRejectedError",
     "WakeUpRadio",
     "defense_config",
     "make_attack_policy",

@@ -168,10 +168,6 @@ class EnergyBudget:
             self.window_index = index
             self.window_spent_uj = 0.0
 
-    def remaining_uj(self, now: float) -> float:
-        self._roll(now)
-        return max(0.0, self.cap_uj - self.window_spent_uj)
-
     def charge(self, uj: float, now: float) -> None:
         """Spend ``uj`` in the window containing ``now``, or refuse."""
         if uj < 0:

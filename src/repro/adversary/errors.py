@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 __all__ = ["AdversaryError", "BudgetExhaustedError",
-           "WakeTokenRejectedError", "DefenseConfigError"]
+           "DefenseConfigError"]
 
 
 class AdversaryError(RuntimeError):
@@ -42,16 +42,6 @@ class BudgetExhaustedError(AdversaryError):
         self.window_index = window_index
         self.spent_uj = spent_uj
         self.cap_uj = cap_uj
-
-
-class WakeTokenRejectedError(AdversaryError):
-    """A wake-up request carried no valid wake token.
-
-    With wake-up-radio gating enabled the tag's main radio and ECC
-    core stay dark until an *authenticated* wake token arrives; a
-    bogus wake costs only the always-on wake receiver's budget-exempt
-    listen energy, never a point multiplication.
-    """
 
 
 class DefenseConfigError(AdversaryError, ValueError):

@@ -5,8 +5,12 @@ malicious reader can therefore do something no passive eavesdropper
 can: cut the field at a chosen cycle, force a restart, and watch what
 the tag does with its nonce the second time around.
 
-Against a naive tag (RAM-only session state, nonce re-derived from
-its seed after every restart — the classic replayed-TRNG bug) the
+The target is the real
+:class:`~repro.protocols.peeters_hermans.PeetersHermansTag` that the
+fleet, the server and the attack lab run, driven by
+:class:`~repro.intermittent.IntermittentSession`.  Against a naive
+tag (no NVM: the nonce lives in the tag's RAM, and the restarted tag
+draws it again from its seed — the classic replayed-TRNG bug) the
 attack is a complete break of Peeters–Hermans:
 
 1. **probe** — run one uninterrupted session against the target and

@@ -78,8 +78,3 @@ class ClockTreeModel:
         if self.policy is ClockGatingPolicy.ALWAYS_ON:
             return sum(self.branch_weights)
         return sum(self.branch_weights[r] for r in written_registers)
-
-    @property
-    def is_constant_power(self) -> bool:
-        """True when the per-cycle contribution cannot depend on data."""
-        return self.policy is ClockGatingPolicy.ALWAYS_ON

@@ -56,19 +56,6 @@ class MuxEncoding:
         """Control-network switching activity for one iteration start."""
         raise NotImplementedError
 
-    def iteration_weights(self, key_bits: list) -> list:
-        """Per-iteration activity for a whole key-bit sequence.
-
-        The ladder starts from the (public, always-1) MSB, so the first
-        iteration's transition is computed against 1.
-        """
-        weights = []
-        previous = 1
-        for bit in key_bits:
-            weights.append(self.transition_weight(previous, bit))
-            previous = bit
-        return weights
-
 
 class UnbalancedEncoding(MuxEncoding):
     """Single-wire select: activity = fanout when the key bit flips.

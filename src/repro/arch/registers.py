@@ -79,10 +79,5 @@ class RegisterFile:
         self._values = [0] * self.count
         self.writes = []
 
-    @property
-    def total_write_toggles(self) -> int:
-        """Sum of Hamming distances over all recorded writes."""
-        return sum(w.hamming_distance for w in self.writes)
-
     def __repr__(self) -> str:
         return f"RegisterFile({self.count} x {self.width} bits)"

@@ -55,16 +55,6 @@ class ExecutionTrace:
         """Total clock cycles of the run."""
         return len(self.datapath)
 
-    @property
-    def total_activity(self) -> float:
-        """Sum of all switching activity (the energy-model input)."""
-        return (
-            sum(self.datapath)
-            + sum(self.register)
-            + sum(self.control)
-            + sum(self.clock)
-        )
-
     def check_consistency(self) -> None:
         """Raise if the four channels disagree on the cycle count."""
         n = len(self.datapath)

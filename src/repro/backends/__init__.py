@@ -40,7 +40,6 @@ from .evaluation import (
     HANDSHAKE_POINT_MULTIPLICATIONS,
     MESSAGE_BYTES,
     MeasuredPrimitive,
-    message_energy_uj,
 )
 from .sha1_unit import Sha1Engine
 from .simon import SIMON32_64_GATES, Simon32Engine, simon32_decrypt, \
@@ -63,7 +62,6 @@ __all__ = [
     "SIMON32_64_GATES",
     "SYMMETRIC_BACKEND_NAMES",
     "get_backend",
-    "message_energy_uj",
     "parse_backend_point",
     "simon32_decrypt",
     "simon32_encrypt",

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from ..power.energy import EnergyModel
 from ..power.technology import OperatingPoint, PAPER_OPERATING_POINT
-from .base import CryptoBackend, EngineTrace, get_backend
+from .base import EngineTrace, get_backend
 
 __all__ = ["HANDSHAKE_POINT_MULTIPLICATIONS", "MESSAGE_BYTES",
-           "MeasuredPrimitive", "measure_backend", "message_energy_uj"]
+           "MeasuredPrimitive", "measure_backend"]
 
 #: Canonical message size of one DSE backend measurement (bytes).
 MESSAGE_BYTES = 32
@@ -71,24 +71,3 @@ def measure_backend(name: str,
                     ) -> MeasuredPrimitive:
     """Measure a backend by name (the DSE worker entry point)."""
     return MeasuredPrimitive.measure(name, message_bytes=message_bytes)
-
-
-def trace_energy_uj(trace: EngineTrace, model: EnergyModel,
-                    point: OperatingPoint = PAPER_OPERATING_POINT,
-                    ) -> float:
-    """µJ of one engine trace under the calibrated model."""
-    if trace.cycles == 0:
-        return 0.0
-    return model.report_activity(trace.consumed, trace.cycles,
-                                 point).energy_joules * 1e6
-
-
-def message_energy_uj(backend, model: EnergyModel,
-                      point: OperatingPoint = PAPER_OPERATING_POINT,
-                      message_bytes: int = MESSAGE_BYTES) -> float:
-    """µJ of sealing one canonical message on ``backend``."""
-    if isinstance(backend, CryptoBackend):
-        trace = backend.message_trace(message_bytes)
-        return trace_energy_uj(trace, model, point)
-    measured = measure_backend(backend, message_bytes=message_bytes)
-    return measured.at(model, point).energy_joules * 1e6

@@ -62,8 +62,7 @@ from .progress import (
     NullReporter,
     ShardEvent,
 )
-from .spec import SCHEMA_VERSION, CampaignSpec, derive_generator, \
-    derive_rng, derive_seed
+from .spec import SCHEMA_VERSION, CampaignSpec, derive_rng, derive_seed
 from .store import CorruptShardError, CoverageReport, ShardRecord, \
     ShardView, TraceStore, file_digest
 from .streaming import (
@@ -74,7 +73,6 @@ from .streaming import (
     store_provenance,
     streaming_average_trace,
     streaming_spa,
-    streaming_tvla,
 )
 from .supervisor import (
     FailureEvent,
@@ -124,7 +122,6 @@ __all__ = [
     "chaos_acquire_shard",
     "classify_exception",
     "default_workers",
-    "derive_generator",
     "derive_rng",
     "derive_seed",
     "file_digest",
@@ -132,5 +129,4 @@ __all__ = [
     "store_provenance",
     "streaming_average_trace",
     "streaming_spa",
-    "streaming_tvla",
 ]

@@ -107,10 +107,6 @@ class ChaosConfig:
     # ------------------------------------------------------------------
 
     @property
-    def any_faults(self) -> bool:
-        return any(getattr(self, f) > 0.0 for f in _RATE_FIELDS.values())
-
-    @property
     def needs_processes(self) -> bool:
         """Crash/hang faults cannot be injected into an inline worker
         (they would take the coordinator down with them)."""

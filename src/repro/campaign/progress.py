@@ -10,7 +10,6 @@ per elapsed second), so they stay honest under any worker count.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field as dataclass_field
 
 __all__ = ["ShardEvent", "CampaignMetrics", "CampaignReporter",
@@ -167,13 +166,3 @@ class ConsoleReporter(CampaignReporter):
 
     def on_finish(self, metrics: CampaignMetrics) -> None:
         self._emit("[campaign] " + metrics.summary())
-
-
-class Stopwatch:
-    """Tiny perf_counter wrapper (monkeypatchable in tests)."""
-
-    def __init__(self):
-        self._start = time.perf_counter()
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self._start

@@ -23,15 +23,13 @@ import json
 import random
 from dataclasses import asdict, dataclass, field as dataclass_field
 
-import numpy as np
-
 from ..arch.clockgate import ClockGatingPolicy
-from ..arch.control import BalancedEncoding, MuxEncoding, UnbalancedEncoding
+from ..arch.control import BalancedEncoding, UnbalancedEncoding
 from ..arch.coprocessor import CoprocessorConfig, EccCoprocessor
 from ..ec.curves import get_curve
 
 __all__ = ["SCHEMA_VERSION", "CampaignSpec", "derive_seed", "derive_rng",
-           "derive_generator", "SCENARIOS"]
+           "SCENARIOS"]
 
 #: Manifest/spec schema version; bumped on incompatible layout changes.
 SCHEMA_VERSION = 1
@@ -51,19 +49,6 @@ def derive_seed(master_seed: int, stream: str, index: int = 0) -> int:
 def derive_rng(master_seed: int, stream: str, index: int = 0) -> random.Random:
     """A stdlib RNG on its own derived stream."""
     return random.Random(derive_seed(master_seed, stream, index))
-
-
-def derive_generator(master_seed: int, stream: str,
-                     index: int = 0) -> np.random.Generator:
-    """A numpy Generator on its own derived stream."""
-    return np.random.default_rng(derive_seed(master_seed, stream, index))
-
-
-def _mux_name(encoding: MuxEncoding) -> str:
-    for name, cls in _MUX_ENCODINGS.items():
-        if type(encoding) is cls:
-            return name
-    raise ValueError(f"unserializable mux encoding {type(encoding).__name__}")
 
 
 @dataclass(frozen=True)
@@ -206,22 +191,3 @@ class CampaignSpec:
         if isinstance(d.get("key"), str):
             d["key"] = int(d["key"], 16)
         return cls(**d)
-
-    @classmethod
-    def from_config(cls, config: CoprocessorConfig, **kwargs) -> "CampaignSpec":
-        """Build a spec from an in-memory :class:`CoprocessorConfig`.
-
-        The scenario (not ``config.randomize_z``) decides the
-        countermeasure state, matching ``PowerTraceSimulator.campaign``.
-        """
-        return cls(
-            curve=config.domain.name,
-            digit_size=config.digit_size,
-            dedicated_squarer=config.dedicated_squarer,
-            fetch_overhead=config.fetch_overhead,
-            mux_encoding=_mux_name(config.mux_encoding),
-            clock_gating=config.clock_gating.value,
-            input_isolation=config.input_isolation,
-            glitch_factor=config.glitch_factor,
-            **kwargs,
-        )

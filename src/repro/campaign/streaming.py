@@ -49,13 +49,12 @@ from ..obs import runtime as _obs_runtime
 from ..sca.dpa import BitDecision, DpaResult
 from ..sca.predict import ActivityPredictor
 from ..sca.spa import SpaResult, transition_spa
-from ..sca.ttest import TVLA_THRESHOLD, TvlaReport
 from .errors import PartialStoreError
 from .store import TraceStore
 
 __all__ = ["AttackProvenance", "OnlineMoments", "StreamingDpa",
            "StreamingCpa", "store_provenance", "streaming_average_trace",
-           "streaming_spa", "streaming_tvla"]
+           "streaming_spa"]
 
 
 @dataclass(frozen=True)
@@ -443,41 +442,3 @@ def streaming_spa(store: TraceStore,
                                        allow_partial=allow_partial)
     return transition_spa(averaged, list(store.iteration_slices),
                           list(store.key_bits), window_size=window_size)
-
-
-def streaming_tvla(fixed_store: TraceStore, random_store: TraceStore,
-                   columns: Optional[tuple] = None,
-                   threshold: float = TVLA_THRESHOLD,
-                   allow_partial: bool = False) -> TvlaReport:
-    """Fixed-vs-random Welch t-test between two stores, streamed.
-
-    ``columns`` restricts the test to a cycle window (e.g. the
-    secret-dependent cycles); default is the full trace width.
-    """
-    _require_complete(fixed_store, allow_partial, "streaming_tvla")
-    _require_complete(random_store, allow_partial, "streaming_tvla")
-
-    def moments(store: TraceStore) -> OnlineMoments:
-        acc = None
-        for view in store.iter_shards(columns=columns):
-            if acc is None:
-                acc = OnlineMoments(view.samples.shape[1])
-            acc.update(view.samples)
-        if acc is None:
-            raise ValueError("no shards on disk")
-        return acc
-
-    a, b = moments(fixed_store), moments(random_store)
-    if a.count.min() < 2 or b.count.min() < 2:
-        raise ValueError("each population needs at least two traces")
-    mean_diff = a.mean() - b.mean()
-    var_term = a.variance() / a.count + b.variance() / b.count
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(var_term > 0, mean_diff / np.sqrt(var_term), 0.0)
-    abs_t = np.abs(t)
-    return TvlaReport(
-        max_abs_t=float(abs_t.max()),
-        num_leaky_samples=int((abs_t > threshold).sum()),
-        n_samples=int(t.shape[0]),
-        threshold=threshold,
-    )

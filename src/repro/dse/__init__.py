@@ -19,7 +19,6 @@ from .engine import (
     analyze_space,
 )
 from .errors import (
-    CacheIntegrityError,
     DseError,
     MissingMeasurementError,
     SpaceValidationError,
@@ -40,7 +39,6 @@ from .space import (
 
 __all__ = [
     "COUNTERMEASURE_SETS",
-    "CacheIntegrityError",
     "DSE_SCHEMA_VERSION",
     "DesignSpaceSpec",
     "DseError",

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["DseError", "SpaceValidationError", "MissingMeasurementError",
-           "CacheIntegrityError"]
+__all__ = ["DseError", "SpaceValidationError", "MissingMeasurementError"]
 
 
 class DseError(Exception):
@@ -21,7 +20,3 @@ class MissingMeasurementError(DseError):
     strict analysis (``repro dse pareto`` on a directory) finds grid
     points that were never explored.
     """
-
-
-class CacheIntegrityError(DseError):
-    """A cached measurement exists but cannot be trusted."""

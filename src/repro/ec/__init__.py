@@ -9,16 +9,9 @@ point).
 
 from .blinding import (
     blind_scalar,
-    blinded_scalar_multiply,
     point_blinded_multiply,
 )
 from .curve import BinaryEllipticCurve
-from .encoding import (
-    PointDecodingError,
-    decode_point,
-    encode_point,
-    point_wire_bits,
-)
 from .curves import (
     CURVE_REGISTRY,
     NIST_B163,
@@ -30,9 +23,6 @@ from .curves import (
 )
 from .keys import (
     KeyPair,
-    ecdh_shared_secret,
-    ecdsa_sign,
-    ecdsa_verify,
     generate_keypair,
 )
 from .ladder import (
@@ -43,19 +33,13 @@ from .ladder import (
     montgomery_ladder_full,
 )
 from .modn import ScalarRing, is_probable_prime
-from .point import AffinePoint, LDProjectivePoint
+from .point import AffinePoint
 from .scalar_mult import double_and_add
 
 __all__ = [
     "AffinePoint",
-    "LDProjectivePoint",
     "BinaryEllipticCurve",
-    "encode_point",
-    "decode_point",
-    "point_wire_bits",
-    "PointDecodingError",
     "blind_scalar",
-    "blinded_scalar_multiply",
     "point_blinded_multiply",
     "NamedCurve",
     "NIST_K163",
@@ -66,9 +50,6 @@ __all__ = [
     "get_curve",
     "KeyPair",
     "generate_keypair",
-    "ecdh_shared_secret",
-    "ecdsa_sign",
-    "ecdsa_verify",
     "LadderExecution",
     "LadderIteration",
     "ladder_step",

@@ -22,8 +22,7 @@ from .curve import BinaryEllipticCurve
 from .ladder import montgomery_ladder
 from .point import AffinePoint
 
-__all__ = ["blind_scalar", "blinded_scalar_multiply",
-           "point_blinded_multiply"]
+__all__ = ["blind_scalar", "point_blinded_multiply"]
 
 
 def blind_scalar(k: int, order: int, rng, blinding_bits: int = 32) -> int:
@@ -41,24 +40,6 @@ def blind_scalar(k: int, order: int, rng, blinding_bits: int = 32) -> int:
     while r == 0:
         r = rng.getrandbits(blinding_bits)
     return k + r * order
-
-
-def blinded_scalar_multiply(
-    curve: BinaryEllipticCurve,
-    k: int,
-    point: AffinePoint,
-    order: int,
-    rng,
-    blinding_bits: int = 32,
-) -> AffinePoint:
-    """Scalar multiplication under scalar blinding (plus randomized Z).
-
-    Requires ``point`` to lie in the prime-order subgroup (protocol
-    points always do), since correctness rests on ``n * P`` being the
-    identity.
-    """
-    blinded = blind_scalar(k, order, rng, blinding_bits)
-    return montgomery_ladder(curve, blinded, point, rng=rng)
 
 
 def point_blinded_multiply(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..gf2m.field import BinaryField
-from .point import AffinePoint, LDProjectivePoint
+from .point import AffinePoint
 
 __all__ = ["BinaryEllipticCurve"]
 
@@ -61,11 +61,6 @@ class BinaryEllipticCurve:
         lhs = f.square_raw(y) ^ f.mul_raw(x, y)
         rhs = f.mul_raw(f.square_raw(x), x ^ self.a) ^ self.b
         return lhs == rhs
-
-    @property
-    def j_invariant(self) -> int:
-        """The j-invariant, 1/b for binary Weierstrass curves."""
-        return self.field.inverse_raw(self.b)
 
     # ------------------------------------------------------------------
     # group law
@@ -174,33 +169,6 @@ class BinaryEllipticCurve:
     # ------------------------------------------------------------------
     # coordinate conversion
     # ------------------------------------------------------------------
-
-    def to_projective(self, point: AffinePoint, z: int = 1) -> LDProjectivePoint:
-        """Convert to López–Dahab coordinates with the given Z (!= 0).
-
-        A random ``z`` implements the randomized-projective-coordinates
-        countermeasure: ``(x*z : y*z^2 : z)`` represents the same point
-        for every non-zero ``z``.
-        """
-        if point.is_infinity:
-            return LDProjectivePoint.infinity()
-        if z == 0:
-            raise ValueError("Z must be non-zero for a finite point")
-        f = self.field
-        return LDProjectivePoint(
-            f.mul_raw(point.x, z), f.mul_raw(point.y, f.square_raw(z)), z
-        )
-
-    def to_affine(self, point: LDProjectivePoint) -> AffinePoint:
-        """Convert López–Dahab coordinates back to affine."""
-        if point.is_infinity:
-            return AffinePoint.infinity()
-        f = self.field
-        z_inv = f.inverse_raw(point.Z)
-        return AffinePoint(
-            f.mul_raw(point.X, z_inv),
-            f.mul_raw(point.Y, f.square_raw(z_inv)),
-        )
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,23 +1,18 @@
-"""Key generation, ECDH and ECDSA on the named binary curves.
+"""Key generation on the named binary curves.
 
-The protocol layer (Section 2/4: mutual authentication, data
-authentication, encryption key establishment) needs key pairs and the
-standard public-key building blocks.  All secret-scalar operations go
-through the Montgomery ladder so that the same side-channel-hardened
-code path the paper advocates is used everywhere.
+The public point is computed through the Montgomery ladder, the
+side-channel-hardened code path the paper advocates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .curves import NamedCurve
 from .ladder import montgomery_ladder
 from .point import AffinePoint
 
-__all__ = ["KeyPair", "generate_keypair", "ecdh_shared_secret",
-           "ecdsa_sign", "ecdsa_verify"]
+__all__ = ["KeyPair", "generate_keypair"]
 
 
 @dataclass(frozen=True)
@@ -42,87 +37,3 @@ def generate_keypair(domain: NamedCurve, rng) -> KeyPair:
     d = domain.scalar_ring.random_scalar(rng)
     q = montgomery_ladder(domain.curve, d, domain.generator, rng=rng)
     return KeyPair(domain, d, q)
-
-
-def ecdh_shared_secret(own: KeyPair, peer_public: AffinePoint, rng) -> int:
-    """Cofactor ECDH: the x-coordinate of (h * d) * Q_peer.
-
-    Multiplying by the cofactor folds small-subgroup components away —
-    a cheap protocol-level fault/invalid-point mitigation.
-    """
-    if not own.domain.curve.is_on_curve(peer_public):
-        raise ValueError("peer public key is not on the curve")
-    if peer_public.is_infinity:
-        raise ValueError("peer public key is the point at infinity")
-    k = (own.private * own.domain.cofactor) % own.domain.order
-    shared = montgomery_ladder(own.domain.curve, k, peer_public, rng=rng)
-    if shared.is_infinity:
-        raise ValueError("shared secret degenerated to infinity")
-    return shared.x
-
-
-def _hash_to_int(message: bytes, n: int, hash_function: Optional[Callable]) -> int:
-    """Hash a message and truncate to the bit length of n (FIPS 186)."""
-    if hash_function is None:
-        from ..primitives.sha1 import sha1
-
-        hash_function = sha1
-    digest = hash_function(message)
-    e = int.from_bytes(digest, "big")
-    excess = max(0, 8 * len(digest) - n.bit_length())
-    return e >> excess
-
-
-def ecdsa_sign(
-    keypair: KeyPair,
-    message: bytes,
-    rng,
-    hash_function: Optional[Callable] = None,
-) -> tuple[int, int]:
-    """ECDSA signature (r, s) over the key pair's curve.
-
-    ``hash_function`` maps bytes to a digest; defaults to the
-    library's own SHA-1 (the hash the paper's gate-count discussion
-    uses).  The nonce is drawn fresh from ``rng`` per signature.
-    """
-    domain = keypair.domain
-    ring = domain.scalar_ring
-    e = _hash_to_int(message, domain.order, hash_function)
-    while True:
-        k = ring.random_scalar(rng)
-        point = montgomery_ladder(domain.curve, k, domain.generator, rng=rng)
-        r = ring.reduce(point.x)
-        if r == 0:
-            continue
-        s = ring.mul(ring.inverse(k), ring.add(e, ring.mul(r, keypair.private)))
-        if s == 0:
-            continue
-        return r, s
-
-
-def ecdsa_verify(
-    domain: NamedCurve,
-    public: AffinePoint,
-    message: bytes,
-    signature: tuple[int, int],
-    hash_function: Optional[Callable] = None,
-) -> bool:
-    """Verify an ECDSA signature; returns False rather than raising."""
-    r, s = signature
-    if not (1 <= r < domain.order and 1 <= s < domain.order):
-        return False
-    if not domain.curve.is_on_curve(public) or public.is_infinity:
-        return False
-    ring = domain.scalar_ring
-    e = _hash_to_int(message, domain.order, hash_function)
-    w = ring.inverse(s)
-    u1 = ring.mul(e, w)
-    u2 = ring.mul(r, w)
-    # Verification uses public inputs only: the fast unprotected
-    # algorithms are fine here (the "insecure zone" of Section 5).
-    p1 = domain.curve.multiply_naive(u1, domain.generator)
-    p2 = domain.curve.multiply_naive(u2, public)
-    point = domain.curve.add(p1, p2)
-    if point.is_infinity:
-        return False
-    return ring.reduce(point.x) == r

@@ -80,11 +80,6 @@ class LadderExecution:
         """Total field multiplications in the ladder loop."""
         return MULS_PER_ITERATION * self.num_iterations
 
-    @property
-    def field_squarings(self) -> int:
-        """Total field squarings in the ladder loop."""
-        return SQUARES_PER_ITERATION * self.num_iterations
-
 
 def _madd(f, x_base: int, x1: int, z1: int, x2: int, z2: int) -> tuple[int, int]:
     """Differential addition: x(P1 + P2) from x(P1), x(P2), x(P1 - P2).

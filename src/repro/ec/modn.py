@@ -74,10 +74,6 @@ class ScalarRing:
         """(a * b) mod n."""
         return (a * b) % self.n
 
-    def neg(self, a: int) -> int:
-        """(-a) mod n."""
-        return (-a) % self.n
-
     def inverse(self, a: int) -> int:
         """Multiplicative inverse mod n; raises for non-invertible a."""
         a %= self.n

@@ -1,15 +1,11 @@
-"""Point representations for binary elliptic curves.
+"""The affine point representation for binary elliptic curves.
 
-Two representations are used in the library, mirroring the paper's
-design:
-
-* :class:`AffinePoint` — the external representation (protocol
-  messages, databases, test vectors).
-* :class:`LDProjectivePoint` — López–Dahab projective coordinates
-  ``(X : Y : Z)`` with ``x = X/Z`` and ``y = Y/Z**2``; the Montgomery
-  ladder only carries ``(X : Z)`` pairs of this form.  A random
-  non-zero ``Z`` is exactly the paper's randomized-projective-
-  coordinates DPA countermeasure (Section 4/7).
+:class:`AffinePoint` is the external representation (protocol
+messages, databases, test vectors).  The Montgomery ladder carries
+López–Dahab ``(X : Z)`` pairs as plain integers (see
+:mod:`repro.ec.ladder`); a random non-zero ``Z`` is exactly the
+paper's randomized-projective-coordinates DPA countermeasure
+(Section 4/7).
 
 Points are plain immutable data; the arithmetic lives on
 :class:`repro.ec.curve.BinaryEllipticCurve`.
@@ -19,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["AffinePoint", "LDProjectivePoint"]
+__all__ = ["AffinePoint"]
 
 
 @dataclass(frozen=True)
@@ -51,34 +47,3 @@ class AffinePoint:
         if self.is_infinity:
             return "AffinePoint(infinity)"
         return f"AffinePoint(x={hex(self.x)}, y={hex(self.y)})"
-
-
-@dataclass(frozen=True)
-class LDProjectivePoint:
-    """A López–Dahab projective point ``(X : Y : Z)``.
-
-    ``Z == 0`` encodes the point at infinity.  The ladder uses the
-    ``(X : Z)`` sub-tuple only; ``Y`` may be carried as 0 until
-    y-recovery.
-    """
-
-    X: int
-    Y: int
-    Z: int
-
-    @classmethod
-    def infinity(cls) -> "LDProjectivePoint":
-        """The group identity: any (X : Y : 0); canonically (1 : 0 : 0)."""
-        return cls(1, 0, 0)
-
-    @property
-    def is_infinity(self) -> bool:
-        """True when this encodes the identity."""
-        return self.Z == 0
-
-    def __repr__(self) -> str:
-        if self.is_infinity:
-            return "LDProjectivePoint(infinity)"
-        return (
-            f"LDProjectivePoint(X={hex(self.X)}, Y={hex(self.Y)}, Z={hex(self.Z)})"
-        )

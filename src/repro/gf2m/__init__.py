@@ -18,7 +18,6 @@ from .polynomial import (
     poly_gcd,
     poly_mod,
     poly_mulmod,
-    poly_pow_mod,
     poly_to_string,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "poly_gcd",
     "poly_mod",
     "poly_mulmod",
-    "poly_pow_mod",
     "poly_to_string",
 ]

@@ -56,16 +56,6 @@ class MultiplicationTrace:
         """Number of clock cycles the multiplication took."""
         return len(self.accumulator_states)
 
-    @property
-    def total_switching(self) -> int:
-        """Sum of per-cycle accumulator Hamming distances."""
-        return sum(self.hamming_distances)
-
-    @property
-    def total_array_activity(self) -> float:
-        """Sum of per-cycle partial-product-array toggles."""
-        return sum(self.array_activity)
-
 
 class DigitSerialMultiplier:
     """Most-significant-digit-first digit-serial modular multiplier.

@@ -335,10 +335,6 @@ class FieldElement:
         """Absolute trace, as an integer in {0, 1}."""
         return self.field.trace_raw(self.value)
 
-    def is_zero(self) -> bool:
-        """True for the additive identity."""
-        return self.value == 0
-
     def __bool__(self) -> bool:
         return self.value != 0
 

@@ -19,7 +19,6 @@ __all__ = [
     "poly_mulmod",
     "poly_gcd",
     "poly_egcd",
-    "poly_pow_mod",
     "is_irreducible",
     "poly_to_string",
     "poly_from_coefficients",
@@ -112,20 +111,6 @@ def poly_egcd(a: int, b: int) -> tuple[int, int, int]:
         old_s, s = s, old_s ^ clmul(q, s)
         old_t, t = t, old_t ^ clmul(q, t)
     return old_r, old_s, old_t
-
-
-def poly_pow_mod(a: int, exponent: int, modulus: int) -> int:
-    """Return ``a**exponent mod modulus`` over GF(2) (square-and-multiply)."""
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    result = 1
-    base = poly_mod(a, modulus)
-    while exponent:
-        if exponent & 1:
-            result = poly_mulmod(result, base, modulus)
-        base = poly_mulmod(base, base, modulus)
-        exponent >>= 1
-    return result
 
 
 def _distinct_prime_factors(n: int) -> list[int]:

@@ -1,18 +1,22 @@
 """The resume engine: one identification session across N power cycles.
 
 The tag is the intermittently powered party (the reader sits on mains
-behind the programming head), so the engine runs the Peeters–Hermans
-flow as an explicit checkpointable program on the tag side:
+behind the programming head).  It is a real
+:class:`~repro.protocols.peeters_hermans.PeetersHermansTag`, built
+afresh on every power-on because it lives in RAM, whose
+``multiplier=`` is the suspendable Montgomery ladder checkpointing
+every ``checkpoint_interval`` steps.  The engine keeps the rest: NVM,
+the radio and the cycle and µJ ledger.
 
-1. **commit phase** — derive the epoch nonce ``r`` (a pure function
-   of ``(seed, session, epoch)``), two-phase commit it to NVM *before
-   first use*, then compute ``R = r * P`` on the suspendable
-   Montgomery ladder, checkpointing every ``checkpoint_interval``
-   steps; transmit ``R``, receive ``e`` and durably record the phase
+1. **commit phase** — the tag draws the epoch nonce ``r`` (a pure
+   function of ``(seed, session, epoch)``), which is two-phase
+   committed to NVM *before first use*, and computes ``R = r * P``;
+   transmit ``R``, receive ``e`` and durably record the phase
    transition;
-2. **respond phase** — compute ``r * Y`` the same suspendable way,
-   derive ``s = d + x + e*r``, and commit the consumed marker *with
-   the exact response scalar* before anything is transmitted;
+2. **respond phase** — the tag (its ``r`` re-armed from NVM after a
+   cut) computes ``r * Y`` and ``s = d + x + e*r``; the consumed
+   marker is committed *with the exact response scalar* before
+   anything is transmitted;
 3. **close phase** — transmit the committed ``s`` (re-emitting the
    byte-identical scalar after any later cut) and conclude.
 
@@ -25,8 +29,8 @@ every wire value is either re-derived from committed state or
 re-emitted verbatim.
 
 ``durable=False`` models the naive tag the checkpoint layer exists to
-kill: no NVM, nonce state in RAM only — the adversary lab's
-field-cutting attacker recovers its key
+kill: the same tag without NVM, so a cut loses its nonce with its
+RAM — the adversary lab's field-cutting attacker recovers its key
 (:mod:`repro.adversary.fieldcut`).
 """
 
@@ -43,10 +47,10 @@ from ..channel import (
     compress_point,
     derive_channel_seed,
     encode_frame,
+    frame_overhead_bits,
     int_to_bytes,
     scalar_width_bytes,
 )
-from ..channel.frame import _FIXED_OVERHEAD_BYTES
 from ..ec.curves import get_curve
 from ..ec.ladder import (
     LadderState,
@@ -58,7 +62,9 @@ from ..ec.ladder import (
 )
 from ..obs import runtime as _obs_runtime
 from ..protocols.ops import OperationCount
-from ..protocols.peeters_hermans import PeetersHermansReader
+from ..protocols.peeters_hermans import PeetersHermansReader, \
+    PeetersHermansTag
+from ..protocols.session import peeters_hermans_keys
 from .checkpoint import CheckpointStore, NonceVault, NVMModel
 from .errors import PowerLossError, ResumeExhaustedError
 from .supply import PowerSupply, SupplyModel, SupplySpec
@@ -211,20 +217,16 @@ class IntermittentSession:
         self.durable = durable
         domain = get_curve(spec.curve)
         self.domain = domain
-        ring = domain.scalar_ring
-        # Same derivation order as protocols.session.make_adapter, so
-        # the intermittent tag is the *same device* the fleet runs.
-        rng = random.Random(derive_channel_seed(spec.seed, "keys",
-                                                session_index, 0, 0))
-        secret_y = ring.random_scalar(rng)
-        self.secret_x = ring.random_scalar(rng)
+        # The same device the fleet's sessions provision.
+        secret_y, self.secret_x = peeters_hermans_keys(domain, spec.seed,
+                                                       session_index)
         self.verifier = _StableReader(domain, secret_y, spec.seed,
                                       session_index,
                                       fresh_challenges=fresh_challenges)
         self.identity = session_index + 1
-        self.verifier.reader.register(
-            self.identity,
-            domain.curve.multiply_naive(self.secret_x, domain.generator))
+        self.verifier.reader.register(self.identity, PeetersHermansTag(
+            domain, self.secret_x, self.verifier.reader.public
+        ).identity_point)
 
         self.supply = supply if supply is not None else \
             SupplyModel(SupplySpec(seed=spec.seed),
@@ -294,19 +296,11 @@ class IntermittentSession:
         self._note(f"tx {label} epoch={epoch} bytes={len(data)}")
 
     def _rx(self, label: str, nbytes: int) -> None:
-        total = nbytes + _FIXED_OVERHEAD_BYTES + len(label.encode())
-        self._spend(total * 8 * self.spec.cycles_per_radio_bit)
-        self.ops.rx_bits += total * 8
+        bits = nbytes * 8 + frame_overhead_bits(label)
+        self._spend(bits * self.spec.cycles_per_radio_bit)
+        self.ops.rx_bits += bits
 
     # -- key material (pure functions of the spec) ---------------------
-
-    def _nonce(self, epoch: int) -> int:
-        rng = random.Random(derive_channel_seed(
-            self.spec.seed, "intermittent/nonce", self.session_index,
-            epoch, 0))
-        self._spend(self.spec.cycles_misc)
-        self.ops.random_bits += self.domain.order.bit_length()
-        return self.domain.scalar_ring.random_scalar(rng)
 
     def _initial_z(self, epoch: int, target: str) -> int:
         if not self.spec.randomize_z:
@@ -320,7 +314,7 @@ class IntermittentSession:
                 return value
         raise AssertionError("could not derive a non-zero Z")
 
-    # -- the suspendable ladder with periodic checkpoints --------------
+    # -- the tag's multiplier: the ladder with periodic checkpoints ----
 
     def _ladder(self, epoch: int, target: str, k: int, point):
         record = self._restore("ladder")
@@ -352,26 +346,46 @@ class IntermittentSession:
                 self._mark(f"ladder-{target}-checkpoint")
         return ladder_suspend_result(self.domain.curve, state)
 
+    def _multiply(self, epoch: int, k: int, point):
+        """The tag's ``multiplier=``: the checkpointing ladder.
+
+        The tag asks for ``R = r·P`` with its domain's generator
+        object, and first use of a nonce the vault does not hold yet
+        pays for its draw and commits it.  ``r·Y`` is followed by the
+        cycles of the scalar arithmetic the tag does with it.
+        """
+        if point is not self.domain.generator:
+            shared = self._ladder(epoch, "s", k, point)
+            self._spend(self.spec.cycles_misc)
+            return shared
+        if self.vault.committed_nonce(epoch) is None:
+            self._spend(self.spec.cycles_misc)
+            self.ops.random_bits += self.domain.order.bit_length()
+            self._mark("nonce-derived")
+            if self.durable:
+                self.vault.commit_nonce(epoch, k)
+                self._mark("nonce-committed")
+                self._note(f"nonce committed for epoch {epoch}")
+        return self._ladder(epoch, "R", k, point)
+
     # -- the session program -------------------------------------------
 
     def _execute(self) -> Tuple[bool, Optional[int]]:
-        ring = self.domain.scalar_ring
         session = self._restore("session") or {"phase": "commit",
                                                "epoch": 0}
         epoch = session["epoch"]
         phase = session["phase"]
+        # A fresh tag every power-on: its nonce lives in RAM and dies
+        # with a power cut.
+        tag = PeetersHermansTag(
+            self.domain, self.secret_x, self.verifier.reader.public,
+            multiplier=lambda k, point, _rng: self._multiply(epoch, k,
+                                                             point))
 
         if phase == "commit":
-            r = self.vault.committed_nonce(epoch) if self.durable else None
-            if r is None:
-                r = self._nonce(epoch)
-                self._mark("nonce-derived")
-                if self.durable:
-                    self.vault.commit_nonce(epoch, r)
-                    self._mark("nonce-committed")
-                    self._note(f"nonce committed for epoch {epoch}")
-            commitment = self._ladder(epoch, "R", r,
-                                      self.domain.generator)
+            commitment = tag.commit(random.Random(derive_channel_seed(
+                self.spec.seed, "intermittent/nonce", self.session_index,
+                epoch, 0)))
             payload = compress_point(self.domain.curve, commitment)
             self._tx(0, "R", payload, epoch)
             self._mark("R-sent")
@@ -383,33 +397,29 @@ class IntermittentSession:
             self._checkpoint("session", session)
             self._mark("phase-respond-committed")
             phase = "respond"
+        elif phase == "respond" \
+                and self.vault.consumed_response(epoch) is None:
+            # Resumed into round 2: the vault re-arms the nonce the cut
+            # wiped from the tag's RAM.
+            r = self.vault.committed_nonce(epoch)
+            if r is None:
+                raise AssertionError(
+                    "respond phase without a committed nonce — the "
+                    "commit-before-use ordering is broken")
+            tag.restore(r)
 
         if phase == "respond":
-            committed_s = self.vault.consumed_response(epoch) \
-                if self.durable else None
-            if committed_s is not None:
+            s = self.vault.consumed_response(epoch)
+            if s is not None:
                 # A cut landed between the consumed-marker commit and
                 # the phase record: the nonce is spent, so the only
                 # legal continuation is re-emitting the committed
                 # response — never a recompute.
                 self._note("resume found a consumed marker; skipping "
                            "to close with the committed response")
-                s = committed_s
             else:
-                r = self.vault.committed_nonce(epoch) if self.durable \
-                    else self._nonce(epoch)
-                if r is None:
-                    raise AssertionError(
-                        "respond phase without a committed nonce — the "
-                        "commit-before-use ordering is broken")
-                e = int(session["e"], 16)
-                shared = self._ladder(epoch, "s", r,
-                                      self.verifier.reader.public)
-                self._spend(self.spec.cycles_misc)
-                d = ring.reduce(shared.x)
-                er = ring.mul(e, r)
-                self.ops.modular_multiplications += 1
-                s = ring.add(ring.add(d, self.secret_x), er)
+                s = tag.respond(int(session["e"], 16), None)
+                self.ops.modular_multiplications += 1  # e·r
                 if self.durable:
                     self.vault.assert_unconsumed(epoch)
                     self.store.stage("consumed",

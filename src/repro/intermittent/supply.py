@@ -29,10 +29,10 @@ point of a window is ``technology.dynamic_scale`` of that voltage.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..power.technology import OperatingPoint, TechnologyParams, UMC_130NM
+from ..power.technology import TechnologyParams, UMC_130NM
 from .errors import PowerLossError, SupplySpecError
 
 __all__ = ["SUPPLY_PROFILES", "SupplySpec", "SupplyModel", "PowerSupply",
@@ -182,11 +182,6 @@ class PowerSupply:
         frac = self.window_used / window
         return self.nominal_vdd - frac * (self.nominal_vdd
                                           - self.brownout_vdd)
-
-    def energy_scale(self) -> float:
-        """Dynamic-energy multiplier at the present Vdd (CV² law)."""
-        return self.technology.dynamic_scale(
-            OperatingPoint(frequency_hz=1.0, vdd=max(self.vdd(), 1e-9)))
 
     def spend(self, cycles: int) -> None:
         """Advance the meter; brown out exactly at a window boundary."""

@@ -133,9 +133,6 @@ class _Metric:
         self.help = help
         self._values: Dict[tuple, object] = {}
 
-    def label_sets(self) -> list:
-        return [dict(key) for key in self._values]
-
 
 class Counter(_Metric):
     """Monotonically increasing count (float increments allowed —

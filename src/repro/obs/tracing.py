@@ -35,7 +35,7 @@ from contextlib import contextmanager
 from typing import Optional
 
 __all__ = ["Span", "SpanWriter", "Tracer", "derive_trace_id",
-           "derive_span_id", "current_span"]
+           "derive_span_id"]
 
 #: the ambient span for parent derivation (shared by every tracer in
 #: the process, so an inline shard's spans nest under the engine's).
@@ -55,10 +55,6 @@ def derive_span_id(trace_id: str, parent_id: Optional[str], name: str,
     """Deterministic span id; see the module docstring."""
     message = f"{trace_id}/{parent_id or ''}/{name}/{key}".encode()
     return hashlib.sha256(message).hexdigest()[:16]
-
-
-def current_span() -> "Optional[Span]":
-    return _CURRENT.get()
 
 
 class Span:

@@ -6,7 +6,7 @@ for the chip's TRNG).
 """
 
 from .aes import Aes128, INV_SBOX, SBOX
-from .mac import aes_cmac, constant_time_equal, hmac_sha1
+from .mac import aes_cmac, constant_time_equal
 from .prng import AesCtrDrbg
 from .sha1 import Sha1, sha1
 
@@ -15,7 +15,6 @@ __all__ = [
     "SBOX",
     "INV_SBOX",
     "aes_cmac",
-    "hmac_sha1",
     "constant_time_equal",
     "AesCtrDrbg",
     "Sha1",

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .aes import Aes128
 from .sha1 import sha1
 
-__all__ = ["aes_cmac", "hmac_sha1", "constant_time_equal"]
+__all__ = ["aes_cmac", "constant_time_equal"]
 
 _CMAC_RB = 0x87  # the GF(2^128) reduction constant for block size 128
 
@@ -53,17 +53,6 @@ def aes_cmac(key: bytes, message: bytes) -> bytes:
         block = message[16 * i: 16 * i + 16]
         state = cipher.encrypt_block(bytes(a ^ b for a, b in zip(state, block)))
     return cipher.encrypt_block(bytes(a ^ b for a, b in zip(state, last)))
-
-
-def hmac_sha1(key: bytes, message: bytes) -> bytes:
-    """HMAC-SHA1 (RFC 2104): a 20-byte tag."""
-    block_size = 64
-    if len(key) > block_size:
-        key = sha1(key)
-    key = key + b"\x00" * (block_size - len(key))
-    inner = bytes(k ^ 0x36 for k in key)
-    outer = bytes(k ^ 0x5C for k in key)
-    return sha1(outer + sha1(inner + message))
 
 
 def constant_time_equal(a: bytes, b: bytes) -> bool:

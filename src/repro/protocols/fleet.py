@@ -161,10 +161,6 @@ class SweepPoint:
     def mean_initiator_uj(self) -> float:
         return sum(r.initiator_uj for r in self.records) / self.sessions
 
-    @property
-    def worst_elapsed_s(self) -> float:
-        return max(r.elapsed_s for r in self.records)
-
     def lifetime_years(self, spec: FleetSpec,
                        budget: "Optional[DeviceBudget]" = None) -> float:
         """Security-budget lifetime at this loss rate's mean session cost."""
@@ -191,10 +187,6 @@ class FleetReport:
 
     spec: FleetSpec
     points: List[SweepPoint]
-
-    @property
-    def total_sessions(self) -> int:
-        return sum(p.sessions for p in self.points)
 
     @property
     def fully_available(self) -> bool:

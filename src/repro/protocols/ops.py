@@ -40,11 +40,6 @@ class OperationCount:
             self.rx_bits + other.rx_bits,
         )
 
-    @property
-    def communication_bits(self) -> int:
-        """Total bits over the air (both directions)."""
-        return self.tx_bits + self.rx_bits
-
 
 @dataclass(frozen=True)
 class Message:

@@ -130,6 +130,23 @@ class PeetersHermansTag:
         self.ops.point_multiplications += 1
         return commitment
 
+    def restore(self, r: int) -> None:
+        """Re-arm a nonce committed to NVM before a power cut.
+
+        A tag resuming into round 2 lost ``r`` with its RAM; ``r`` is
+        as single-use as one :meth:`commit` drew: a pending nonce
+        raises :class:`NoncePendingError`, and a second ``respond()``
+        raises :class:`NonceConsumedError`.
+        """
+        if self._r is not None:
+            raise NoncePendingError(
+                "restore() with a pending nonce; abort() the old epoch first"
+            )
+        if not 1 <= r < self.domain.scalar_ring.n:
+            raise ValueError("nonce out of range")
+        self._r = r
+        self._responded = False
+
     def abort(self) -> None:
         """Discard a pending nonce (epoch restart / session teardown)."""
         self._r = None

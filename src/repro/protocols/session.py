@@ -82,7 +82,7 @@ __all__ = ["SessionError", "StaleFrameError", "ReplayedFrameError",
            "RetransmissionPolicy", "SessionResult", "SessionEngine",
            "ThreeRoundAdapter", "PeetersHermansAdapter", "SchnorrAdapter",
            "MutualAuthAdapter", "run_resilient_session", "PROTOCOL_NAMES",
-           "make_adapter"]
+           "make_adapter", "peeters_hermans_keys"]
 
 _INITIATOR, _RESPONDER = 0, 1
 
@@ -947,6 +947,21 @@ def _record_session_metrics(registry, result: SessionResult) -> None:
 PROTOCOL_NAMES = ("peeters-hermans", "schnorr", "mutual-auth")
 
 
+def peeters_hermans_keys(domain, seed: int,
+                         session_index: int) -> Tuple[int, int]:
+    """The reader's ``y`` and the tag's ``x`` for one session.
+
+    Drawn in that order from the ``"keys"`` stream of
+    ``(seed, session_index)``, so the fleet's sessions and the
+    intermittent engine provision the same device.
+    """
+    rng = random.Random(derive_channel_seed(seed, "keys", session_index,
+                                            0, 0))
+    ring = domain.scalar_ring
+    y = ring.random_scalar(rng)
+    return y, ring.random_scalar(rng)
+
+
 def make_adapter(protocol: str, domain=None, seed: int = 0,
                  session_index: int = 0,
                  database=None) -> ThreeRoundAdapter:
@@ -970,17 +985,15 @@ def make_adapter(protocol: str, domain=None, seed: int = 0,
         return MutualAuthAdapter(SymmetricDevice(key), SymmetricServer(key))
     if domain is None:
         raise ValueError(f"protocol {protocol!r} needs a curve domain")
-    ring = domain.scalar_ring
     if protocol == "peeters-hermans":
-        reader = PeetersHermansReader(domain, ring.random_scalar(rng),
-                                      database=database)
-        tag = PeetersHermansTag(domain, ring.random_scalar(rng),
-                                reader.public)
+        y, x = peeters_hermans_keys(domain, seed, session_index)
+        reader = PeetersHermansReader(domain, y, database=database)
+        tag = PeetersHermansTag(domain, x, reader.public)
         if database is None:
             reader.register(session_index + 1, tag.identity_point)
         return PeetersHermansAdapter(domain, tag, reader)
     if protocol == "schnorr":
-        tag = SchnorrTag(domain, ring.random_scalar(rng))
+        tag = SchnorrTag(domain, domain.scalar_ring.random_scalar(rng))
         return SchnorrAdapter(domain, tag, SchnorrVerifier(domain,
                                                            tag.public))
     raise ValueError(f"unknown protocol {protocol!r} "

@@ -1,19 +1,16 @@
 """Side-channel analysis: the attack workflow of Figure 4.
 
 Timing attacks, SPA (clustering and profiled), DPA (difference of
-means), CPA (Pearson correlation), the TVLA t-test screen, the
-attacker's activity predictor and the quality metrics.
+means), CPA (Pearson correlation), the TVLA t-test screen and the
+attacker's activity predictor.
 """
 
 from .cpa import LadderCpa, columnwise_correlation
 from .dpa import BitDecision, DpaResult, LadderDpa
-from .metrics import first_order_snr, signal_to_noise_ratio, success_rate
 from .predict import ActivityPredictor, bits_to_int
 from .preprocess import (
     average_traces,
-    center,
     compress_windows,
-    standardize,
     window,
 )
 from .spa import ProfiledSpa, SpaResult, bits_from_transitions, transition_spa
@@ -33,11 +30,6 @@ __all__ = [
     "BitDecision",
     "ActivityPredictor",
     "bits_to_int",
-    "success_rate",
-    "signal_to_noise_ratio",
-    "first_order_snr",
-    "center",
-    "standardize",
     "window",
     "compress_windows",
     "average_traces",

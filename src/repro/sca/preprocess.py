@@ -1,31 +1,17 @@
 """Trace preprocessing utilities.
 
 The standard steps between the oscilloscope and the statistics of
-Figure 4: mean removal, standardization, windowing and compression.
-Alignment is a no-op here by construction — the device is constant
-time, so every trace has the same schedule — but the windowing helpers
-are what a real campaign would use after alignment.
+Figure 4: windowing and compression.  Alignment is a no-op here by
+construction — the device is constant time, so every trace has the
+same schedule — but the windowing helpers are what a real campaign
+would use after alignment.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["center", "standardize", "window", "compress_windows", "average_traces"]
-
-
-def center(samples: np.ndarray) -> np.ndarray:
-    """Remove the per-sample mean across traces."""
-    samples = np.asarray(samples, dtype=np.float64)
-    return samples - samples.mean(axis=0, keepdims=True)
-
-
-def standardize(samples: np.ndarray) -> np.ndarray:
-    """Center and scale each sample column to unit variance."""
-    centered = center(samples)
-    std = centered.std(axis=0, keepdims=True)
-    std[std == 0] = 1.0
-    return centered / std
+__all__ = ["window", "compress_windows", "average_traces"]
 
 
 def window(samples: np.ndarray, start: int, end: int) -> np.ndarray:

@@ -43,7 +43,6 @@ from .errors import (
     AdmissionRejectedError,
     ReplayQuarantinedError,
     ServerError,
-    SessionDeadlineError,
     SourceThrottledError,
 )
 from .http import MetricsServer
@@ -56,7 +55,6 @@ from .soak import SESSION_OUTCOMES, SoakReport, SoakSpec, run_soak
 __all__ = [
     "ServerError",
     "AdmissionRejectedError",
-    "SessionDeadlineError",
     "SourceThrottledError",
     "ReplayQuarantinedError",
     "SESSION_OUTCOMES",

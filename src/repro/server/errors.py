@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 __all__ = ["ServerError", "AdmissionRejectedError",
-           "SessionDeadlineError", "EnrollmentError",
+           "EnrollmentError",
            "SourceThrottledError", "ReplayQuarantinedError"]
 
 
@@ -34,14 +34,6 @@ class AdmissionRejectedError(ServerError):
     Raised synchronously at submission time — an overloaded server
     answers *immediately* with a reject instead of queueing the
     arrival into a deadline it can no longer meet.
-    """
-
-
-class SessionDeadlineError(ServerError):
-    """The per-session deadline fired before the session concluded.
-
-    The session's resources (in-flight slot, pending scheduler work)
-    are released; the tag is expected to retry through admission.
     """
 
 

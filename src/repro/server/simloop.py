@@ -270,9 +270,6 @@ class SimQueue:
         self._items: deque = deque()
         self._getters: deque = deque()
 
-    def qsize(self) -> int:
-        return len(self._items)
-
     def __len__(self) -> int:
         return len(self._items)
 

@@ -74,7 +74,6 @@ class TestEnergyBudget:
         budget.charge(9.0, now=1.5)  # next window
         assert budget.window_spent_uj == pytest.approx(9.0)
         assert budget.total_spent_uj == pytest.approx(18.0)
-        assert budget.remaining_uj(1.9) == pytest.approx(1.0)
 
     def test_rejects_bad_values(self):
         with pytest.raises(DefenseConfigError):
@@ -88,7 +87,6 @@ class TestEnergyBudget:
         budget.charge(10.0, now=0.0)
         assert budget.window_spent_uj == pytest.approx(10.0)
         assert budget.refusals == 0
-        assert budget.remaining_uj(0.5) == pytest.approx(0.0)
 
     def test_exact_remaining_after_float_accumulation(self):
         # 100 charges of 0.1 then the exact remainder: the running sum

@@ -210,10 +210,6 @@ class TestExecutionTrace:
         with pytest.raises(ValueError):
             cop.replay_padded(1, cop.domain.generator, initial_z=1)
 
-    def test_total_activity_positive(self, cop):
-        trace = cop.point_multiply(0x5, cop.domain.generator, initial_z=1)
-        assert trace.total_activity > 0
-
 
 class TestCountermeasureConfiguration:
     def test_control_channel_reflects_encoding(self):

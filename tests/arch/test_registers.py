@@ -21,7 +21,6 @@ class TestRegisterFile:
         rf.write(0, 0b1111, cycle=1)
         rf.write(0, 0b1001, cycle=2)
         assert [w.hamming_distance for w in rf.writes] == [4, 2]
-        assert rf.total_write_toggles == 6
 
     def test_write_event_fields(self):
         rf = RegisterFile(4, 16)

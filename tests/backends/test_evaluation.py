@@ -13,7 +13,6 @@ from repro.backends.evaluation import (
     MESSAGE_BYTES,
     MeasuredPrimitive,
     measure_backend,
-    message_energy_uj,
 )
 from repro.backends import get_backend
 from repro.power.energy import EnergyModel, OperatingPoint
@@ -49,18 +48,6 @@ class TestMeasuredPrimitive:
 
 
 class TestMessageEnergy:
-    def test_positive_and_grows_with_size(self):
-        small = message_energy_uj("simon-aead", MODEL,
-                                  message_bytes=16)
-        large = message_energy_uj("simon-aead", MODEL,
-                                  message_bytes=64)
-        assert 0 < small < large
-
-    def test_instance_and_name_agree(self):
-        by_name = message_energy_uj("sha1-aead", MODEL)
-        by_instance = message_energy_uj(get_backend("sha1-aead"),
-                                        MODEL)
-        assert by_name == pytest.approx(by_instance)
 
     def test_handshake_is_two_point_multiplications(self):
         # Peeters-Hermans commit + response: the per-message ECC bill

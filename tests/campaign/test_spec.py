@@ -3,7 +3,6 @@
 import pytest
 
 from repro.campaign import CampaignSpec, derive_rng, derive_seed
-from repro.arch import CoprocessorConfig
 
 
 class TestValidation:
@@ -52,15 +51,6 @@ class TestSerialization:
 
         spec = CampaignSpec(n_traces=10, key=1 << 160)
         json.dumps(spec.to_dict())  # raises if anything non-serializable
-
-    def test_from_config_roundtrip(self):
-        config = CoprocessorConfig(digit_size=2, randomize_z=True)
-        spec = CampaignSpec.from_config(config, n_traces=10,
-                                        scenario="protected")
-        rebuilt = spec.coprocessor_config()
-        assert rebuilt.digit_size == 2
-        assert rebuilt.randomize_z is True
-        assert rebuilt.domain.name == config.domain.name
 
     def test_scenario_implies_randomize_z(self):
         assert not CampaignSpec(n_traces=1,

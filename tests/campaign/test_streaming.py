@@ -19,10 +19,8 @@ from repro.campaign import (
     store_provenance,
     streaming_average_trace,
     streaming_spa,
-    streaming_tvla,
 )
 from repro.sca import LadderCpa, LadderDpa, transition_spa
-from repro.sca.ttest import tvla_fixed_vs_random
 
 N_BITS = 2
 
@@ -150,29 +148,6 @@ class TestSpaAndAverage:
         assert streamed.true_bits == batch.true_bits
 
 
-class TestTvlaEquivalence:
-    def test_matches_batch_welch_t(self, unprotected_store, tmp_path):
-        from repro.campaign import AcquisitionEngine, CampaignSpec
-
-        other_spec = CampaignSpec(
-            n_traces=10, shard_size=4, scenario="unprotected",
-            max_iterations=3, seed=77, noise_sigma=38.0,
-        )
-        other = AcquisitionEngine(str(tmp_path), other_spec, workers=1).run()
-        fixed = unprotected_store.as_trace_set()
-        rand = other.as_trace_set()
-        width = min(fixed.samples.shape[1], rand.samples.shape[1])
-
-        batch = tvla_fixed_vs_random(fixed.samples[:, :width],
-                                     rand.samples[:, :width])
-        streamed = streaming_tvla(unprotected_store, other,
-                                  columns=(0, width))
-        assert streamed.max_abs_t == pytest.approx(batch.max_abs_t, abs=1e-9)
-        assert streamed.num_leaky_samples == batch.num_leaky_samples
-        assert streamed.n_samples == batch.n_samples
-        assert streamed.leaks == batch.leaks
-
-
 @pytest.fixture(scope="module")
 def partial_store(tmp_path_factory):
     """A 3-shard campaign with the middle shard lost (12 -> 8 traces)."""
@@ -198,15 +173,6 @@ class TestPartialStores:
             streaming_average_trace(partial_store)
         with pytest.raises(PartialStoreError):
             streaming_spa(partial_store)
-
-    def test_tvla_checks_both_stores(self, partial_store,
-                                     unprotected_store):
-        with pytest.raises(PartialStoreError):
-            streaming_tvla(partial_store, unprotected_store)
-        with pytest.raises(PartialStoreError):
-            streaming_tvla(unprotected_store, partial_store)
-        streaming_tvla(unprotected_store, partial_store,
-                       allow_partial=True)
 
     def test_complete_store_needs_no_flag(self, unprotected_store):
         StreamingDpa(unprotected_store)

@@ -1,5 +1,7 @@
 """Tests for the CRC-protected frame codec and wire encodings."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,37 @@ from repro.channel import (
 )
 from repro.ec import NIST_K163
 from repro.ec.curves import TOY_B17
+from repro.fault import quadratic_twist
+
+K163 = NIST_K163.curve
+
+
+def _k163_point(x, selector=0):
+    """A K-163 compressed-point encoding with arbitrary fields."""
+    return int_to_bytes(x, point_width_bytes(163) - 1) + bytes([selector])
+
+
+def _k163_twist_x():
+    """An x of a point on K-163's quadratic twist and not on K-163."""
+    twist, rng = quadratic_twist(K163), random.Random(5)
+    while True:
+        x = rng.getrandbits(163)
+        if x and K163.lift_x(x) is None and twist.lift_x(x) is not None:
+            return x
+
+
+#: Encodings the point decoder must refuse, and the check that does.
+BAD_POINTS = {
+    "short": (_k163_point(NIST_K163.generator.x)[1:], "encoding"),
+    "long": (b"\x00" + _k163_point(NIST_K163.generator.x), "encoding"),
+    "y-selector-2": (_k163_point(NIST_K163.generator.x, selector=2),
+                     "encoding"),
+    "x-not-below-2^m": (_k163_point(1 << 163), "field range"),
+    "x-zero": (_k163_point(0), "field range"),
+    # The invalid-point defence's first line: a twist x never reaches
+    # the scalar multiplier.
+    "twist-x": (_k163_point(_k163_twist_x()), "no point on the curve"),
+}
 
 
 def make_frame(**overrides):
@@ -120,8 +153,6 @@ class TestFieldEncodings:
     @pytest.mark.parametrize("domain", [TOY_B17, NIST_K163],
                             ids=lambda d: d.name)
     def test_point_compression_round_trip(self, domain):
-        import random
-
         rng = random.Random(5)
         for _ in range(3):
             k = domain.scalar_ring.random_scalar(rng)
@@ -139,6 +170,12 @@ class TestFieldEncodings:
                     decompress_point(TOY_B17.curve, data)
                 return
         pytest.skip("no off-curve x found in probe range")
+
+    @pytest.mark.parametrize("data,reason", BAD_POINTS.values(),
+                             ids=BAD_POINTS)
+    def test_decoder_rejects(self, data, reason):
+        with pytest.raises(FrameFormatError, match=reason):
+            decompress_point(K163, data)
 
 
 class TestCrcExhaustive:

@@ -28,9 +28,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BinaryEllipticCurve(field, 8, 1)
 
-    def test_j_invariant(self):
-        assert NIST_K163.curve.j_invariant == 1  # b = 1
-
     def test_equality(self):
         field = BinaryField(3, 0b1011)
         assert BinaryEllipticCurve(field, 1, 1) == BinaryEllipticCurve(field, 1, 1)
@@ -177,37 +174,6 @@ class TestCompression:
         p = curve.lift_x(0)
         assert p.x == 0
         assert curve.compress(p) == (0, 0)
-
-
-class TestProjectiveConversion:
-    def test_roundtrip_z1(self):
-        curve = NIST_K163.curve
-        p = random_points(NIST_K163, 1)[0]
-        assert curve.to_affine(curve.to_projective(p)) == p
-
-    def test_roundtrip_random_z(self):
-        curve = NIST_K163.curve
-        rng = random.Random(3)
-        p = random_points(NIST_K163, 1)[0]
-        for _ in range(5):
-            z = rng.getrandbits(163) | 1
-            z &= (1 << 163) - 1
-            proj = curve.to_projective(p, z)
-            assert proj.Z == z
-            assert curve.to_affine(proj) == p
-
-    def test_infinity_roundtrip(self):
-        curve = NIST_K163.curve
-        inf = AffinePoint.infinity()
-        proj = curve.to_projective(inf)
-        assert proj.is_infinity
-        assert curve.to_affine(proj).is_infinity
-
-    def test_zero_z_rejected(self):
-        curve = NIST_K163.curve
-        p = random_points(NIST_K163, 1)[0]
-        with pytest.raises(ValueError):
-            curve.to_projective(p, 0)
 
 
 class TestRandomPoint:

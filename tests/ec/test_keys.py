@@ -1,16 +1,9 @@
-"""Tests for key generation, ECDH and ECDSA."""
+"""Tests for key generation."""
 
 import random
 
-import pytest
-
 from repro.ec import (
-    AffinePoint,
-    NIST_B163,
     NIST_K163,
-    ecdh_shared_secret,
-    ecdsa_sign,
-    ecdsa_verify,
     generate_keypair,
     montgomery_ladder,
 )
@@ -36,95 +29,3 @@ class TestKeyGeneration:
         kp = generate_keypair(NIST_K163, rng)
         assert hex(kp.private) not in repr(kp)
         assert format(kp.private, "x") not in repr(kp).lower()
-
-
-class TestEcdh:
-    def test_shared_secret_agreement(self):
-        rng = random.Random(4)
-        alice = generate_keypair(NIST_K163, rng)
-        bob = generate_keypair(NIST_K163, rng)
-        s1 = ecdh_shared_secret(alice, bob.public, rng)
-        s2 = ecdh_shared_secret(bob, alice.public, rng)
-        assert s1 == s2
-
-    def test_different_peers_different_secrets(self):
-        rng = random.Random(5)
-        alice = generate_keypair(NIST_K163, rng)
-        bob = generate_keypair(NIST_K163, rng)
-        carol = generate_keypair(NIST_K163, rng)
-        assert ecdh_shared_secret(alice, bob.public, rng) != ecdh_shared_secret(
-            alice, carol.public, rng
-        )
-
-    def test_invalid_point_rejected(self):
-        """Invalid-point injection (a fault/protocol attack) must fail."""
-        rng = random.Random(6)
-        alice = generate_keypair(NIST_K163, rng)
-        with pytest.raises(ValueError):
-            ecdh_shared_secret(alice, AffinePoint(123, 456), rng)
-
-    def test_infinity_rejected(self):
-        rng = random.Random(7)
-        alice = generate_keypair(NIST_K163, rng)
-        with pytest.raises(ValueError):
-            ecdh_shared_secret(alice, AffinePoint.infinity(), rng)
-
-
-class TestEcdsa:
-    def test_sign_verify_roundtrip(self):
-        rng = random.Random(8)
-        kp = generate_keypair(NIST_K163, rng)
-        message = b"pacemaker telemetry frame 0001"
-        sig = ecdsa_sign(kp, message, rng)
-        assert ecdsa_verify(NIST_K163, kp.public, message, sig)
-
-    def test_works_on_b163(self):
-        rng = random.Random(9)
-        kp = generate_keypair(NIST_B163, rng)
-        sig = ecdsa_sign(kp, b"x", rng)
-        assert ecdsa_verify(NIST_B163, kp.public, b"x", sig)
-
-    def test_tampered_message_rejected(self):
-        rng = random.Random(10)
-        kp = generate_keypair(NIST_K163, rng)
-        sig = ecdsa_sign(kp, b"set rate 60bpm", rng)
-        assert not ecdsa_verify(NIST_K163, kp.public, b"set rate 99bpm", sig)
-
-    def test_tampered_signature_rejected(self):
-        rng = random.Random(11)
-        kp = generate_keypair(NIST_K163, rng)
-        r, s = ecdsa_sign(kp, b"msg", rng)
-        assert not ecdsa_verify(NIST_K163, kp.public, b"msg", (r, s ^ 1))
-        assert not ecdsa_verify(NIST_K163, kp.public, b"msg", (r ^ 1, s))
-
-    def test_wrong_key_rejected(self):
-        rng = random.Random(12)
-        kp1 = generate_keypair(NIST_K163, rng)
-        kp2 = generate_keypair(NIST_K163, rng)
-        sig = ecdsa_sign(kp1, b"msg", rng)
-        assert not ecdsa_verify(NIST_K163, kp2.public, b"msg", sig)
-
-    def test_degenerate_signature_rejected(self):
-        rng = random.Random(13)
-        kp = generate_keypair(NIST_K163, rng)
-        assert not ecdsa_verify(NIST_K163, kp.public, b"msg", (0, 1))
-        assert not ecdsa_verify(NIST_K163, kp.public, b"msg", (1, 0))
-        assert not ecdsa_verify(
-            NIST_K163, kp.public, b"msg", (NIST_K163.order, 1)
-        )
-
-    def test_signatures_are_randomized(self):
-        rng = random.Random(14)
-        kp = generate_keypair(NIST_K163, rng)
-        assert ecdsa_sign(kp, b"m", rng) != ecdsa_sign(kp, b"m", rng)
-
-    def test_custom_hash_function(self):
-        rng = random.Random(15)
-        kp = generate_keypair(NIST_K163, rng)
-
-        def toy_hash(message: bytes) -> bytes:
-            return message.ljust(20, b"\x00")[:20]
-
-        sig = ecdsa_sign(kp, b"m", rng, hash_function=toy_hash)
-        assert ecdsa_verify(NIST_K163, kp.public, b"m", sig, hash_function=toy_hash)
-        assert not ecdsa_verify(NIST_K163, kp.public, b"m", sig)

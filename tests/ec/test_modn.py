@@ -40,11 +40,6 @@ class TestRingOps:
     def test_add_sub_inverse(self, a, b):
         assert RING.sub(RING.add(a, b), b) == RING.reduce(a)
 
-    @given(values)
-    @settings(max_examples=30)
-    def test_neg(self, a):
-        assert RING.add(a, RING.neg(a)) == 0
-
     @given(st.integers(min_value=1, max_value=(1 << 163) - 1))
     @settings(max_examples=20)
     def test_inverse(self, a):

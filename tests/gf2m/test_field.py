@@ -237,7 +237,6 @@ class TestFieldElementWrapper:
     def test_bool_and_is_zero(self):
         assert not F8(0)
         assert F8(1)
-        assert F8(0).is_zero()
 
     def test_hash_consistent_with_eq(self):
         assert hash(F8(5)) == hash(F8(5))

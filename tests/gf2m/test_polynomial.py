@@ -14,8 +14,6 @@ from repro.gf2m.polynomial import (
     poly_from_coefficients,
     poly_gcd,
     poly_mod,
-    poly_mulmod,
-    poly_pow_mod,
     poly_to_string,
 )
 
@@ -134,29 +132,6 @@ class TestGcd:
         g, s, t = poly_egcd(a, b)
         assert clmul(s, a) ^ clmul(t, b) == g
         assert g == poly_gcd(a, b)
-
-
-class TestPowMod:
-    def test_exponent_zero(self):
-        assert poly_pow_mod(0b110, 0, 0b111) == 1
-
-    def test_fermat_little_theorem_in_field(self):
-        # In GF(2^3) = GF(2)[x]/(x^3+x+1): a^(2^3 - 1) = 1 for a != 0.
-        modulus = 0b1011
-        for a in range(1, 8):
-            assert poly_pow_mod(a, 7, modulus) == 1
-
-    def test_negative_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            poly_pow_mod(2, -1, 0b111)
-
-    @given(polys, st.integers(min_value=0, max_value=50), nonzero_polys)
-    @settings(max_examples=30)
-    def test_matches_repeated_multiplication(self, a, e, mod):
-        expected = 1
-        for _ in range(e):
-            expected = poly_mulmod(expected, a, mod)
-        assert poly_pow_mod(a, e, mod) == expected
 
 
 class TestIrreducibility:

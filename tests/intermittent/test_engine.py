@@ -44,6 +44,13 @@ class TestStablePower:
         assert result.checkpoint_uj == 0.0
         assert result.checkpoints_committed == 0
 
+    def test_naive_tag_draws_its_nonce_once(self):
+        """Uninterrupted, the naive tag computes exactly what the
+        checkpointing tag does: one nonce draw per power-on."""
+        naive = run_intermittent_session(
+            SPEC, supply=PowerSupply(windows=()), durable=False)
+        assert naive.compute_uj == baseline().compute_uj
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             IntermittentSpec(checkpoint_interval=0)

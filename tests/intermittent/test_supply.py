@@ -99,7 +99,5 @@ class TestPowerSupply:
         assert supply.vdd() == pytest.approx(1.2)
         supply.spend(50)
         assert 0.84 < supply.vdd() < 1.2
-        scale_mid = supply.energy_scale()
         supply.restart()
         assert supply.vdd() == pytest.approx(1.2)
-        assert supply.energy_scale() > scale_mid

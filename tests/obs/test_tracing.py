@@ -7,7 +7,6 @@ import pytest
 from repro.obs.tracing import (
     SpanWriter,
     Tracer,
-    current_span,
     derive_span_id,
     derive_trace_id,
 )
@@ -55,10 +54,10 @@ class TestIdentity:
 class TestPropagation:
     def test_nesting_links_parent_ids(self, tracer):
         with tracer.span("outer", key=0) as outer:
-            assert current_span() is outer
             with tracer.span("inner", key=1) as inner:
                 assert inner.parent_id == outer.span_id
-        assert current_span() is None
+        with tracer.span("after", key=2) as after:
+            assert after.parent_id is None
         records = {r["name"]: r for r in read_records(tracer)}
         assert records["inner"]["parent"] == records["outer"]["span"]
         assert records["outer"]["parent"] is None

@@ -1,8 +1,8 @@
-"""Tests for AES-CMAC (RFC 4493) and HMAC-SHA1 (RFC 2202)."""
+"""Tests for AES-CMAC (RFC 4493)."""
 
 import pytest
 
-from repro.primitives import aes_cmac, constant_time_equal, hmac_sha1
+from repro.primitives import aes_cmac, constant_time_equal
 
 CMAC_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 CMAC_M64 = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
@@ -42,26 +42,6 @@ class TestAesCmacRfc4493:
 
     def test_message_sensitivity(self):
         assert aes_cmac(CMAC_KEY, b"a") != aes_cmac(CMAC_KEY, b"b")
-
-
-class TestHmacSha1Rfc2202:
-    def test_case_1(self):
-        tag = hmac_sha1(b"\x0b" * 20, b"Hi There")
-        assert tag.hex() == "b617318655057264e28bc0b6fb378c8ef146be00"
-
-    def test_case_2(self):
-        tag = hmac_sha1(b"Jefe", b"what do ya want for nothing?")
-        assert tag.hex() == "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
-
-    def test_case_3(self):
-        tag = hmac_sha1(b"\xaa" * 20, b"\xdd" * 50)
-        assert tag.hex() == "125d7342b9ac11cd91a39af48aa17b4f63f175d3"
-
-    def test_long_key_hashed(self):
-        tag = hmac_sha1(
-            b"\xaa" * 80, b"Test Using Larger Than Block-Size Key - Hash Key First"
-        )
-        assert tag.hex() == "aa4ae5e15272d00e95705637ce8a3b55ed402112"
 
 
 class TestConstantTimeEqual:

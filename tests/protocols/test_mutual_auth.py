@@ -133,4 +133,4 @@ class TestAccounting:
         b = OperationCount(point_multiplications=2, rx_bits=5)
         c = a + b
         assert c.point_multiplications == 3
-        assert c.communication_bits == 15
+        assert (c.tx_bits, c.rx_bits) == (10, 5)

@@ -235,6 +235,32 @@ class TestNonceLifecycle:
         commitment = tag.commit(rng)
         assert commitment is not None
 
+    def test_restore_rearms_a_committed_nonce(self):
+        """A fresh tag (RAM lost in a power cut) re-armed with the
+        committed r answers exactly as the tag that committed it."""
+        rng = random.Random(21)
+        tag, reader = make_pair(random.Random(22))
+        resumed, __ = make_pair(random.Random(22))
+        commitment = tag.commit(random.Random(5))
+        e = reader.challenge(rng)
+        resumed.restore(RING.random_scalar(random.Random(5)))
+        s = resumed.respond(e, rng)
+        assert s == tag.respond(e, rng)
+        assert reader.identify(commitment, e, s) == 7
+        with pytest.raises(NonceConsumedError):
+            resumed.respond(e, rng)
+
+    def test_restore_keeps_the_single_use_rules(self):
+        tag, __ = make_pair(random.Random(23))
+        for bad in (0, RING.n):
+            with pytest.raises(ValueError):
+                tag.restore(bad)
+        tag.restore(3)
+        with pytest.raises(NoncePendingError):
+            tag.restore(3)
+        with pytest.raises(NoncePendingError):
+            tag.commit(random.Random(6))
+
     def test_fresh_commits_give_fresh_responses(self):
         """Epoch restarts (the session layer's loss recovery) are safe:
         same challenge, different r, different s."""

@@ -219,7 +219,7 @@ class TestEnergyAccounting:
         report = run_fleet(spec, workers=0)
         assert report.fully_available
         assert report.energy_monotone
-        assert report.total_sessions == 120
+        assert sum(p.sessions for p in report.points) == 120
 
     def test_fleet_report_is_deterministic_across_worker_counts(self):
         spec = FleetSpec(sessions=16, seed=5, sweep=(0.0, 0.2))

@@ -1,4 +1,4 @@
-"""Tests for metrics, preprocessing and the TVLA t-test."""
+"""Tests for preprocessing and the TVLA t-test."""
 
 import numpy as np
 import pytest
@@ -6,67 +6,14 @@ import pytest
 from repro.sca import (
     TVLA_THRESHOLD,
     average_traces,
-    center,
     compress_windows,
-    first_order_snr,
-    signal_to_noise_ratio,
-    standardize,
-    success_rate,
     tvla_fixed_vs_random,
     welch_t_statistic,
     window,
 )
 
 
-class TestSuccessRate:
-    def test_perfect(self):
-        assert success_rate([1, 0, 1], [1, 0, 1]) == 1.0
-
-    def test_partial(self):
-        assert success_rate([1, 1, 1, 1], [1, 0, 1, 0]) == 0.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            success_rate([1], [1, 0])
-
-    def test_empty(self):
-        with pytest.raises(ValueError):
-            success_rate([], [])
-
-
-class TestSnr:
-    def test_high_snr_where_classes_separate(self):
-        rng = np.random.default_rng(0)
-        labels = np.repeat([0, 1], 100)
-        samples = rng.normal(0, 1, size=(200, 4))
-        samples[labels == 1, 2] += 10.0  # class signal at sample 2
-        snr = signal_to_noise_ratio(samples, labels)
-        assert snr[2] > 5
-        assert snr[0] < 0.5
-        assert first_order_snr(samples, labels) == snr.max()
-
-    def test_needs_two_classes(self):
-        with pytest.raises(ValueError):
-            signal_to_noise_ratio(np.ones((4, 2)), np.zeros(4))
-
-
 class TestPreprocess:
-    def test_center(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        c = center(x)
-        assert np.allclose(c.mean(axis=0), 0)
-
-    def test_standardize(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(5, 3, size=(50, 4))
-        s = standardize(x)
-        assert np.allclose(s.mean(axis=0), 0, atol=1e-12)
-        assert np.allclose(s.std(axis=0), 1)
-
-    def test_standardize_constant_column(self):
-        x = np.ones((5, 2))
-        s = standardize(x)
-        assert np.allclose(s, 0)
 
     def test_window(self):
         x = np.arange(20).reshape(2, 10)

@@ -1,15 +1,25 @@
-"""Every ``src/repro`` module is reached from a program entry point.
+"""Every ``src/repro`` module is reached, and every name referenced.
 
-Walks ``import`` statements with :mod:`ast` from the CLI, the
+Modules: walks ``import`` statements with :mod:`ast` from the CLI, the
 benchmarks and the examples.  A package ``__init__`` re-exporting its
 own submodules does not count as a use: ``from repro.sca import X``
 reaches the submodule that defines ``X``, not its siblings.  A module
 only its own tests import is dead weight and fails this test.
 ``src/repro`` has no dynamic imports, so the static graph is complete.
+
+Names: every top-level function and class, and every non-dunder
+method, must be named somewhere in ``src/``, ``benchmarks/`` or
+``examples/`` outside its own definition.  A package ``__init__``'s
+re-exports and ``__all__`` strings do not count.  The check is
+textual, so a name that collides with another can hide dead code, but
+it never flags a name that is used.  Modules unreached on purpose
+(``ALLOWED``) keep their whole API.
 """
 
 import ast
 import functools
+import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,10 +29,30 @@ SRC = ROOT / "src"
 ALLOWED = {
     "repro.fault": "the point-validation countermeasure the pyramid cites",
     "repro.sca.cpa": "the reference that tests pin StreamingCpa against",
-    "repro.sca.metrics": "attack-quality metrics, pending a decision to "
-                         "wire them into a bench or delete them",
-    "repro.ec.encoding": "point compression, pending a decision to wire "
-                         "it into the frame codec or delete it",
+}
+
+#: Unreferenced names that stay, each with its reason.
+ALLOWED_NAMES = {
+    "repro.server.http._Handler.do_GET":
+        "http.server dispatches GET requests to it",
+    "repro.server.http._Handler.log_message":
+        "http.server calls it; the override keeps request logs quiet",
+    "repro.campaign.store.TraceStore.as_trace_set":
+        "tests cross-check the streaming attacks against the batch "
+        "attack on a store's traces",
+    "repro.arch.coprocessor.EccCoprocessor.cycles_per_point_multiplication":
+        "tests pin the paper's ~85.7k-cycle operating point with it",
+    "repro.intermittent.engine.IntermittentResult.wire_payloads":
+        "tests read one label's frames off a session's wire with it",
+    "repro.power.energy.EnergyModel.energy_per_operation":
+        "tests pin the paper's 5.1 uJ per point multiplication with it",
+    "repro.campaign.progress.CollectingReporter":
+        "tests watch the acquisition engine's progress callbacks with it",
+    "repro.obs.report.canonical_span_bytes":
+        "tests check that same-seed traced runs replay byte-identically",
+    "repro.obs.report.canonical_metrics_bytes":
+        "tests check that same-seed metric snapshots replay "
+        "byte-identically",
 }
 
 
@@ -32,6 +62,10 @@ def _name(path):
 
 
 MODULES = {_name(p): p for p in (SRC / "repro").rglob("*.py")}
+
+
+def _allowed(module):
+    return any(module == a or module.startswith(a + ".") for a in ALLOWED)
 
 
 def _imports(path, package=""):
@@ -87,11 +121,70 @@ def reached():
 
 def test_every_module_is_reached():
     seen = reached()
-    unreached = sorted(
-        m for m in MODULES if m not in seen
-        and not any(m == a or m.startswith(a + ".") for a in ALLOWED))
+    unreached = sorted(m for m in MODULES
+                       if m not in seen and not _allowed(m))
     assert unreached == []
 
 
 def test_allowlist_names_only_unreached_modules():
     assert [a for a in ALLOWED if a in reached()] == []
+
+
+def _corpus_lines(path):
+    """``path``'s lines with ``__all__`` and ``__init__`` re-exports
+    blanked, so neither counts as a use."""
+    text = path.read_text()
+    lines = text.splitlines()
+    for node in ast.parse(text).body:
+        reexport = path.name == "__init__.py" and \
+            isinstance(node, ast.ImportFrom) and node.level
+        exports = isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets)
+        if reexport or exports:
+            lines[node.lineno - 1:node.end_lineno] = \
+                [""] * (node.end_lineno - node.lineno + 1)
+    return lines
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class and
+    each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, _FUNCTIONS) \
+                        and not re.fullmatch(r"__\w+__", sub.name):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _words(lines):
+    return Counter(w for line in lines for w in re.findall(r"\w+", line))
+
+
+def unreferenced_names():
+    corpus = {p: _corpus_lines(p) for d in ("src", "benchmarks", "examples")
+              for p in (ROOT / d).rglob("*.py")}
+    uses = _words(line for lines in corpus.values() for line in lines)
+    found = []
+    for module, path in MODULES.items():
+        if _allowed(module):
+            continue
+        for qualname, node in _definitions(ast.parse(path.read_text())):
+            name = qualname.rpartition(".")[2]
+            own = _words(corpus[path][node.lineno - 1:node.end_lineno])
+            if uses[name] == own[name]:
+                found.append(f"{module}.{qualname}")
+    return found
+
+
+def test_every_name_is_referenced():
+    assert [n for n in unreferenced_names() if n not in ALLOWED_NAMES] == []
+
+
+def test_allowed_names_are_unreferenced():
+    assert sorted(ALLOWED_NAMES.keys() - set(unreferenced_names())) == []
