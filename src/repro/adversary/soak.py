@@ -37,7 +37,7 @@ from ..soak import (SUMMARY_NAME, CohortReport, arrival_gap, chaos_kill,
                     rounded_sum, run_cohort_attempt, run_cohorts)
 from .defense import (DEFENSE_SETS, DefenseConfig, WakeUpRadio,
                       defense_config)
-from .engine import (ADVERSARY_NAMES, SESSION_KINDS, run_attack_session)
+from .engine import ADVERSARY_NAMES, run_attack_session
 from .errors import AdversaryError
 
 __all__ = ["AttackSpec", "AttackReport", "run_attack_soak",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .isa import Instruction, Opcode
+from .isa import Opcode
 
 __all__ = ["ProgramStatistics", "analyze_program", "format_listing",
            "REGISTER_NAMES"]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..power.energy import EnergyModel
 from ..power.technology import OperatingPoint, PAPER_OPERATING_POINT
-from .base import EngineTrace, get_backend
+from .base import get_backend
 
 __all__ = ["HANDSHAKE_POINT_MULTIPLICATIONS", "MESSAGE_BYTES",
            "MeasuredPrimitive", "measure_backend"]

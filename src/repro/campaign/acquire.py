@@ -33,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..ec.ladder import choose_z
 from ..obs import runtime as obs_runtime
 from ..obs.tracing import derive_span_id
 from ..power.simulator import PowerTraceSimulator
@@ -147,12 +148,7 @@ def _acquire_shard_observed(spec: CampaignSpec, directory: str,
             ))
         for trace_index in range(n):
             point = random_protocol_point(coprocessor.domain, point_rng)
-            if spec.scenario == "unprotected":
-                z0 = 1
-            else:
-                z0 = 0
-                while z0 == 0:
-                    z0 = z_rng.getrandbits(field.m) & (field.order - 1)
+            z0 = choose_z(field, z_rng, spec.scenario != "unprotected", None)
             with contextlib.ExitStack() as trace_stack:
                 trace_span = None
                 if obs is not None:

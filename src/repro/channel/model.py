@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional
 
 from ..obs import runtime as _obs_runtime

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..adversary.defense import DEFENSE_SETS

@@ -28,7 +28,6 @@ from .keys import (
 from .ladder import (
     LadderExecution,
     LadderIteration,
-    ladder_step,
     montgomery_ladder,
     montgomery_ladder_full,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "generate_keypair",
     "LadderExecution",
     "LadderIteration",
-    "ladder_step",
     "montgomery_ladder",
     "montgomery_ladder_full",
     "ScalarRing",

@@ -10,17 +10,20 @@ Montgomery powering ladder (MPL) in x-only López–Dahab coordinates:
   storage), so the whole multiplication fits in six 163-bit registers;
 * the initial projective representation is randomized with a fresh
   ``Z = r`` (``R <- (x*r : r)`` in Algorithm 1) — the DPA
-  countermeasure evaluated in Section 7.
+  countermeasure evaluated in Section 7, drawn by :func:`choose_z`.
 
-:func:`montgomery_ladder_full` additionally returns a
-:class:`LadderExecution` record with the per-iteration register values,
-which the side-channel layer uses both to *generate* leakage and to
-*predict* intermediates during DPA.
+The loop is written once, in :func:`ladder_suspend_advance`, over the
+frozen :class:`LadderState`.  :func:`montgomery_ladder` runs it in one
+advance; :func:`montgomery_ladder_full` runs it step by step and
+returns a :class:`LadderExecution` with the per-iteration register
+values, which the side-channel layer uses both to *generate* leakage
+and to *predict* intermediates during DPA.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+import re
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Optional
 
 from .curve import BinaryEllipticCurve
@@ -30,9 +33,10 @@ __all__ = [
     "LadderIteration",
     "LadderExecution",
     "LadderState",
+    "LadderStateError",
+    "choose_z",
     "montgomery_ladder",
     "montgomery_ladder_full",
-    "ladder_step",
     "ladder_suspend_init",
     "ladder_suspend_advance",
     "ladder_suspend_result",
@@ -102,31 +106,6 @@ def _mdouble(f, sqrt_b: int, x: int, z: int) -> tuple[int, int]:
     return x3, z3
 
 
-def ladder_step(
-    curve: BinaryEllipticCurve,
-    x_base: int,
-    key_bit: int,
-    x1: int,
-    z1: int,
-    x2: int,
-    z2: int,
-) -> tuple[int, int, int, int]:
-    """One MPL iteration: swap-by-key-bit, then Madd + Mdouble.
-
-    The *same* two operations execute for either key bit; only the
-    operand routing (the multiplexer control of Figure 3) differs.
-    Returns the new ``(X1, Z1, X2, Z2)``.
-    """
-    f = curve.field
-    if key_bit:
-        x1, z1 = _madd(f, x_base, x1, z1, x2, z2)
-        x2, z2 = _mdouble(f, curve._sqrt_b, x2, z2)
-    else:
-        x2, z2 = _madd(f, x_base, x2, z2, x1, z1)
-        x1, z1 = _mdouble(f, curve._sqrt_b, x1, z1)
-    return x1, z1, x2, z2
-
-
 def _recover_y(
     curve: BinaryEllipticCurve,
     base: AffinePoint,
@@ -149,6 +128,41 @@ def _recover_y(
     t = f.mul_raw(xa ^ x, xb ^ x) ^ f.square_raw(x) ^ y
     y_k = f.mul_raw(f.mul_raw(xa ^ x, t), f.inverse_raw(x)) ^ y
     return AffinePoint(xa, y_k)
+
+
+def choose_z(field, rng, randomize_z: bool, initial_z: Optional[int]) -> int:
+    """The ladder's starting ``Z`` (Algorithm 1's ``r``).
+
+    ``initial_z`` when given (the white-box "randomness known to the
+    adversary" scenario); otherwise, when ``randomize_z``, a non-zero
+    ``m``-bit value drawn from ``rng`` by rejection; otherwise 1.  The
+    ladder, the coprocessor and the trace campaigns all draw through
+    here, so a seeded ``rng`` yields the same ``Z`` sequence in each.
+    """
+    if initial_z is not None:
+        return initial_z
+    if not randomize_z:
+        return 1
+    if rng is None:
+        raise ValueError("randomize_z requires an rng (or initial_z)")
+    z0 = 0
+    while z0 == 0:
+        z0 = rng.getrandbits(field.m) & (field.order - 1)
+    return z0
+
+
+def _degenerate_result(curve: BinaryEllipticCurve, k: int,
+                       point: AffinePoint) -> Optional[AffinePoint]:
+    """``k * point`` for inputs the ladder loop cannot run on, else None."""
+    if k < 0:
+        raise ValueError("the ladder expects a non-negative scalar")
+    if point.is_infinity or k == 0:
+        return AffinePoint.infinity()
+    if point.x == 0:
+        # The 2-torsion point; the x-only formulas degenerate (x_base
+        # appears as a multiplicand).  Fall back to the reference law.
+        return curve.multiply_naive(k, point)
+    return None
 
 
 def montgomery_ladder_full(
@@ -184,52 +198,37 @@ def montgomery_ladder_full(
         With per-iteration ``(X1, Z1, X2, Z2)`` states and the affine
         result (y recovered).
     """
-    if k < 0:
-        raise ValueError("the ladder expects a non-negative scalar")
-    f = curve.field
-    if point.is_infinity or k == 0:
-        execution = LadderExecution(scalar=k, base=point, initial_z=1)
-        execution.result = AffinePoint.infinity()
-        return execution
-    if point.x == 0:
-        # The 2-torsion point; the x-only formulas degenerate (x_base
-        # appears as a multiplicand).  Fall back to the reference law.
-        execution = LadderExecution(scalar=k, base=point, initial_z=1)
-        execution.result = curve.multiply_naive(k, point)
-        return execution
-
-    if initial_z is not None:
-        z0 = initial_z
-    elif randomize_z:
-        if rng is None:
-            raise ValueError("randomize_z=True requires an rng (or initial_z)")
-        z0 = 0
-        while z0 == 0:
-            z0 = rng.getrandbits(f.m) & (f.order - 1)
-    else:
-        z0 = 1
-    if z0 == 0 or z0 >= f.order:
-        raise ValueError("initial Z must be a non-zero reduced field value")
-
+    result = _degenerate_result(curve, k, point)
+    if result is not None:
+        return LadderExecution(scalar=k, base=point, initial_z=1,
+                               result=result)
+    z0 = choose_z(curve.field, rng, randomize_z, initial_z)
     execution = LadderExecution(scalar=k, base=point, initial_z=z0)
-    x = point.x
-    # R <- (x*r : r), Q <- 2P (Algorithm 1, projective randomization).
-    x1, z1 = f.mul_raw(x, z0), z0
-    x2, z2 = _mdouble(f, curve._sqrt_b, x1, z1)
-    t = k.bit_length()
-    for i in range(t - 2, -1, -1):
-        bit = (k >> i) & 1
-        x1, z1, x2, z2 = ladder_step(curve, x, bit, x1, z1, x2, z2)
-        execution.iterations.append(
-            LadderIteration(key_bit=bit, X1=x1, Z1=z1, X2=x2, Z2=z2)
-        )
-    execution.result = _recover_y(curve, point, x1, z1, x2, z2)
+    state = ladder_suspend_init(curve, k, point, z0)
+    while not state.finished:
+        bit = (k >> state.bit_index) & 1
+        state = ladder_suspend_advance(curve, state, 1)
+        execution.iterations.append(LadderIteration(
+            key_bit=bit, X1=state.x1, Z1=state.z1, X2=state.x2, Z2=state.z2))
+    execution.result = ladder_suspend_result(curve, state)
     return execution
 
 
 # ----------------------------------------------------------------------
-# the suspendable ladder: the same iteration, one step at a time
+# the suspendable ladder: Algorithm 1, one step at a time
 # ----------------------------------------------------------------------
+
+class LadderStateError(ValueError):
+    """A checkpoint payload :meth:`LadderState.from_dict` refuses: not
+    what :meth:`LadderState.to_dict` writes, or no state a ladder run
+    can be in."""
+
+
+#: ``format(value, "x")``: lowercase hex, no prefix, no leading zeros.
+_HEX = re.compile(r"0|[1-9a-f][0-9a-f]*")
+_REGISTER_KEYS = ("k", "bx", "by", "z0", "x1", "z1", "x2", "z2")
+_CHECKPOINT_KEYS = {*_REGISTER_KEYS, "bit"}
+
 
 @dataclass(frozen=True)
 class LadderState:
@@ -286,12 +285,31 @@ class LadderState:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LadderState":
+        """Decode a :meth:`to_dict` payload, or raise
+        :class:`LadderStateError` if ``to_dict`` could not have written
+        it or no ladder run can resume from it.  Whether the registers
+        are reduced field values needs the curve; that is not checked.
+        """
+        if not isinstance(data, dict) or data.keys() != _CHECKPOINT_KEYS:
+            raise LadderStateError("a ladder checkpoint is a dict with keys "
+                                   f"{sorted(_CHECKPOINT_KEYS)}")
+        for key in _REGISTER_KEYS:
+            value = data[key]
+            if not isinstance(value, str) or not _HEX.fullmatch(value):
+                raise LadderStateError(
+                    f"ladder checkpoint {key}={value!r} is not lowercase hex")
+        k, bit = int(data["k"], 16), data["bit"]
+        if k < 1 or int(data["z0"], 16) < 1:
+            raise LadderStateError("ladder checkpoint needs k, z0 >= 1")
+        if type(bit) is not int or not -1 <= bit <= k.bit_length() - 2:
+            raise LadderStateError(
+                f"ladder checkpoint bit={bit!r} is not a bit index of k")
         return cls(
-            scalar=int(data["k"], 16),
+            scalar=k,
             base_x=int(data["bx"], 16),
             base_y=int(data["by"], 16),
             initial_z=int(data["z0"], 16),
-            bit_index=int(data["bit"]),
+            bit_index=bit,
             x1=int(data["x1"], 16),
             z1=int(data["z1"], 16),
             x2=int(data["x2"], 16),
@@ -321,6 +339,7 @@ def ladder_suspend_init(
     f = curve.field
     if initial_z == 0 or initial_z >= f.order:
         raise ValueError("initial Z must be a non-zero reduced field value")
+    # R <- (x*r : r), Q <- 2P (Algorithm 1, projective randomization).
     x1, z1 = f.mul_raw(point.x, initial_z), initial_z
     x2, z2 = _mdouble(f, curve._sqrt_b, x1, z1)
     return LadderState(
@@ -336,26 +355,28 @@ def ladder_suspend_advance(
 ) -> LadderState:
     """Run up to ``steps`` ladder iterations; return the new state.
 
+    Each iteration is a swap by the key bit, then Madd + Mdouble: the
+    *same* two operations execute for either key bit; only the operand
+    routing (the multiplexer control of Figure 3) differs.
+
     Pure: the input state is untouched, so a caller that checkpoints
     ``state`` and crashes mid-advance resumes from exactly the bits
     the checkpoint had consumed.
     """
     if steps < 0:
         raise ValueError("cannot advance a negative number of steps")
+    f, sqrt_b, x = curve.field, curve._sqrt_b, state.base_x
     x1, z1, x2, z2 = state.x1, state.z1, state.x2, state.z2
     bit_index = state.bit_index
-    for _ in range(steps):
-        if bit_index < 0:
-            break
-        bit = (state.scalar >> bit_index) & 1
-        x1, z1, x2, z2 = ladder_step(curve, state.base_x, bit,
-                                     x1, z1, x2, z2)
+    for _ in range(min(steps, bit_index + 1)):
+        if (state.scalar >> bit_index) & 1:
+            x1, z1 = _madd(f, x, x1, z1, x2, z2)
+            x2, z2 = _mdouble(f, sqrt_b, x2, z2)
+        else:
+            x2, z2 = _madd(f, x, x2, z2, x1, z1)
+            x1, z1 = _mdouble(f, sqrt_b, x1, z1)
         bit_index -= 1
-    return LadderState(
-        scalar=state.scalar, base_x=state.base_x, base_y=state.base_y,
-        initial_z=state.initial_z, bit_index=bit_index,
-        x1=x1, z1=z1, x2=x2, z2=z2,
-    )
+    return replace(state, bit_index=bit_index, x1=x1, z1=z1, x2=x2, z2=z2)
 
 
 def ladder_suspend_result(
@@ -380,9 +401,13 @@ def montgomery_ladder(
 ) -> AffinePoint:
     """Compute ``k * point`` with the Montgomery powering ladder.
 
-    Convenience wrapper around :func:`montgomery_ladder_full` that
-    discards the execution record.
+    Same inputs and result as :func:`montgomery_ladder_full`, without
+    the per-iteration record: the whole scalar runs in one advance.
     """
-    return montgomery_ladder_full(
-        curve, k, point, rng=rng, randomize_z=randomize_z, initial_z=initial_z
-    ).result
+    result = _degenerate_result(curve, k, point)
+    if result is not None:
+        return result
+    z0 = choose_z(curve.field, rng, randomize_z, initial_z)
+    state = ladder_suspend_init(curve, k, point, z0)
+    state = ladder_suspend_advance(curve, state, state.bit_index + 1)
+    return ladder_suspend_result(curve, state)

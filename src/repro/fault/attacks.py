@@ -28,7 +28,6 @@ from typing import Callable, Optional
 
 from ..ec.curve import BinaryEllipticCurve
 from ..ec.point import AffinePoint
-from .injector import faulty_double_and_add_always
 
 __all__ = ["safe_error_attack", "find_small_order_invalid_point",
            "invalid_curve_residue", "InvalidCurvePoint", "quadratic_twist", "count_points"]

@@ -7,16 +7,20 @@ state bits mid-computation.  This module injects such faults into the
 algorithm-level ladder and into double-and-add-always, producing the
 (possibly invalid) outputs that :mod:`repro.fault.attacks` exploits
 and :mod:`repro.fault.countermeasures` must catch.
+
+The faulty ladder runs the suspendable ladder of :mod:`repro.ec.ladder`
+— the loop every other ladder caller runs — and faults its frozen
+:class:`~repro.ec.ladder.LadderState` between two steps.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..ec.curve import BinaryEllipticCurve
-from ..ec.ladder import _madd, _mdouble
+from ..ec.ladder import ladder_suspend_advance, ladder_suspend_init
 from ..ec.point import AffinePoint
 
 __all__ = ["FaultKind", "FaultSpec", "flip_bit", "faulty_montgomery_ladder",
@@ -59,14 +63,6 @@ def flip_bit(value: int, bit: int) -> int:
     return value ^ (1 << bit)
 
 
-def _apply(spec: FaultSpec, state: dict) -> None:
-    if spec.kind is FaultKind.BIT_FLIP:
-        state[spec.target] = flip_bit(state[spec.target], spec.bit)
-    elif spec.kind is FaultKind.STUCK_AT_ZERO:
-        state[spec.target] = 0
-    # SKIP is handled at the call site (the operation is not executed).
-
-
 def faulty_montgomery_ladder(
     curve: BinaryEllipticCurve,
     k: int,
@@ -78,44 +74,30 @@ def faulty_montgomery_ladder(
     Returns whatever the corrupted datapath produces — typically a
     point that is NOT on the curve or not the correct multiple.  Runs
     without the Z-randomization so fault effects are repeatable (the
-    attacker triggers at a fixed cycle).
+    attacker triggers at a fixed cycle).  A register fault lands right
+    after iteration ``fault.iteration``; a skip drops that iteration's
+    step and moves on to the next key bit.  A fault past the last
+    iteration never lands.
     """
-    if k < 1 or point.is_infinity or point.x == 0:
-        raise ValueError("faulty ladder expects k >= 1 and a generic point")
+    state = ladder_suspend_init(curve, k, point, 1)
+    if fault is not None:
+        state = ladder_suspend_advance(curve, state, fault.iteration)
+    if fault is not None and not state.finished:
+        if fault.kind is FaultKind.SKIP:
+            state = replace(state, bit_index=state.bit_index - 1)
+        else:
+            state = ladder_suspend_advance(curve, state, 1)
+            register = fault.target.lower()
+            value = (0 if fault.kind is FaultKind.STUCK_AT_ZERO
+                     else flip_bit(getattr(state, register), fault.bit))
+            state = replace(state, **{register: value})
+    state = ladder_suspend_advance(curve, state, state.bit_index + 1)
     f = curve.field
-    x = point.x
-    state = {"X1": x, "Z1": 1}
-    state["X2"], state["Z2"] = _mdouble(f, curve._sqrt_b, state["X1"], state["Z1"])
-    t = k.bit_length()
-    for index, i in enumerate(range(t - 2, -1, -1)):
-        skip = (
-            fault is not None
-            and fault.kind is FaultKind.SKIP
-            and fault.iteration == index
-        )
-        if not skip:
-            bit = (k >> i) & 1
-            if bit:
-                state["X1"], state["Z1"] = _madd(
-                    f, x, state["X1"], state["Z1"], state["X2"], state["Z2"]
-                )
-                state["X2"], state["Z2"] = _mdouble(
-                    f, curve._sqrt_b, state["X2"], state["Z2"]
-                )
-            else:
-                state["X2"], state["Z2"] = _madd(
-                    f, x, state["X2"], state["Z2"], state["X1"], state["Z1"]
-                )
-                state["X1"], state["Z1"] = _mdouble(
-                    f, curve._sqrt_b, state["X1"], state["Z1"]
-                )
-        if fault is not None and fault.iteration == index and not skip:
-            _apply(fault, state)
-    if state["Z1"] == 0:
+    if state.z1 == 0:
         return AffinePoint.infinity()
     # x-only output lifted with an arbitrary y-bit: faults corrupt x,
     # which is what the attacks inspect.
-    x_out = f.mul_raw(state["X1"], f.inverse_raw(state["Z1"]))
+    x_out = f.mul_raw(state.x1, f.inverse_raw(state.z1))
     lifted = curve.lift_x(x_out)
     if lifted is None:
         # The corrupted x has no point on the curve at all; surface it

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .metrics import atomic_write_bytes
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Optional
 
 from .metrics import MetricRegistry
 

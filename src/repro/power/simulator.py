@@ -15,6 +15,7 @@ import numpy as np
 
 from ..arch.coprocessor import EccCoprocessor
 from ..arch.trace import ExecutionTrace
+from ..ec.ladder import choose_z
 from ..obs import profile as _obs_profile
 from ..obs import runtime as _obs_runtime
 from .models import CmosLeakageModel, LeakageModel
@@ -146,12 +147,7 @@ class PowerTraceSimulator:
         key_bits = None
         field = coprocessor.domain.field
         for point in points:
-            if scenario == "unprotected":
-                z0 = 1
-            else:
-                z0 = 0
-                while z0 == 0:
-                    z0 = rng.getrandbits(field.m) & (field.order - 1)
+            z0 = choose_z(field, rng, scenario != "unprotected", None)
             execution = coprocessor.point_multiply(
                 key,
                 point,

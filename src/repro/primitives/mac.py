@@ -11,7 +11,6 @@ comparison.
 from __future__ import annotations
 
 from .aes import Aes128
-from .sha1 import sha1
 
 __all__ = ["aes_cmac", "constant_time_equal"]
 

@@ -23,7 +23,7 @@ and identical across runs and worker counts.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..ec.point import AffinePoint
 from .simloop import SimFuture, SimLoop

@@ -60,18 +60,8 @@ class TestCoprocessorProperties:
 
 
 class TestCrossAlgorithmAgreement:
-    """The ladder and the chip must agree with the golden model."""
-
-    @given(st.integers(min_value=1, max_value=1 << 40))
-    @settings(max_examples=5, deadline=None)
-    def test_ladder_and_chip_agree(self, k):
-        from repro.ec import montgomery_ladder
-
-        curve = NIST_K163.curve
-        reference = GOLDEN(k, G)
-        assert montgomery_ladder(curve, k, G, randomize_z=False) == reference
-        trace = COP.point_multiply(k, G, initial_z=1)
-        assert trace.result == reference
+    """The chip must agree with the golden model.  Agreement of every
+    k·P implementation with it is in ``tests/test_scalar_mult_oracle.py``."""
 
     @given(st.integers(min_value=1, max_value=1 << 40),
            st.integers(min_value=1, max_value=1 << 40))

@@ -13,6 +13,7 @@ from repro.ec import (
     montgomery_ladder,
     montgomery_ladder_full,
 )
+from repro.ec.ladder import choose_z
 
 scalars = st.integers(min_value=1, max_value=(1 << 170) - 1)
 
@@ -204,3 +205,44 @@ class TestExecutionRecord:
             run.iterations[0], "__dict__"
         ) else {f.name for f in run.iterations[0].__dataclass_fields__.values()}
         assert {"X1", "Z1", "X2", "Z2"} <= fields
+
+
+class QueuedDraws:
+    """An rng whose ``getrandbits`` returns queued values, counting calls."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+        self.calls = 0
+
+    def getrandbits(self, bits):
+        self.calls += 1
+        return self.values.pop(0)
+
+
+class TestChooseZ:
+    """The one Z policy the ladder, the coprocessor and the campaigns share."""
+
+    FIELD = NIST_K163.field
+
+    def test_explicit_z_wins_without_drawing(self):
+        rng = QueuedDraws()
+        assert choose_z(self.FIELD, rng, True, 0x1337) == 0x1337
+        assert choose_z(self.FIELD, rng, False, 0x1337) == 0x1337
+        assert rng.calls == 0
+
+    def test_one_without_randomization(self):
+        assert choose_z(self.FIELD, None, False, None) == 1
+
+    def test_zero_draws_are_rejected(self):
+        rng = QueuedDraws(0, 1 << 163, 5)  # 1 << 163 masks to zero
+        assert choose_z(self.FIELD, rng, True, None) == 5
+        assert rng.calls == 3
+
+    def test_randomizing_needs_an_rng(self):
+        with pytest.raises(ValueError):
+            choose_z(self.FIELD, None, True, None)
+
+    def test_one_draw_per_z_from_a_seeded_rng(self):
+        drawn, reference = random.Random(3), random.Random(3)
+        assert [choose_z(self.FIELD, drawn, True, None) for _ in range(4)] \
+            == [reference.getrandbits(163) for _ in range(4)]

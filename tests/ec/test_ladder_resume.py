@@ -1,12 +1,17 @@
-"""The suspendable ladder: bit-identical to the full run, any split."""
+"""The suspendable ladder: bit-identical to the full run, any split.
 
-import random
+Agreement with the oracle at random splits, with a checkpoint round
+trip at each, is in ``tests/test_scalar_mult_oracle.py``.
+"""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.ec.curves import TOY_B17, get_curve
+from repro.ec.curves import get_curve
 from repro.ec.ladder import (
     LadderState,
+    LadderStateError,
     ladder_suspend_advance,
     ladder_suspend_init,
     ladder_suspend_result,
@@ -16,32 +21,7 @@ from repro.ec.ladder import (
 DOMAIN = get_curve("TOY-B17")
 
 
-def run_suspended(k, point, z0, chunks):
-    """Run the ladder in the given step chunks, round-tripping the
-    state through its checkpoint dict between every advance."""
-    state = ladder_suspend_init(DOMAIN.curve, k, point, z0)
-    for steps in chunks:
-        state = ladder_suspend_advance(DOMAIN.curve, state, steps)
-        state = LadderState.from_dict(state.to_dict())
-    while not state.finished:
-        state = ladder_suspend_advance(DOMAIN.curve, state, 1)
-    return ladder_suspend_result(DOMAIN.curve, state)
-
-
 class TestEquivalence:
-    def test_matches_full_ladder_over_random_trials(self):
-        rng = random.Random(42)
-        ring = DOMAIN.scalar_ring
-        for _ in range(25):
-            k = ring.random_scalar(rng)
-            z0 = rng.randrange(1, DOMAIN.field.order)
-            expected = montgomery_ladder_full(
-                DOMAIN.curve, k, DOMAIN.generator, initial_z=z0).result
-            got = run_suspended(k, DOMAIN.generator, z0,
-                                chunks=[rng.randrange(1, 6)
-                                        for _ in range(4)])
-            assert got == expected
-
     def test_registers_match_uninterrupted_run_exactly(self):
         """Not just the result point: the frozen registers after N
         steps equal the full ladder's N-th iteration registers."""
@@ -87,6 +67,86 @@ class TestStateAccounting:
                                     DOMAIN.generator, 5)
         state = ladder_suspend_advance(DOMAIN.curve, state, 2)
         assert LadderState.from_dict(state.to_dict()) == state
+
+
+def checkpoint(**changes):
+    """The payload of k = 0x55, Z = 3 after two steps, with ``changes``
+    applied (a value of ``None`` deletes the key)."""
+    state = ladder_suspend_init(DOMAIN.curve, 0x55, DOMAIN.generator, 3)
+    payload = ladder_suspend_advance(DOMAIN.curve, state, 2).to_dict()
+    payload.update(changes)
+    return {key: value for key, value in payload.items()
+            if value is not None}
+
+
+def spellings(value):
+    """``value`` as ``to_dict`` writes it, and near misses."""
+    text = format(value, "x")
+    return st.sampled_from([text, text.upper(), "0x" + text, "0" + text,
+                            " " + text, "-" + text, format(value, "_x")])
+
+
+#: Values a fuzzed payload may put under any key (``None`` deletes it).
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False),
+    st.integers(min_value=-200, max_value=200),
+    st.integers(min_value=0, max_value=1 << 20).flatmap(spellings),
+    st.text(max_size=6), st.lists(st.integers(), max_size=2))
+
+
+UNRESUMABLE = {
+    "bit past k": checkpoint(bit=40),  # steps_done would be -35
+    "bit below finished": checkpoint(bit=-7),
+    "bit bool": checkpoint(bit=True),
+    "bit str": checkpoint(bit="3"),
+    "bit float": checkpoint(bit=3.0),
+    "k negative": checkpoint(k="-55"),
+    "k zero": checkpoint(k="0"),
+    "z0 zero": checkpoint(z0="0"),
+    "z0 negative": checkpoint(z0="-3"),
+    "register uppercase": checkpoint(x1="AB"),
+    "register prefixed": checkpoint(x1="0x55"),
+    "register leading zero": checkpoint(x1="055"),
+    "register not hex": checkpoint(x1="zz"),
+    "register empty": checkpoint(x1=""),
+    "register int": checkpoint(x1=0x55),
+    "key missing": checkpoint(z2=None),
+    "key unknown": checkpoint(extra="1"),
+    "list": [("k", "55")],
+    "str": "k=55",
+    "None": None,
+}
+
+
+class TestCheckpointDecoding:
+    """``LadderState.from_dict`` decodes the intermittent engine's NVM
+    ladder record; a payload it cannot resume correctly is refused."""
+
+    @pytest.mark.parametrize("payload", UNRESUMABLE.values(),
+                             ids=list(UNRESUMABLE))
+    def test_unresumable_payloads_rejected(self, payload):
+        with pytest.raises(LadderStateError):
+            LadderState.from_dict(payload)
+
+    def test_error_is_a_value_error(self):
+        assert issubclass(LadderStateError, ValueError)
+
+    def test_last_bit_and_finished_marker_accepted(self):
+        for bit in ((0x55).bit_length() - 2, -1):
+            assert LadderState.from_dict(checkpoint(bit=bit)).bit_index == bit
+
+    @given(changes=st.dictionaries(
+        st.sampled_from(["k", "bx", "by", "z0", "bit", "x1", "z1", "x2",
+                         "z2", "extra"]), JUNK, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_payloads_round_trip_or_raise(self, changes):
+        payload = checkpoint(**changes)
+        try:
+            state = LadderState.from_dict(payload)
+        except LadderStateError:
+            return
+        assert state.to_dict() == payload
+        assert 0 <= state.steps_done <= state.steps_total
 
 
 class TestContract:

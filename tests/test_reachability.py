@@ -14,6 +14,12 @@ re-exports and ``__all__`` strings do not count.  The check is
 textual, so a name that collides with another can hide dead code, but
 it never flags a name that is used.  Modules unreached on purpose
 (``ALLOWED``) keep their whole API.
+
+Imports: every name a non-``__init__`` module imports at module level
+(``if TYPE_CHECKING:`` blocks included) must be used in that module —
+read as an identifier, named in a string annotation, or re-exported
+through ``__all__``.  A mention in a docstring or comment is not a use.
+``from __future__`` imports are exempt.
 """
 
 import ast
@@ -188,3 +194,59 @@ def test_every_name_is_referenced():
 
 def test_allowed_names_are_unreferenced():
     assert sorted(ALLOWED_NAMES.keys() - set(unreferenced_names())) == []
+
+
+def _names(tree):
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def _strings(tree):
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+def _used_names(tree):
+    """Identifiers ``tree`` reads, names in its string annotations
+    (``"Optional[X]"``), and its ``__all__`` entries."""
+    used = _names(tree)
+    for node in ast.walk(tree):
+        for annotation in (getattr(node, "annotation", None),
+                           getattr(node, "returns", None)):
+            for text in _strings(annotation) if annotation else ():
+                used |= _names(ast.parse(text, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= set(_strings(node.value))
+    return used
+
+
+def _module_level_imports(tree):
+    """Import statements outside function and class bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports():
+    found = []
+    for module, path in MODULES.items():
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = _used_names(tree)
+        for node in _module_level_imports(tree):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used:
+                    found.append(f"{module}: {name}")
+    return sorted(found)
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
