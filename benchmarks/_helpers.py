@@ -100,13 +100,7 @@ def dse_dir(name: str, spec) -> pathlib.Path:
     so benches sharing cells (e.g. the d = 4 reference) may also share
     a directory.
     """
-    import hashlib
-    import json
-
-    digest = hashlib.sha256(
-        json.dumps(spec.to_dict(), sort_keys=True).encode()
-    ).hexdigest()[:10]
-    path = RESULTS_DIR / "dse" / f"{name}-{digest}"
+    path = RESULTS_DIR / "dse" / f"{name}-{spec.digest()[:10]}"
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -119,12 +113,6 @@ def campaign_dir(name: str, spec) -> pathlib.Path:
     spec change — e.g. toggling REPRO_FAST — lands in a fresh
     directory instead of tripping the store's spec-mismatch guard.
     """
-    import hashlib
-    import json
-
-    digest = hashlib.sha256(
-        json.dumps(spec.to_dict(), sort_keys=True).encode()
-    ).hexdigest()[:10]
-    path = RESULTS_DIR / "campaigns" / f"{name}-{digest}"
+    path = RESULTS_DIR / "campaigns" / f"{name}-{spec.digest()[:10]}"
     path.parent.mkdir(parents=True, exist_ok=True)
     return path

@@ -33,6 +33,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
+from ..jsonspec import JsonSpec
 from .errors import BudgetExhaustedError, DefenseConfigError
 
 __all__ = ["DEFENSE_SETS", "DefenseConfig", "EnergyBudget",
@@ -59,7 +60,7 @@ DEFENSE_SETS = {
 
 
 @dataclass(frozen=True)
-class DefenseConfig:
+class DefenseConfig(JsonSpec):
     """Every knob of the tag's graceful-degradation posture.
 
     ``budget_cap_uj == 0`` disables the energy budget; ``wake_gating``
@@ -92,21 +93,6 @@ class DefenseConfig:
     @property
     def budget_enabled(self) -> bool:
         return self.budget_cap_uj > 0
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "budget_cap_uj": self.budget_cap_uj,
-            "budget_window_s": self.budget_window_s,
-            "wake_gating": self.wake_gating,
-            "wake_rx_uj": self.wake_rx_uj,
-            "restart_backoff_scale": self.restart_backoff_scale,
-            "max_session_epochs": self.max_session_epochs,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DefenseConfig":
-        return cls(**d)
 
     def budget(self) -> "Optional[EnergyBudget]":
         """A fresh budget guard, or None when the cap is disabled."""

@@ -23,12 +23,11 @@ simulation, the attack rulebook and the totals fold.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional
 
 from ..channel import LossProfile, derive_channel_seed
+from ..jsonspec import JsonSpec
 from ..obs.alerts import default_rulebook
 from ..obs.metrics import MetricRegistry, strip_wall_metrics
 from ..obs.stream import make_event, spread_drain_events
@@ -54,7 +53,7 @@ ATTACK_OUTCOMES = ("accepted", "rejected", "aborted", "refused",
 
 
 @dataclass(frozen=True)
-class AttackSpec:
+class AttackSpec(JsonSpec):
     """Everything that determines an attack soak's results.
 
     ``adversary`` is one of :data:`~.engine.ADVERSARY_NAMES` or
@@ -91,36 +90,6 @@ class AttackSpec:
             raise ValueError(
                 f"unknown adversary {self.adversary!r}; known: {known}")
         self.defense_config()  # validate the defense knobs eagerly
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "adversary": self.adversary,
-            "defense": self.defense,
-            "sessions": self.sessions,
-            "cohorts": self.cohorts,
-            "legit_fraction": self.legit_fraction,
-            "arrival_rate": self.arrival_rate,
-            "frame_loss": self.frame_loss,
-            "seed": self.seed,
-            "curve": self.curve,
-            "distance_m": self.distance_m,
-            "budget_cap_uj": self.budget_cap_uj,
-            "budget_window_s": self.budget_window_s,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttackSpec":
-        d = dict(d)
-        d.setdefault("schema_version", _SCHEMA_VERSION)
-        return cls(**d)
-
-    def identity_dict(self) -> dict:
-        return self.to_dict()
-
-    def digest(self) -> str:
-        payload = json.dumps(self.identity_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def defense_config(self) -> DefenseConfig:
         overrides = {}

@@ -23,8 +23,9 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Tuple
 
+from ..jsonspec import JsonSpec
 from .spec import derive_seed
 
 __all__ = ["ChaosConfig", "ChaosInjectedError", "chaos_acquire_shard",
@@ -51,7 +52,7 @@ class ChaosInjectedError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(JsonSpec):
     """Seeded fault rates for the acquisition pipeline.
 
     Attributes
@@ -91,7 +92,7 @@ class ChaosConfig:
     corrupt_rate: float = 0.0
     slow_seconds: float = 0.05
     hang_seconds: float = 3600.0
-    only_shards: Optional[tuple] = None
+    only_shards: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self):
         for fault, field in _RATE_FIELDS.items():
@@ -138,31 +139,6 @@ class ChaosConfig:
     def corrupts(self, shard_index: int, attempt: int) -> bool:
         return (self.applies_to(shard_index)
                 and self._roll("corrupt", shard_index, attempt))
-
-    # ------------------------------------------------------------------
-    # serialization (the config crosses the process boundary as JSON)
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "crash_rate": self.crash_rate,
-            "hang_rate": self.hang_rate,
-            "error_rate": self.error_rate,
-            "slow_rate": self.slow_rate,
-            "corrupt_rate": self.corrupt_rate,
-            "slow_seconds": self.slow_seconds,
-            "hang_seconds": self.hang_seconds,
-            "only_shards": (None if self.only_shards is None
-                            else list(self.only_shards)),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChaosConfig":
-        d = dict(d)
-        if d.get("only_shards") is not None:
-            d["only_shards"] = tuple(d["only_shards"])
-        return cls(**d)
 
     @classmethod
     def parse(cls, text: str, seed: int = 0,

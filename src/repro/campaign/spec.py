@@ -19,14 +19,15 @@ rather than Python's ``hash`` (randomized per process) or ad-hoc
 from __future__ import annotations
 
 import hashlib
-import json
 import random
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field
+from typing import Optional
 
 from ..arch.clockgate import ClockGatingPolicy
 from ..arch.control import BalancedEncoding, UnbalancedEncoding
 from ..arch.coprocessor import CoprocessorConfig, EccCoprocessor
 from ..ec.curves import get_curve
+from ..jsonspec import JsonSpec, SpecError
 
 __all__ = ["SCHEMA_VERSION", "CampaignSpec", "derive_seed", "derive_rng",
            "SCENARIOS"]
@@ -52,7 +53,7 @@ def derive_rng(master_seed: int, stream: str, index: int = 0) -> random.Random:
 
 
 @dataclass(frozen=True)
-class CampaignSpec:
+class CampaignSpec(JsonSpec):
     """Everything that determines a campaign's traces.
 
     Attributes
@@ -84,8 +85,8 @@ class CampaignSpec:
     shard_size: int = 256
     scenario: str = "protected"
     seed: int = 0
-    key: int | None = None
-    max_iterations: int | None = None
+    key: Optional[int] = None
+    max_iterations: Optional[int] = None
     noise_sigma: float = 38.0
     curve: str = "K-163"
     digit_size: int = 4
@@ -97,6 +98,10 @@ class CampaignSpec:
     glitch_factor: float = 0.0
     schema_version: int = dataclass_field(default=SCHEMA_VERSION)
 
+    #: :meth:`digest` is stamped into failure logs and error messages,
+    #: so an event can always be traced back to its spec.
+    _digest_chars = 16
+
     def __post_init__(self):
         if self.n_traces < 1:
             raise ValueError("a campaign needs at least one trace")
@@ -107,7 +112,10 @@ class CampaignSpec:
         if self.mux_encoding not in _MUX_ENCODINGS:
             raise ValueError(f"unknown mux encoding {self.mux_encoding!r}")
         ClockGatingPolicy(self.clock_gating)  # raises on unknown policy
-        get_curve(self.curve)                 # raises on unknown curve
+        try:
+            get_curve(self.curve)
+        except KeyError as exc:
+            raise ValueError(str(exc)) from None
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(
                 f"spec schema v{self.schema_version} is not supported "
@@ -165,29 +173,21 @@ class CampaignSpec:
         return ring.random_scalar(derive_rng(self.seed, "key"))
 
     # ------------------------------------------------------------------
-    # serialization
+    # serialization: the key travels as hex
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict:
-        """Plain-JSON representation (ints/strings/bools only)."""
-        d = asdict(self)
-        if d["key"] is not None:
-            d["key"] = hex(d["key"])
+        d = super().to_dict()
+        if self.key is not None:
+            d["key"] = hex(self.key)
         return d
 
-    def digest(self) -> str:
-        """Short stable fingerprint of this design point.
-
-        Stamped into failure logs and error messages so an event can
-        always be traced back to the exact spec that produced it.
-        """
-        payload = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
-
     @classmethod
-    def from_dict(cls, d: dict) -> "CampaignSpec":
-        """Inverse of :meth:`to_dict` (hex keys accepted)."""
-        d = dict(d)
-        if isinstance(d.get("key"), str):
-            d["key"] = int(d["key"], 16)
-        return cls(**d)
+    def from_dict(cls, payload) -> "CampaignSpec":
+        if isinstance(payload, dict) and isinstance(payload.get("key"), str):
+            try:
+                payload = {**payload, "key": int(payload["key"], 16)}
+            except ValueError:
+                raise SpecError(f"CampaignSpec.key is not hex: "
+                                f"{payload['key']!r}") from None
+        return super().from_dict(payload)

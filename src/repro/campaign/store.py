@@ -39,6 +39,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ..ec.point import AffinePoint
+from ..jsonspec import JsonSpec
 from ..obs.metrics import atomic_write_bytes
 from .errors import DATA_INTEGRITY, CampaignError
 from .spec import SCHEMA_VERSION, CampaignSpec
@@ -63,7 +64,7 @@ def file_digest(path: str) -> str:
 
 
 @dataclass(frozen=True)
-class ShardRecord:
+class ShardRecord(JsonSpec):
     """Manifest entry for one completed shard."""
 
     index: int
@@ -73,21 +74,6 @@ class ShardRecord:
     samples_sha256: str
     aux_sha256: str
     wall_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "n_traces": self.n_traces,
-            "samples_file": self.samples_file,
-            "aux_file": self.aux_file,
-            "samples_sha256": self.samples_sha256,
-            "aux_sha256": self.aux_sha256,
-            "wall_seconds": self.wall_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShardRecord":
-        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -684,7 +684,6 @@ def cmd_protocol_run(protocol: str = "peeters-hermans",
                      obs_profile: bool = False) -> str:
     """Run a handful of resilient sessions and narrate each one."""
     from .ec.curves import get_curve
-    from .obs.integration import fleet_spec_digest
     from .protocols.fleet import FleetSpec
     from .protocols.session import make_adapter, run_resilient_session
 
@@ -694,7 +693,7 @@ def cmd_protocol_run(protocol: str = "peeters-hermans",
     profile = spec.profile(loss)
     lines = [f"{protocol} over a channel with {profile.describe()}"]
     with _obs_session(obs_dir, kind="protocol-run", seed=seed,
-                      config_digest=fleet_spec_digest(spec),
+                      config_digest=spec.digest(),
                       profile=obs_profile,
                       argv=["protocol", "run", "--protocol", protocol]):
         for index in range(sessions):
@@ -724,7 +723,6 @@ def cmd_protocol_soak(protocol: str = "peeters-hermans",
     aborted but every sweep point stayed at or above
     ``min_availability``; ``1`` when availability fell below the floor.
     """
-    from .obs.integration import fleet_spec_digest
     from .protocols.fleet import DEFAULT_SWEEP, FleetSpec, run_fleet
 
     spec = FleetSpec(protocol=protocol, curve=curve, sessions=sessions,
@@ -732,7 +730,7 @@ def cmd_protocol_soak(protocol: str = "peeters-hermans",
                      distance_m=distance)
     with _slice_progress(quiet) as progress, \
             _obs_session(obs_dir, kind="protocol-soak", seed=seed,
-                         config_digest=fleet_spec_digest(spec),
+                         config_digest=spec.digest(),
                          profile=obs_profile,
                          argv=["protocol", "soak", "--protocol",
                                protocol]):
@@ -762,7 +760,6 @@ def cmd_protocol_amortize(protocol: str = "peeters-hermans",
     ``1`` below the floor.  With ``directory`` the worker-invariant
     ``summary.json`` is written there (the CI ``cmp`` artifact).
     """
-    from .obs.integration import fleet_spec_digest
     from .protocols.amortized import AmortizedSpec, run_amortized_soak
     from .protocols.fleet import DEFAULT_SWEEP
     from .soak import write_summary
@@ -774,7 +771,7 @@ def cmd_protocol_amortize(protocol: str = "peeters-hermans",
         distance_m=distance)
     with _slice_progress(quiet) as progress, \
             _obs_session(obs_dir, kind="protocol-amortize", seed=seed,
-                         config_digest=fleet_spec_digest(spec),
+                         config_digest=spec.digest(),
                          profile=obs_profile,
                          argv=["protocol", "amortize",
                                "--backend", backend]):
@@ -1270,14 +1267,13 @@ def cmd_power_soak(directory: str, spec, workers=None,
     completion floor held, ``EXIT_FAILED`` when the floor broke or a
     session died unclean.
     """
-    from .obs.integration import fleet_spec_digest
     from .protocols.fleet import run_power_soak
     from .soak import write_summary
 
     directory = str(directory)
     with _obs_session(_run_obs_dir(directory, obs, obs_profile),
                       kind="power-soak", seed=spec.seed,
-                      config_digest=fleet_spec_digest(spec),
+                      config_digest=spec.digest(),
                       profile=obs_profile,
                       argv=["power", "soak", "--dir", directory]):
         report = run_power_soak(spec, workers=workers)

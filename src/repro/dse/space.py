@@ -25,13 +25,14 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..adversary.defense import DEFENSE_SETS
 from ..arch.control import BalancedEncoding, UnbalancedEncoding
 from ..arch.coprocessor import CoprocessorConfig, InvalidDigitSizeError
 from ..backends.base import parse_backend_point
 from ..ec.curves import get_curve
+from ..jsonspec import JsonSpec
 from .errors import SpaceValidationError
 from .pareto import OBJECTIVES
 
@@ -53,6 +54,11 @@ COUNTERMEASURE_SETS = {
 
 _ENCODINGS = {"balanced": BalancedEncoding, "unbalanced": UnbalancedEncoding}
 
+#: Axes a spec opts into; :meth:`DesignSpaceSpec.to_dict` omits them
+#: when empty, so pre-axis specs keep their digests (and their
+#: ``pareto.json`` files) byte-identical.
+_OPT_IN_AXES = ("defenses", "checkpoint_intervals", "backends")
+
 
 @dataclass(frozen=True)
 class MeasurementJob:
@@ -73,22 +79,21 @@ class MeasurementJob:
 
 
 @dataclass(frozen=True)
-class DesignSpaceSpec:
+class DesignSpaceSpec(JsonSpec):
     """What to explore, under which constraints, ranked how.
 
-    Duck-types the campaign supervisor's spec protocol
-    (``to_dict`` / ``digest`` / ``seed``), so measurement attempts run
-    under the same retry/timeout/quarantine machinery as trace
-    acquisition.
+    A :class:`~repro.jsonspec.JsonSpec` with a ``seed``, like the
+    campaign spec, so measurement attempts run under the campaign
+    supervisor's retry/timeout/quarantine machinery.
     """
 
-    digit_sizes: tuple = (1, 2, 4, 8, 16)
-    vdd_volts: tuple = (0.8, 1.0, 1.2)
-    frequencies_hz: tuple = (100e3, 847.5e3, 4e6)
-    countermeasures: tuple = ("full", "none")
-    defenses: tuple = ()
-    checkpoint_intervals: tuple = ()
-    backends: tuple = ()
+    digit_sizes: Tuple[int, ...] = (1, 2, 4, 8, 16)
+    vdd_volts: Tuple[float, ...] = (0.8, 1.0, 1.2)
+    frequencies_hz: Tuple[float, ...] = (100e3, 847.5e3, 4e6)
+    countermeasures: Tuple[str, ...] = ("full", "none")
+    defenses: Tuple[str, ...] = ()
+    checkpoint_intervals: Tuple[int, ...] = ()
+    backends: Tuple[str, ...] = ()
     curve: str = "K-163"
     seed: int = 0
     whitebox: bool = False
@@ -96,8 +101,10 @@ class DesignSpaceSpec:
     max_latency_s: Optional[float] = 0.105
     max_area_ge: Optional[float] = None
     min_security: Optional[float] = 1.0
-    objectives: tuple = ("area_energy", "power", "security")
+    objectives: Tuple[str, ...] = ("area_energy", "power", "security")
     schema_version: int = DSE_SCHEMA_VERSION
+
+    _digest_chars = 16
 
     def __post_init__(self):
         for name in ("digit_sizes", "vdd_volts", "frequencies_hz",
@@ -176,48 +183,9 @@ class DesignSpaceSpec:
             raise SpaceValidationError(
                 "whitebox_traces must be at least 2")
 
-    # -- supervisor spec protocol --------------------------------------
-
     def to_dict(self) -> dict:
-        # Opt-in axes are omitted when empty so pre-axis specs keep
-        # their digests (and their pareto.json files) byte-identical.
-        extra = {}
-        if self.defenses:
-            extra["defenses"] = list(self.defenses)
-        if self.checkpoint_intervals:
-            extra["checkpoint_intervals"] = list(self.checkpoint_intervals)
-        if self.backends:
-            extra["backends"] = list(self.backends)
-        return {
-            **extra,
-            "digit_sizes": list(self.digit_sizes),
-            "vdd_volts": list(self.vdd_volts),
-            "frequencies_hz": list(self.frequencies_hz),
-            "countermeasures": list(self.countermeasures),
-            "curve": self.curve,
-            "seed": self.seed,
-            "whitebox": self.whitebox,
-            "whitebox_traces": self.whitebox_traces,
-            "max_latency_s": self.max_latency_s,
-            "max_area_ge": self.max_area_ge,
-            "min_security": self.min_security,
-            "objectives": list(self.objectives),
-            "schema_version": self.schema_version,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DesignSpaceSpec":
-        kwargs = dict(data)
-        for name in ("digit_sizes", "vdd_volts", "frequencies_hz",
-                     "countermeasures", "objectives", "defenses",
-                     "checkpoint_intervals", "backends"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return cls(**kwargs)
-
-    def digest(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
+        return {name: value for name, value in super().to_dict().items()
+                if value or name not in _OPT_IN_AXES}
 
     # -- measurement planning ------------------------------------------
 

@@ -38,6 +38,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..jsonspec import JsonSpec
 from .metrics import atomic_write_bytes
 
 __all__ = ["ALERTS_NAME", "ALERTS_SCHEMA", "RULE_KINDS", "SEVERITIES",
@@ -61,7 +62,7 @@ class AlertOrderingError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AlertRule:
+class AlertRule(JsonSpec):
     """One declarative rule; frozen so rulebooks are hashable specs."""
 
     name: str
@@ -95,19 +96,6 @@ class AlertRule:
         if self.kind != "invariant" and self.threshold <= 0:
             raise AlertRuleError(
                 f"rule {self.name!r}: threshold must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "series": self.series,
-            "kind": self.kind,
-            "threshold": self.threshold,
-            "window_s": self.window_s,
-            "clear_ratio": self.clear_ratio,
-            "sustain": self.sustain,
-            "severity": self.severity,
-            "description": self.description,
-        }
 
 
 class _RuleSourceState:

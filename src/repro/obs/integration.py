@@ -16,15 +16,11 @@ import it at module scope).
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from .metrics import MetricRegistry
 
 __all__ = ["record_store", "record_fleet_report", "record_intermittent_result",
            "record_amortized_report", "amortized_point_stats",
-           "fleet_spec_digest", "fleet_point_stats", "snapshot_value",
-           "snapshot_histogram"]
+           "fleet_point_stats", "snapshot_value", "snapshot_histogram"]
 
 
 def snapshot_value(snapshot: dict, name: str, **labels) -> float:
@@ -109,14 +105,6 @@ def record_store(registry: MetricRegistry, store,
 # ----------------------------------------------------------------------
 # fleet report -> registry (the `protocol soak` aggregation)
 # ----------------------------------------------------------------------
-
-def fleet_spec_digest(spec) -> str:
-    """Stable fingerprint of a FleetSpec (manifests, trace ids)."""
-    from dataclasses import asdict
-
-    payload = json.dumps(asdict(spec), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
 
 def _loss_label(frame_loss: float) -> str:
     return f"{frame_loss:g}"

@@ -53,6 +53,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..backends import AeadTagError, EngineTrace, get_backend
 from ..backends.base import SYMMETRIC_BACKEND_NAMES
 from ..channel import BodyAreaChannel, derive_channel_seed
+from ..jsonspec import JsonSpec
 from ..obs import runtime as _obs_runtime
 from ..soak import sweep_records
 from .fleet import DEFAULT_SWEEP, _loss_salt, validate_sweep
@@ -71,7 +72,7 @@ _HANDSHAKE_PROTOCOLS = ("peeters-hermans", "schnorr")
 
 
 @dataclass(frozen=True)
-class AmortizedSpec:
+class AmortizedSpec(JsonSpec):
     """Everything an amortized run depends on (and nothing else).
 
     ``epoch_messages`` is the forward-secrecy window — ``rekey_epoch``,
@@ -100,6 +101,8 @@ class AmortizedSpec:
     frequency_hz: float = 847.5e3
     messages_per_day: float = 24.0
     erase_keys: bool = True
+
+    _digest_chars = 16
 
     def __post_init__(self):
         if self.protocol not in _HANDSHAKE_PROTOCOLS:

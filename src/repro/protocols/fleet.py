@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 from typing import TYPE_CHECKING
 
 from ..channel import LossProfile
+from ..jsonspec import JsonSpec
 from ..obs import runtime as _obs_runtime
 from ..soak import fan_out, session_slices, sweep_records
 
@@ -62,11 +63,12 @@ def validate_sweep(sweep: Sequence[float]) -> None:
 
 
 @dataclass(frozen=True)
-class FleetSpec:
+class FleetSpec(JsonSpec):
     """Everything a fleet run depends on (and nothing else).
 
     The spec is the unit of reproducibility: two runs of the same spec
-    produce identical reports, whatever the worker count.
+    produce identical reports, whatever the worker count.  Its
+    :meth:`digest` stamps soak manifests and trace ids.
     """
 
     protocol: str = "peeters-hermans"
@@ -80,6 +82,8 @@ class FleetSpec:
     max_epochs: int = 12
     round_deadline_s: float = 0.08
     operations_per_day: float = 24.0
+
+    _digest_chars = 16
 
     def __post_init__(self):
         if self.protocol not in PROTOCOL_NAMES:
@@ -311,7 +315,7 @@ def _loss_salt(frame_loss: float) -> int:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PowerSoakSpec:
+class PowerSoakSpec(JsonSpec):
     """A fleet of intermittent-power sessions, each under its own
     seeded cut schedule.
 
@@ -330,6 +334,8 @@ class PowerSoakSpec:
     checkpoint_interval: int = 8
     randomize_z: bool = True
     max_power_cycles: int = 64
+
+    _digest_chars = 16
 
     def __post_init__(self):
         if self.sessions < 1:
@@ -618,7 +624,7 @@ def run_fleet(spec: FleetSpec, workers: Optional[int] = None,
     otherwise defaults to ``min(cpu, 8)`` like the campaign runner.
     ``progress`` is an optional callable ``(done, total)``.
     """
-    from ..obs.integration import fleet_spec_digest, record_fleet_report
+    from ..obs.integration import record_fleet_report
 
     rt = _obs_runtime.current()
     # Deterministic attrs only — no worker count, so two runs of the
@@ -626,7 +632,7 @@ def run_fleet(spec: FleetSpec, workers: Optional[int] = None,
     # parallelism.
     soak_span = rt.span(
         "protocol.soak", key=0, protocol=spec.protocol,
-        spec=fleet_spec_digest(spec), sessions=spec.sessions,
+        spec=spec.digest(), sessions=spec.sessions,
         points=len(spec.sweep),
     ) if rt is not None else contextlib.nullcontext()
     with soak_span as span:

@@ -48,6 +48,7 @@ from ..channel.frame import compress_point, decompress_point, \
     point_width_bytes
 from ..ec.curves import get_curve
 from ..ec.point import AffinePoint
+from ..jsonspec import JsonSpec
 from ..obs.metrics import atomic_write_bytes
 from .errors import EnrollmentError
 from ..protocols.database import TagDatabase
@@ -68,7 +69,7 @@ def _derive_scalar(seed: int, label: str, order: int) -> int:
 
 
 @dataclass(frozen=True)
-class EnrollmentSpec:
+class EnrollmentSpec(JsonSpec):
     """Everything that determines a fleet, and nothing else.
 
     ``digest()`` binds stores to soaks: a soak records the spec digest
@@ -92,28 +93,6 @@ class EnrollmentSpec:
                 f"unknown enrollment schema v{self.schema_version} "
                 f"(this build reads v{_SCHEMA_VERSION})"
             )
-
-    # -- identity ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "curve": self.curve,
-            "tags": self.tags,
-            "shard_size": self.shard_size,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnrollmentSpec":
-        return cls(tags=d["tags"], curve=d["curve"],
-                   shard_size=d["shard_size"], seed=d["seed"],
-                   schema_version=d.get("schema_version",
-                                        _SCHEMA_VERSION))
-
-    def digest(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     # -- derived crypto ------------------------------------------------
 
@@ -263,18 +242,6 @@ class EnrollmentReport:
     @property
     def complete(self) -> bool:
         return not self.quarantined
-
-    def to_dict(self) -> dict:
-        return {
-            "spec_digest": self.spec_digest,
-            "directory": self.directory,
-            "tags": self.tags,
-            "shards_total": self.shards_total,
-            "shards_built": self.shards_built,
-            "shards_reused": self.shards_reused,
-            "quarantined": list(self.quarantined),
-            "retried_attempts": self.retried_attempts,
-        }
 
 
 def _sweep_stale_tmp(directory: str) -> None:

@@ -56,6 +56,7 @@ from ..channel import (
     int_from_bytes,
     int_to_bytes,
 )
+from ..jsonspec import JsonSpec
 from ..obs import runtime as _obs_runtime
 from ..protocols.ops import OperationCount
 from ..protocols.peeters_hermans import PeetersHermansTag
@@ -87,7 +88,7 @@ _SHUTDOWN = object()
 
 
 @dataclass(frozen=True)
-class ServerConfig:
+class ServerConfig(JsonSpec):
     """Admission, deadline and search knobs of one server instance."""
 
     capacity: int = 256
@@ -117,25 +118,6 @@ class ServerConfig:
             raise ValueError("source session limit must be non-negative")
         if self.tag_budget_uj < 0:
             raise ValueError("tag budget must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "admission_queue": self.admission_queue,
-            "session_deadline_s": self.session_deadline_s,
-            "search_mode": self.search_mode,
-            "epoch_sessions": self.epoch_sessions,
-            "scheduler_window_s": self.scheduler_window_s,
-            "scheduler_max_batch": self.scheduler_max_batch,
-            "distance_m": self.distance_m,
-            "source_session_limit": self.source_session_limit,
-            "replay_quarantine": self.replay_quarantine,
-            "tag_budget_uj": self.tag_budget_uj,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ServerConfig":
-        return cls(**d)
 
 
 @dataclass

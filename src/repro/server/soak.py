@@ -22,12 +22,11 @@ fleet rulebook and the totals fold.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..channel import LossProfile, derive_channel_seed
+from ..jsonspec import JsonSpec
 from ..obs.alerts import default_rulebook
 from ..obs.metrics import MetricRegistry, strip_wall_metrics
 from ..obs.stream import make_event, spread_drain_events
@@ -53,7 +52,7 @@ SESSION_OUTCOMES = ("accepted", "rejected", "aborted", "deadline",
 
 
 @dataclass(frozen=True)
-class SoakSpec:
+class SoakSpec(JsonSpec):
     """Everything that determines a soak's results.
 
     ``store_dir`` is where the fleet lives — an environment fact, not
@@ -93,42 +92,11 @@ class SoakSpec:
         if self.tag_budget_uj < 0:
             raise ValueError("tag budget must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "enrollment_digest": self.enrollment_digest,
-            "store_dir": self.store_dir,
-            "sessions": self.sessions,
-            "cohorts": self.cohorts,
-            "arrival_rate": self.arrival_rate,
-            "frame_loss": self.frame_loss,
-            "seed": self.seed,
-            "capacity": self.capacity,
-            "admission_queue": self.admission_queue,
-            "session_deadline_s": self.session_deadline_s,
-            "search_mode": self.search_mode,
-            "distance_m": self.distance_m,
-            "adversarial_fraction": self.adversarial_fraction,
-            "throttle_limit": self.throttle_limit,
-            "replay_quarantine": self.replay_quarantine,
-            "tag_budget_uj": self.tag_budget_uj,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SoakSpec":
-        d = dict(d)
-        d.setdefault("schema_version", _SCHEMA_VERSION)
-        return cls(**d)
-
     def identity_dict(self) -> dict:
         """The digest's view: the spec minus environment facts."""
         identity = self.to_dict()
         del identity["store_dir"]
         return identity
-
-    def digest(self) -> str:
-        payload = json.dumps(self.identity_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def server_config(self) -> ServerConfig:
         return ServerConfig(

@@ -19,7 +19,7 @@ class TestValidation:
             CampaignSpec(n_traces=10, shard_size=0)
 
     def test_rejects_unknown_curve(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown curve 'P-256'"):
             CampaignSpec(n_traces=10, curve="P-256")
 
     def test_rejects_future_schema(self):

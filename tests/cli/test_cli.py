@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
+import shutil
+
 import pytest
 
 from repro.cli import (
@@ -244,6 +247,34 @@ class TestBadInput:
         assert code == 1
         assert f"{argv[0]} error:" in err
         assert "Traceback" not in err
+
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("campaign")
+        assert main(TestCampaignVerbs.ACQUIRE + ["--dir", str(directory)]) \
+            == 0
+        return directory
+
+    @pytest.mark.parametrize("verb, tamper", [
+        ("status", lambda m: m["spec"].update(bogus=1)),
+        ("attack", lambda m: m["spec"].update(n_traces="2")),
+        ("attack", lambda m: m["shards"][0].update(bogus=1)),
+    ], ids=["status-spec-extra-key", "attack-spec-str-traces",
+            "attack-shard-extra-key"])
+    def test_tampered_manifest_exits_1(self, campaign, tmp_path, capsys,
+                                       verb, tamper):
+        directory = tmp_path / "campaign"
+        shutil.copytree(campaign, directory)
+        manifest_path = directory / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        tamper(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = main(["campaign", verb, "--dir", str(directory)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("campaign error:")
+        assert err.count("\n") == 1
 
 
 class TestProtocolVerbs:

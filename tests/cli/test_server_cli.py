@@ -1,6 +1,7 @@
 """Tests for the ``server`` CLI group."""
 
 import json
+import shutil
 import urllib.request
 
 import pytest
@@ -95,6 +96,26 @@ class TestSoak:
                      "--dir", str(tmp_path / "out")])
         assert code == EXIT_FAILED
         assert "server error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tamper", [
+        lambda spec: spec.update(tags="20"),
+        lambda spec: spec.update(bogus=1),
+        lambda spec: spec.pop("seed"),
+    ], ids=["str-tags", "extra-key", "missing-key"])
+    def test_via_main_tampered_store(self, cli_fleet, tmp_path, capsys,
+                                     tamper):
+        store = tmp_path / "fleet"
+        shutil.copytree(cli_fleet, store)
+        manifest_path = store / "enrollment.json"
+        manifest = json.loads(manifest_path.read_text())
+        tamper(manifest["spec"])
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(["server", "soak", "--store", str(store),
+                     "--dir", str(tmp_path / "out"), "--workers", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAILED
+        assert err.startswith("server error:")
+        assert err.count("\n") == 1
 
 
 class TestRun:

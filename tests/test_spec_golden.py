@@ -23,7 +23,6 @@ from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ShardRecord
 from repro.dse.space import DesignSpaceSpec
 from repro.obs.alerts import AlertRule, default_rulebook
-from repro.obs.integration import fleet_spec_digest
 from repro.protocols.amortized import AmortizedSpec
 from repro.protocols.fleet import FleetSpec, PowerSoakSpec
 from repro.server.enrollment import EnrollmentSpec
@@ -129,7 +128,7 @@ def _dumps(payload):
 
 def _digest(spec):
     if isinstance(spec, FLEET_FAMILY):
-        return fleet_spec_digest(spec)
+        return spec.digest()
     return spec.digest()
 
 
