@@ -51,7 +51,7 @@ def _run_window(epoch):
             "sessions": point.sessions,
             "messages": point.messages,
             "delivered": point.delivered,
-            "keys_used": sum(r.keys_used for r in point.records),
+            "keys_used": point.keys_used,
             "delivery_rate": round(point.delivery_rate, 4),
             "uj_per_message": round(point.mean_uj_per_message, 4),
             "handshake_uj": round(point.mean_handshake_uj, 4),

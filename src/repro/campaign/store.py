@@ -39,7 +39,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ..ec.point import AffinePoint
-from ..jsonspec import JsonSpec
+from ..jsonspec import JsonSpec, _check_envelope
 from ..obs.metrics import atomic_write_bytes
 from .errors import DATA_INTEGRITY, CampaignError
 from .spec import SCHEMA_VERSION, CampaignSpec
@@ -207,9 +207,24 @@ class TraceStore:
         return removed
 
     def load(self) -> "TraceStore":
-        """Read the manifest; returns self for chaining."""
+        """Read the manifest; returns self for chaining.
+
+        A malformed envelope raises :class:`CampaignError` naming the
+        manifest and the key; a malformed spec or shard record raises
+        :class:`~repro.jsonspec.SpecError`.
+        """
         with open(self.manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
+        _check_envelope(manifest, self.manifest_path, CampaignError, {
+            "iteration_slices": (
+                "a list of [start, end] int pairs",
+                lambda pair: isinstance(pair, list) and len(pair) == 2
+                and all(type(bound) is int for bound in pair)),
+            "key_bits": ("a list of 0/1 ints",
+                         lambda bit: type(bit) is int and bit in (0, 1)),
+            "shards": ("a list of objects",
+                       lambda record: isinstance(record, dict)),
+        })
         if manifest.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(
                 f"manifest schema v{manifest.get('schema_version')} is not "
@@ -218,9 +233,8 @@ class TraceStore:
         self.spec = CampaignSpec.from_dict(manifest["spec"])
         self.iteration_slices = [tuple(s) for s in manifest["iteration_slices"]]
         self.key_bits = list(manifest["key_bits"])
-        self._shards = {
-            r["index"]: ShardRecord.from_dict(r) for r in manifest["shards"]
-        }
+        records = map(ShardRecord.from_dict, manifest["shards"])
+        self._shards = {record.index: record for record in records}
         return self
 
     def save_manifest(self) -> None:

@@ -311,73 +311,54 @@ def cmd_campaign_acquire(directory: str, spec, workers=None,
 def cmd_campaign_status(directory: str) -> str:
     """Manifest summary: progress, throughput, integrity.
 
-    Every number in this view is read back out of an obs metrics
-    snapshot built by :func:`repro.obs.integration.record_store` — the
-    one aggregation path shared with the exported metrics, so the
-    status line can never disagree with ``metrics.json``.
+    Progress and throughput come from the loaded store's shard
+    records; the failure line is :meth:`FailureLog.tally`, the same
+    tally ``campaign doctor`` prints.
     """
     from .campaign import TraceStore
     from .campaign.supervisor import FailureLog, Quarantine
-    from .obs.integration import record_store, snapshot_histogram, \
-        snapshot_value
-    from .obs.metrics import MetricRegistry
 
     store = TraceStore(directory)
     if not store.exists:
         return f"campaign {directory}: no manifest (nothing acquired yet)"
     store.load()
     spec = store.spec
+    records = store.shard_records
     missing = store.missing_shards()
-    log = FailureLog(directory)
-    quarantine = Quarantine(directory)
-    snapshot = record_store(MetricRegistry(), store, log,
-                            quarantine).snapshot()
-    n_traces = int(snapshot_value(snapshot, "repro_campaign_store_traces"))
-    n_shards = int(snapshot_value(snapshot, "repro_campaign_store_shards"))
-    walls = snapshot_histogram(snapshot,
-                               "repro_campaign_store_wall_seconds")
-    rate = snapshot_value(snapshot,
-                          "repro_campaign_store_rate_traces_per_second")
     lines = [
         f"campaign {directory}",
         f"  scenario: {spec.scenario}  curve: {spec.curve}  "
         f"seed: {spec.seed}",
-        f"  traces: {n_traces}/{spec.n_traces} "
-        f"({n_shards}/{spec.n_shards} shards, "
+        f"  traces: {store.n_traces_on_disk}/{spec.n_traces} "
+        f"({len(records)}/{spec.n_shards} shards, "
         f"shard size {spec.shard_size})",
         f"  coverage: {store.coverage().render()}",
         f"  missing shards: {missing if missing else 'none — complete'}",
     ]
-    quarantined = quarantine.entries()
+    quarantined = Quarantine(directory).entries()
     if quarantined:
         lines.append(
             f"  quarantined shards: {sorted(quarantined)} "
             f"(release with `campaign doctor --clear`)"
         )
+    log = FailureLog(directory)
     if log.exists:
-        by_kind = {
-            item["labels"]["kind"]: int(item["value"])
-            for item in snapshot["metrics"].get(
-                "repro_campaign_store_failures_total",
-                {"values": []})["values"]
-        }
-        kinds = ", ".join(f"{k}={n}" for k, n in sorted(by_kind.items()))
-        retries = int(snapshot_value(
-            snapshot, "repro_campaign_store_failure_actions_total",
-            action="retry"))
-        quarantines = int(snapshot_value(
-            snapshot, "repro_campaign_store_failure_actions_total",
-            action="quarantine"))
+        tally = log.tally()
+        kinds = ", ".join(f"{k}={n}"
+                          for k, n in sorted(tally["by_kind"].items()))
         lines.append(
             f"  failures: {kinds or 'none'} "
-            f"({retries} retried, "
-            f"{quarantines} quarantined) — {log.path}"
+            f"({tally['retries']} retried, "
+            f"{tally['quarantines']} quarantined) — {log.path}"
         )
-    if walls["count"]:
+    if records:
+        walls = [r.wall_seconds for r in records]
+        total = sum(walls)
+        rate = store.n_traces_on_disk / total if total > 0 else 0.0
         lines.append(
-            f"  acquisition wall: {walls['sum']:.2f}s total, "
+            f"  acquisition wall: {total:.2f}s total, "
             f"{rate:.1f} traces/s per worker "
-            f"(per-shard {walls['min']:.2f}-{walls['max']:.2f}s)"
+            f"(per-shard {min(walls):.2f}-{max(walls):.2f}s)"
         )
     return "\n".join(lines)
 

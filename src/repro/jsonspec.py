@@ -19,6 +19,11 @@ annotations, and the same fingerprint:
 Fields are JSON scalars (``bool``, ``int``, ``float``, ``str``),
 ``Optional`` scalars, or tuples of them.  A ``float`` field keeps an
 int as given, so a payload round-trips — and hashes — exactly.
+
+The manifests that carry specs on disk wrap them in an envelope of
+lists (a campaign's shard records and key bits, a fleet's shard
+entries); :func:`_check_envelope` checks that wrapper's shape before
+any spec is decoded, raising the store's own error type.
 """
 
 from __future__ import annotations
@@ -33,6 +38,28 @@ __all__ = ["JsonSpec", "SpecError"]
 
 class SpecError(ValueError):
     """A spec payload does not match its dataclass."""
+
+
+def _check_envelope(manifest, path: str, error: type, lists: dict,
+                    keys: tuple = ("spec",)) -> None:
+    """Check a manifest's envelope; raise ``error`` naming ``path``.
+
+    ``manifest`` must be a JSON object holding every key of ``keys``
+    and of ``lists``.  ``lists`` maps a key to ``(description,
+    item_ok)``: its value must be a list whose every item passes
+    ``item_ok`` (``type(x) is int`` keeps ``true``/``false`` out of
+    an int list).
+    """
+    if not isinstance(manifest, dict):
+        raise error(f"{path} must hold a JSON object, "
+                    f"got {type(manifest).__name__}")
+    for key in (*keys, *lists):
+        if key not in manifest:
+            raise error(f"{path} lacks {key!r}")
+    for key, (description, item_ok) in lists.items():
+        value = manifest[key]
+        if not isinstance(value, list) or not all(map(item_ok, value)):
+            raise error(f"{path}: {key!r} must be {description}")
 
 
 def _check(hint, value, where: str):

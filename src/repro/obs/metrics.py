@@ -1,12 +1,14 @@
 """Process-local metric registry: counters, gauges, histograms.
 
-The registry is the single aggregation surface of the reproduction:
-the campaign engine, the protocol fleet, the architecture simulator
-and the channel model all increment metrics here, and every summary a
-human reads (``campaign status``, ``protocol soak``, ``obs report``)
-is rendered *from a snapshot of this registry*, never from ad-hoc
-arithmetic scattered through the callers — so two views of the same
-run cannot drift apart.
+The registry is the export surface of the reproduction: the campaign
+engine, the protocol fleet, the architecture simulator and the channel
+model increment metrics here, a traced run writes the snapshot as
+``metrics.json``, and ``obs report`` / ``obs diff`` read it.  The
+printed summaries (``campaign status``, ``protocol soak``, ``protocol
+amortize``, ``power soak``) do not read it back: each renders from
+its report object, whose properties compute every figure once, and
+the recorders of :mod:`repro.obs.integration` export the same records
+as metric families.
 
 Metric names follow ``repro_<pkg>_<name>_<unit>`` (for example
 ``repro_campaign_traces_total`` or ``repro_arch_pointmult_cycles``);

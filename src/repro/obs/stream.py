@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .metrics import atomic_write_bytes
+from .metrics import _HistogramState, atomic_write_bytes
 from .quantile import PERCENTILES, percentiles_from_counts
 
 __all__ = ["TELEMETRY_NAME", "TELEMETRY_SCHEMA", "make_event",
@@ -110,16 +110,13 @@ def sort_events(events) -> List[dict]:
     return sorted(events, key=event_sort_key)
 
 
-class _SeriesState:
-    __slots__ = ("count", "sum", "min", "max", "bucket_counts",
-                 "window_sums", "peak_window", "peak_source")
+class _SeriesState(_HistogramState):
+    """A histogram series plus its per-source virtual-time windows."""
+
+    __slots__ = ("window_sums", "peak_window", "peak_source")
 
     def __init__(self, n_buckets: int):
-        self.count = 0
-        self.sum = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-        self.bucket_counts = [0] * n_buckets
+        super().__init__(n_buckets)
         #: open window accumulator per source: {source: [window, sum]}
         self.window_sums: Dict[str, list] = {}
         self.peak_window: Optional[Tuple[int, float]] = None
@@ -159,16 +156,7 @@ class StreamAggregator:
             if state is None:
                 state = self._series[name] = _SeriesState(
                     len(self.buckets))
-            state.count += 1
-            state.sum += value
-            state.min = value if state.min is None \
-                else min(state.min, value)
-            state.max = value if state.max is None \
-                else max(state.max, value)
-            for i, le in enumerate(self.buckets):
-                if value <= le:
-                    state.bucket_counts[i] += 1
-                    break
+            state.observe(value, self.buckets)
             open_window = state.window_sums.get(event["source"])
             if open_window is None or open_window[0] != window:
                 state.window_sums[event["source"]] = [window, value]

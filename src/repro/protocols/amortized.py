@@ -40,7 +40,7 @@ Fan-out (:func:`run_amortized_soak`) is the fleet's, through the soak
 kernel's :func:`repro.soak.sweep_records`: embarrassingly parallel
 sessions, records in session order, a
 :meth:`~AmortizedReport.summary_payload` of worker-invariant facts
-only, and a summary table rendered from the metrics read-back path.
+only, and a summary table rendered from the report's own figures.
 """
 
 from __future__ import annotations
@@ -460,6 +460,11 @@ class AmortizedPoint:
         return self.delivered / self.messages if self.messages else 0.0
 
     @property
+    def keys_used(self) -> int:
+        """Successful handshakes, one session key each."""
+        return sum(r.keys_used for r in self.records)
+
+    @property
     def total_uj(self) -> float:
         return sum(r.total_uj for r in self.records)
 
@@ -473,7 +478,7 @@ class AmortizedPoint:
     @property
     def mean_handshake_uj(self) -> float:
         """Mean cost of one successful handshake (= one session key)."""
-        keys = sum(r.keys_used for r in self.records)
+        keys = self.keys_used
         if not keys:
             return float("inf")
         return sum(r.handshake_uj for r in self.records) / keys
@@ -558,7 +563,7 @@ class AmortizedReport:
                     "frame_loss": p.frame_loss,
                     "delivered": p.delivered,
                     "messages": p.messages,
-                    "keys_used": sum(r.keys_used for r in p.records),
+                    "keys_used": p.keys_used,
                     "transcripts": {
                         str(r.session_index): r.transcript_digest
                         for r in sorted(p.records,
@@ -572,15 +577,15 @@ class AmortizedReport:
         }
 
     def summary(self) -> str:
-        """Render the sweep table from the obs metrics snapshot (the
-        read-back discipline of :meth:`FleetReport.summary`)."""
-        from ..obs.integration import amortized_point_stats, \
-            record_amortized_report
-        from ..obs.metrics import MetricRegistry
+        """Render the sweep table from this report's own figures.
 
+        The ``ext`` column and the amortization verdict both read
+        :attr:`AmortizedPoint.extension_factor` (the one-computation
+        rule of :meth:`FleetReport.summary`);
+        :func:`repro.obs.integration.record_amortized_report` exports
+        the same records as the ``repro_backends_*`` families.
+        """
         spec = self.spec
-        snapshot = record_amortized_report(MetricRegistry(),
-                                           self).snapshot()
         lines = [
             f"{spec.protocol} + {spec.backend} on {spec.curve}: "
             f"{spec.sessions} sessions x {spec.messages} messages, "
@@ -590,21 +595,22 @@ class AmortizedReport:
         ]
         degraded = []
         for p in sorted(self.points, key=lambda p: p.frame_loss):
-            stats = amortized_point_stats(snapshot, p.frame_loss)
+            handshake_uj = sum(r.handshake_uj for r in p.records)
+            message_uj = (sum(r.message_compute_uj for r in p.records)
+                          + sum(r.message_radio_uj for r in p.records))
             lines.append(
                 f"{p.frame_loss:>6.0%} "
-                f"{stats['delivery_rate']:>8.2%} "
-                f"{stats['keys_used']:>5d} "
-                f"{stats['handshake_uj']:>9.2f} "
-                f"{stats['message_uj']:>9.2f} "
-                f"{stats['uj_per_message']:>9.4f} "
-                f"{stats['extension_factor']:>6.1f} "
+                f"{p.delivery_rate:>8.2%} "
+                f"{p.keys_used:>5d} "
+                f"{handshake_uj:>9.2f} "
+                f"{message_uj:>9.2f} "
+                f"{p.mean_uj_per_message:>9.4f} "
+                f"{p.extension_factor:>6.1f} "
                 f"{p.lifetime_years(spec):>8.1f}"
             )
-            if stats["delivery_rate"] < 1.0:
+            if p.delivery_rate < 1.0:
                 degraded.append(
-                    f"{stats['delivered']}/{stats['messages']} "
-                    f"at {p.frame_loss:.0%}")
+                    f"{p.delivered}/{p.messages} at {p.frame_loss:.0%}")
         verdict = ["delivery: " + (
             "100% at every loss rate" if not degraded else
             "DEGRADED — " + ", ".join(degraded))]

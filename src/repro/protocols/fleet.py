@@ -205,21 +205,15 @@ class FleetReport:
         return all(b > a for a, b in zip(means, means[1:]))
 
     def summary(self) -> str:
-        """Render the sweep table from the obs metrics snapshot.
+        """Render the sweep table from this report's own figures.
 
-        Every figure here is read back out of a
-        :class:`~repro.obs.metrics.MetricRegistry` snapshot produced
-        by :func:`repro.obs.integration.record_fleet_report` — the
-        same aggregation path a live campaign exports — so the
-        rendered table can never drift from the exported metrics.
+        Every column is a :class:`SweepPoint` property and the energy
+        verdict is :attr:`energy_monotone`, so the table, the verdict
+        and the CLI's exit code read one computation.
+        :func:`repro.obs.integration.record_fleet_report` exports the
+        same records as the ``repro_fleet_*`` families of a traced run.
         """
-        from ..energy.budget import PACEMAKER_BUDGET
-        from ..obs.integration import fleet_point_stats, \
-            record_fleet_report
-        from ..obs.metrics import MetricRegistry
-
         spec = self.spec
-        snapshot = record_fleet_report(MetricRegistry(), self).snapshot()
         lines = [
             f"protocol {spec.protocol} on {spec.curve}, "
             f"{spec.sessions} sessions per point, seed {spec.seed}, "
@@ -228,36 +222,25 @@ class FleetReport:
             f"{'retx':>6} {'uJ/session':>11} {'life(y)':>8}",
         ]
         degraded = []
-        means = []
         for point in sorted(self.points, key=lambda p: p.frame_loss):
-            stats = fleet_point_stats(snapshot, point.frame_loss)
-            mean_j = stats["mean_initiator_uj"] * 1e-6
-            lifetime = (PACEMAKER_BUDGET.lifetime_years_at(
-                spec.operations_per_day, mean_j)
-                if mean_j > 0 else float("inf"))
             lines.append(
                 f"{point.frame_loss:>6.0%} "
-                f"{stats['availability']:>8.2%} "
-                f"{stats['mean_epochs']:>7.2f} "
-                f"{stats['mean_frames']:>7.2f} "
-                f"{stats['retransmissions']:>6d} "
-                f"{stats['mean_initiator_uj']:>11.2f} "
-                f"{lifetime:>8.1f}"
+                f"{point.availability:>8.2%} "
+                f"{point.mean_epochs:>7.2f} "
+                f"{point.mean_frames:>7.2f} "
+                f"{point.total_retransmissions:>6d} "
+                f"{point.mean_initiator_uj:>11.2f} "
+                f"{point.lifetime_years(spec):>8.1f}"
             )
-            means.append(stats["mean_initiator_uj"])
-            if stats["availability"] < 1.0:
-                degraded.append(
-                    f"{stats['accepted']}/{stats['sessions']} "
-                    f"at {point.frame_loss:.0%}"
-                )
-        verdict = []
-        verdict.append("availability: " + (
+            if point.availability < 1.0:
+                degraded.append(f"{point.successes}/{point.sessions} "
+                                f"at {point.frame_loss:.0%}")
+        verdict = ["availability: " + (
             "100% at every loss rate" if not degraded else
-            "DEGRADED — " + ", ".join(degraded)))
-        monotone = all(b > a for a, b in zip(means, means[1:]))
+            "DEGRADED — " + ", ".join(degraded))]
         verdict.append("energy vs loss: " + (
             "strictly increasing (reliability is paid in uJ)"
-            if monotone else "NOT monotone"))
+            if self.energy_monotone else "NOT monotone"))
         return "\n".join(lines + verdict)
 
 
@@ -502,27 +485,15 @@ class PowerSoakReport:
         }
 
     def summary(self) -> str:
-        """Render the soak table from the obs metrics snapshot (the
-        same read-back discipline as :meth:`FleetReport.summary`)."""
-        from ..obs.integration import record_intermittent_result, \
-            snapshot_histogram, snapshot_value
-        from ..obs.metrics import MetricRegistry
-
-        registry = MetricRegistry()
-        for record in self.records:
-            record_intermittent_result(registry, record)
-        snapshot = registry.snapshot()
+        """Render the soak table from this report's records and totals
+        (the same one-computation rule as :meth:`FleetReport.summary`;
+        :func:`repro.obs.integration.record_intermittent_result`
+        exports the records as the ``repro_intermittent_*`` families)."""
+        records = self.records
         sessions = self.sessions
-        uj = snapshot_histogram(snapshot, "repro_intermittent_session_uj")
-        ckpt_uj = snapshot_value(snapshot,
-                                 "repro_intermittent_energy_uj_total",
-                                 component="checkpoint")
-        wasted = snapshot_value(snapshot,
-                                "repro_intermittent_ladder_steps_total",
-                                kind="wasted")
-        productive = snapshot_value(snapshot,
-                                    "repro_intermittent_ladder_steps_total",
-                                    kind="productive")
+        wasted = sum(r.steps_wasted for r in records)
+        productive = sum(r.steps_executed - r.steps_wasted
+                         for r in records)
         lines = [
             f"power soak on {self.spec.curve}: {sessions} sessions, "
             f"seed {self.spec.seed}, cut seed {self.spec.cut_seed}, "
@@ -535,11 +506,12 @@ class PowerSoakReport:
             f"  nonce reuse on the wire: {self.total_nonce_reuse} "
             + ("(invariant held)" if self.total_nonce_reuse == 0
                else "(INVARIANT BROKEN — alert fired)"),
-            f"  ladder steps: {int(productive)} productive, "
-            f"{int(wasted)} re-executed after cuts",
-            f"  energy: {uj['sum']:.1f} uJ total "
-            f"({ckpt_uj:.1f} uJ on checkpoints), "
-            f"worst session {uj['max']:.1f} uJ" if uj["count"] else
+            f"  ladder steps: {productive} productive, "
+            f"{wasted} re-executed after cuts",
+            f"  energy: {sum(r.total_uj for r in records):.1f} uJ total "
+            f"({sum(r.checkpoint_uj for r in records):.1f} uJ on "
+            f"checkpoints), worst session "
+            f"{max(r.total_uj for r in records):.1f} uJ" if records else
             "  energy: none recorded",
             f"  outcome digest: {self.outcome_digest()[:16]}",
         ]

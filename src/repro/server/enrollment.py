@@ -48,7 +48,7 @@ from ..channel.frame import compress_point, decompress_point, \
     point_width_bytes
 from ..ec.curves import get_curve
 from ..ec.point import AffinePoint
-from ..jsonspec import JsonSpec
+from ..jsonspec import JsonSpec, _check_envelope
 from ..obs.metrics import atomic_write_bytes
 from .errors import EnrollmentError
 from ..protocols.database import TagDatabase
@@ -253,6 +253,24 @@ def _sweep_stale_tmp(directory: str) -> None:
                 pass
 
 
+def _read_manifest(path: str) -> dict:
+    """The fleet manifest at ``path``; a malformed envelope raises
+    :class:`EnrollmentError` naming the manifest and the key."""
+    with open(path, "r", encoding="utf-8") as f:
+        manifest = json.load(f)
+    _check_envelope(manifest, path, EnrollmentError, {
+        "shards": (
+            "a list of objects with int 'shard' and 'count' and str "
+            "'file' and 'sha256'",
+            lambda entry: isinstance(entry, dict)
+            and type(entry.get("shard")) is int
+            and type(entry.get("count")) is int
+            and isinstance(entry.get("file"), str)
+            and isinstance(entry.get("sha256"), str)),
+    }, keys=("spec", "spec_digest"))
+    return manifest
+
+
 def enroll_fleet(directory: str, spec: EnrollmentSpec, *,
                  workers: Optional[int] = None,
                  chaos: Optional[ChaosConfig] = None,
@@ -275,15 +293,14 @@ def enroll_fleet(directory: str, spec: EnrollmentSpec, *,
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     known: Dict[int, dict] = {}
     if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-        if manifest.get("spec_digest") != spec.digest():
+        manifest = _read_manifest(manifest_path)
+        if manifest["spec_digest"] != spec.digest():
             raise EnrollmentError(
                 f"directory {directory} holds a different fleet "
-                f"(manifest spec digest {manifest.get('spec_digest')!r}, "
+                f"(manifest spec digest {manifest['spec_digest']!r}, "
                 f"requested {spec.digest()!r})"
             )
-        for entry in manifest.get("shards", []):
+        for entry in manifest["shards"]:
             known[entry["shard"]] = entry
 
     expected_sizes = {
@@ -376,8 +393,7 @@ class EnrollmentStore:
                 f"no enrollment manifest in {self.directory} "
                 f"(run `server enroll` first)"
             )
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
+        manifest = _read_manifest(manifest_path)
         if manifest.get("schema_version") != _SCHEMA_VERSION:
             raise EnrollmentError(
                 f"manifest schema v{manifest.get('schema_version')} "
@@ -404,7 +420,7 @@ class EnrollmentStore:
         """Re-hash every shard file against the manifest."""
         for entry in self._entries:
             path = os.path.join(self.directory, entry["file"])
-            if not os.path.exists(path):
+            if not os.path.isfile(path):
                 raise EnrollmentError(f"shard file missing: {entry['file']}")
             if file_digest(path) != entry["sha256"]:
                 raise EnrollmentError(

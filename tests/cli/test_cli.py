@@ -276,6 +276,34 @@ class TestBadInput:
         assert err.startswith("campaign error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("verb", ["status", "attack"])
+    @pytest.mark.parametrize("tamper", [
+        lambda m: dict(m, shards=5),
+        lambda m: [m],
+        lambda m: {k: v for k, v in m.items() if k != "key_bits"},
+        lambda m: dict(m, shards=[7]),
+        lambda m: dict(m, key_bits=[2]),
+        lambda m: dict(m, iteration_slices=[[0, "9"]]),
+    ], ids=["int-shards", "list-root", "missing-key-bits",
+            "int-shard-record", "key-bit-2", "str-slice-end"])
+    def test_tampered_envelope_exits_1(self, campaign, tmp_path, capsys,
+                                       verb, tamper):
+        """A malformed envelope around the spec (the root object, the
+        shard list, the key bits, the iteration slices) is reported
+        as one line naming the manifest and the key."""
+        directory = tmp_path / "campaign"
+        shutil.copytree(campaign, directory)
+        manifest_path = directory / "manifest.json"
+        manifest_path.write_text(json.dumps(
+            tamper(json.loads(manifest_path.read_text()))))
+        capsys.readouterr()
+        code = main(["campaign", verb, "--dir", str(directory)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("campaign error:")
+        assert err.count("\n") == 1
+        assert str(manifest_path) in err
+
 
 class TestProtocolVerbs:
     """`repro protocol run|soak` — resilient sessions from the CLI."""

@@ -117,6 +117,35 @@ class TestSoak:
         assert err.startswith("server error:")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("tamper", [
+        lambda m: dict(m, shards=5),
+        lambda m: dict(m, shards=[7] + m["shards"][1:]),
+        lambda m: [m],
+        lambda m: dict(m, shards=[{k: v for k, v in e.items()
+                                   if k != "shard"}
+                                  for e in m["shards"]]),
+        lambda m: {k: v for k, v in m.items() if k != "shards"},
+        lambda m: dict(m, shards=[dict(e, count="48")
+                                  for e in m["shards"]]),
+    ], ids=["int-shards", "int-entry", "list-root", "entry-lacks-shard",
+            "missing-shards", "str-count"])
+    def test_via_main_tampered_envelope(self, cli_fleet, tmp_path, capsys,
+                                        tamper):
+        """A malformed envelope around the enrollment spec is reported
+        as one line naming the manifest."""
+        store = tmp_path / "fleet"
+        shutil.copytree(cli_fleet, store)
+        manifest_path = store / "enrollment.json"
+        manifest_path.write_text(json.dumps(
+            tamper(json.loads(manifest_path.read_text()))))
+        code = main(["server", "soak", "--store", str(store),
+                     "--dir", str(tmp_path / "out"), "--workers", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAILED
+        assert err.startswith("server error:")
+        assert err.count("\n") == 1
+        assert str(manifest_path) in err
+
 
 class TestRun:
     def test_run_without_metrics(self, cli_fleet):

@@ -16,10 +16,19 @@ from repro.intermittent import (
     run_with_schedule,
 )
 from repro.obs import runtime as obs_runtime
-from repro.obs.integration import snapshot_value
 from repro.obs.report import energy_rollup, load_metrics, load_spans
 
 SPEC = IntermittentSpec(curve="TOY-B17", seed=2013)
+
+
+def snapshot_value(snapshot: dict, name: str, **labels) -> float:
+    """One counter series out of a ``metrics.json`` snapshot (0.0 when
+    the series is absent)."""
+    wanted = {key: str(value) for key, value in labels.items()}
+    for item in snapshot["metrics"].get(name, {"values": []})["values"]:
+        if item["labels"] == wanted:
+            return float(item["value"])
+    return 0.0
 
 
 @pytest.fixture(scope="module")

@@ -153,22 +153,46 @@ class TestObservability:
 
 
 class TestMetricsReadback:
-    def test_soak_records_the_registry(self, tmp_path):
-        from repro.obs.integration import amortized_point_stats
+    """The exported ``repro_backends_*`` families agree with the
+    report the summary table renders."""
 
+    def test_soak_records_the_registry(self, tmp_path):
         obs_dir = os.path.join(str(tmp_path),
                                obs_runtime.OBS_DIRNAME)
         with obs_runtime.session(obs_dir, kind="amortized",
                                  seed=SPEC.seed) as rt:
             report = run_amortized_soak(SPEC, workers=0)
-            snapshot = rt.registry.snapshot()
+        registry = rt.registry
+        messages = registry.get("repro_backends_messages_total")
+        handshakes = registry.get("repro_backends_handshakes_total")
+        energy = registry.get("repro_backends_energy_uj_total")
         for point in report.points:
-            stats = amortized_point_stats(snapshot, point.frame_loss)
-            assert stats["delivered"] == point.delivered
-            assert stats["uj_per_message"] == pytest.approx(
-                point.mean_uj_per_message, rel=1e-6)
-            assert stats["extension_factor"] == pytest.approx(
-                point.extension_factor, rel=1e-6)
-        assert "summary" in dir(report)
+            loss = f"{point.frame_loss:g}"
+            records = point.records
+            assert registry.get("repro_backends_sessions_total").value(
+                loss=loss) == point.sessions
+            delivered = messages.value(loss=loss, outcome="delivered")
+            assert delivered == point.delivered
+            assert delivered + messages.value(loss=loss, outcome="failed") \
+                == point.messages
+            assert registry.get("repro_backends_delivery_rate").value(
+                loss=loss) == point.delivery_rate
+            assert handshakes.value(loss=loss, outcome="keyed") \
+                == point.keys_used
+            assert handshakes.value(loss=loss, outcome="failed") == sum(
+                r.handshakes_failed for r in records)
+            uj = {component: energy.value(loss=loss, component=component)
+                  for component in ("handshake", "message_compute",
+                                    "message_radio")}
+            for component, value in uj.items():
+                assert value == sum(getattr(r, f"{component}_uj")
+                                    for r in records)
+            message_uj = uj["message_compute"] + uj["message_radio"]
+            assert (uj["handshake"] + message_uj) / delivered == \
+                pytest.approx(point.mean_uj_per_message, rel=1e-12)
+            baseline = uj["handshake"] / point.keys_used \
+                + message_uj / delivered
+            assert baseline * delivered / (uj["handshake"] + message_uj) \
+                == pytest.approx(point.extension_factor, rel=1e-12)
         text = report.summary()
         assert "forward-secrecy window" in text
