@@ -23,8 +23,8 @@ Nothing here depends on anything outside the stdlib; the rest of the
 package depends on it (guarded, so tracing off costs one global
 read).  :mod:`.runtime` owns the on/off switch and worker
 propagation, :mod:`.report` reads a finished run back, and
-:mod:`.integration` is the single aggregation path behind ``campaign
-status`` and ``protocol soak``.
+:mod:`.integration` exports the soak reports as metric families
+(the printed summaries render from the reports themselves).
 """
 
 from .alerts import (
