@@ -160,6 +160,13 @@ class EccCoprocessor:
             self.config.clock_branch_mismatch,
             leaf_load=float(field.m),
         )
+        # A cycle's clock contribution depends only on which register
+        # (if any) it writes, so it is tabulated once.
+        self._clock_idle = self.clock_tree.cycle_contribution([])
+        self._clock_write = [
+            self.clock_tree.cycle_contribution([r])
+            for r in range(total_registers)
+        ]
 
     # ------------------------------------------------------------------
     # public API
@@ -488,9 +495,15 @@ class EccCoprocessor:
 
     def _exec(self, opcode: Opcode, rd: int, ra: int = -1, rb: int = -1,
               immediate: Optional[int] = None) -> None:
-        """Execute one instruction, appending its per-cycle activity."""
+        """Execute one instruction, appending its per-cycle activity.
+
+        The instruction's ``fetch_overhead`` fetch cycles come first,
+        then one cycle per datapath activity entry; the register write
+        lands on the last cycle and the pending control weight on the
+        first.
+        """
         regs = self.registers
-        start_cycle = self._cycle
+        config = self.config
         if opcode is Opcode.MUL:
             result, activity = self.malu.multiply(regs.read(ra), regs.read(rb))
         elif opcode is Opcode.SQR:
@@ -499,53 +512,47 @@ class EccCoprocessor:
             result, activity = self.malu.add(regs.read(ra), regs.read(rb))
         elif opcode is Opcode.MOV:
             result = regs.read(ra)
-            activity = [bin(result).count("1")]
+            activity = [result.bit_count()]
         elif opcode is Opcode.LDI:
             if immediate is None:
                 raise ValueError("LDI requires an immediate")
             result = immediate
-            activity = [bin(result).count("1")]
+            activity = [result.bit_count()]
         else:  # pragma: no cover - enum is closed
             raise ValueError(f"unknown opcode {opcode}")
 
-        for _ in range(self.config.fetch_overhead):
-            self._emit_cycle(FETCH_ACTIVITY, 0.0, [])
-        last = len(activity) - 1
-        for i, toggles in enumerate(activity):
-            datapath = float(toggles)
-            register_hd = 0.0
-            written = []
-            if i == last:
-                event = regs.write(rd, result, self._cycle)
-                register_hd = float(event.hamming_distance)
-                written = [rd]
-                if not self.config.input_isolation:
-                    # Register update ripples into the datapath inputs.
-                    datapath += ISOLATION_LEAK_WEIGHT * register_hd
-            if self.config.glitch_factor:
-                # Glitches add toggles superlinearly in the activity.
-                datapath += (
-                    self.config.glitch_factor * datapath * datapath
-                    / self.domain.field.m
-                )
-            self._emit_cycle(datapath, register_hd, written)
-        self._trace.instructions.append(
+        trace = self._trace
+        start_cycle = self._cycle
+        fetch = config.fetch_overhead
+        cycles = fetch + len(activity)
+        event = regs.write(rd, result, start_cycle + cycles - 1)
+        register_hd = float(event.hamming_distance)
+        datapath = [float(toggles) for toggles in activity]
+        if not config.input_isolation:
+            # Register update ripples into the datapath inputs.
+            datapath[-1] += ISOLATION_LEAK_WEIGHT * register_hd
+        glitch = config.glitch_factor
+        if glitch:
+            # Glitches add toggles superlinearly in the activity.
+            m = self.domain.field.m
+            datapath = [x + glitch * x * x / m for x in datapath]
+        trace.datapath.extend([FETCH_ACTIVITY] * fetch)
+        trace.datapath.extend(datapath)
+        trace.register.extend([0.0] * (cycles - 1))
+        trace.register.append(register_hd)
+        trace.control.append(self._pending_control)
+        trace.control.extend([0.0] * (cycles - 1))
+        self._pending_control = 0.0
+        trace.clock.extend([self._clock_idle] * (cycles - 1))
+        trace.clock.append(self._clock_write[rd])
+        self._cycle += cycles
+        trace.instructions.append(
             Instruction(
                 opcode=opcode,
                 rd=rd,
                 ra=ra,
                 rb=rb,
-                cycles=self.config.fetch_overhead + len(activity),
+                cycles=cycles,
                 start_cycle=start_cycle,
             )
         )
-
-    def _emit_cycle(self, datapath: float, register_hd: float,
-                    written: list) -> None:
-        trace = self._trace
-        trace.datapath.append(datapath)
-        trace.register.append(register_hd)
-        trace.control.append(self._pending_control)
-        self._pending_control = 0.0
-        trace.clock.append(self.clock_tree.cycle_contribution(written))
-        self._cycle += 1

@@ -59,13 +59,13 @@ class Malu:
         """
         if self.dedicated_squarer:
             result = self.field.square_raw(a)
-            return result, [bin(a ^ result).count("1")]
+            return result, [(a ^ result).bit_count()]
         return self.multiply(a, a)
 
     def add(self, a: int, b: int) -> tuple[int, list]:
         """Field addition (XOR): one cycle; activity = result bus toggles."""
         result = a ^ b
-        return result, [bin(result).count("1")]
+        return result, [result.bit_count()]
 
     def __repr__(self) -> str:
         squarer = "dedicated" if self.dedicated_squarer else "on-multiplier"

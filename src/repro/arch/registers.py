@@ -27,7 +27,7 @@ class RegisterWrite:
     @property
     def hamming_distance(self) -> int:
         """Bit toggles caused by this write."""
-        return bin(self.old_value ^ self.new_value).count("1")
+        return (self.old_value ^ self.new_value).bit_count()
 
 
 class RegisterFile:

@@ -66,6 +66,14 @@ class DigitSerialMultiplier:
     result is reduced below degree m — exactly the interleaved
     multiply-reduce datapath of the hardware.
 
+    The sum ``(acc << d) ^ a * digit`` exceeds degree m by fewer than
+    ``d`` bits.  Reduction is linear, so for ``d <= 8`` each cycle
+    reduces it in one step, through a per-instance table of
+    ``field.reduce(h << m)`` for every ``h < 2**d``; wider digits
+    reduce it with one ``field.reduce`` call.  Either way the
+    accumulator equals the reduction of the shifted accumulator and of
+    the partial product done separately, bit for bit.
+
     Parameters
     ----------
     field:
@@ -82,6 +90,10 @@ class DigitSerialMultiplier:
         self.field = field
         self.digit_size = digit_size
         self.num_digits = math.ceil(field.m / digit_size)
+        self._fold = None
+        if digit_size <= 8:
+            self._fold = [field.reduce(h << field.m)
+                          for h in range(1 << digit_size)]
 
     @property
     def cycles_per_multiplication(self) -> int:
@@ -93,7 +105,11 @@ class DigitSerialMultiplier:
 
         The returned product equals ``field.mul_raw(a, b)`` — the
         datapath model is bit-exact against the reference arithmetic.
+        Both operands must be reduced field values, in ``[0, 2**m)``
+        (register contents); anything else raises ``ValueError``.
         """
+        if a < 0 or b < 0 or (a | b) >> self.field.m:
+            raise ValueError("operands must be field values in [0, 2^m)")
         if _obs_profile.enabled():
             t0 = _perf_counter()
             result = self._multiply(a, b)
@@ -102,17 +118,16 @@ class DigitSerialMultiplier:
         return self._multiply(a, b)
 
     def _multiply(self, a: int, b: int) -> tuple[int, MultiplicationTrace]:
-        f = self.field
+        m = self.field.m
         d = self.digit_size
-        mask = (1 << f.m) - 1
+        mask = (1 << m) - 1
         digit_mask = (1 << d) - 1
-        trace = MultiplicationTrace(digit_size=d)
+        fold = self._fold
         # For small digits, precompute the 2^d partial products
         # a * digit; for wide digits fall back to a carry-less multiply
         # per cycle (the hardware analogue is a d-bit row of partial
         # product generators either way).
-        partials = None
-        if d <= 8:
+        if fold is not None:
             partials = [0] * (1 << d)
             for i in range(1, 1 << d):
                 low_bit = i & -i
@@ -123,18 +138,31 @@ class DigitSerialMultiplier:
         # glitching grows with depth.  Per-cycle toggles ~ HW(a) * d/2,
         # scaled by the tree-depth glitch factor.
         glitch_factor = 1.0 + 0.3 * math.log2(d) if d > 1 else 1.0
-        per_cycle_array = bin(a).count("1") * d / 2.0 * glitch_factor
+        per_cycle_array = a.bit_count() * d / 2.0 * glitch_factor
+        states = []
+        distances = []
         acc = 0
-        for digit_index in range(self.num_digits - 1, -1, -1):
-            digit = (b >> (digit_index * d)) & digit_mask
-            shifted = f.reduce(acc << d)
-            partial = partials[digit] if partials is not None else clmul(a, digit)
-            new_acc = f.reduce(shifted ^ partial)
-            toggles = bin((acc ^ new_acc) & mask).count("1")
-            acc = new_acc
-            trace.accumulator_states.append(acc)
-            trace.hamming_distances.append(toggles)
-            trace.array_activity.append(per_cycle_array)
+        shifts = range((self.num_digits - 1) * d, -1, -d)
+        if fold is not None:
+            for shift in shifts:
+                value = (acc << d) ^ partials[(b >> shift) & digit_mask]
+                new_acc = (value & mask) ^ fold[value >> m]
+                distances.append((acc ^ new_acc).bit_count())
+                acc = new_acc
+                states.append(acc)
+        else:
+            reduce = self.field.reduce
+            for shift in shifts:
+                new_acc = reduce((acc << d) ^ clmul(a, (b >> shift) & digit_mask))
+                distances.append((acc ^ new_acc).bit_count())
+                acc = new_acc
+                states.append(acc)
+        trace = MultiplicationTrace(
+            digit_size=d,
+            accumulator_states=states,
+            hamming_distances=distances,
+            array_activity=[per_cycle_array] * len(states),
+        )
         return acc, trace
 
     def __repr__(self) -> str:

@@ -68,8 +68,9 @@ class BinaryField:
         self.modulus = modulus
         self._mask = (1 << m) - 1
         # Tail of the modulus: modulus = x^m + tail, deg(tail) < m.
-        # Reduction folds the high part against the tail.
-        self._tail = modulus ^ (1 << m)
+        # Reduction folds the high part against the tail's terms.
+        tail = modulus ^ (1 << m)
+        self._tail_exponents = tuple(e for e in range(m) if tail >> e & 1)
 
     # ------------------------------------------------------------------
     # element construction
@@ -105,17 +106,22 @@ class BinaryField:
     def reduce(self, value: int) -> int:
         """Reduce an arbitrary-degree polynomial modulo the field modulus.
 
-        Uses tail-folding: while ``value`` has degree >= m, split it as
+        Tail-folding: while ``value`` has degree >= m, split it as
         ``low + x^m * high`` and replace ``x^m * high`` by
-        ``tail * high``.  Each fold strictly lowers the degree, and for
-        the sparse NIST polynomials it converges in two folds.
+        ``tail * high``, which is ``high << e`` XORed over the exponents
+        ``e`` of the tail.  Each fold strictly lowers the degree, since
+        deg(tail) < m, so the loop ends for any modulus; for the sparse
+        NIST polynomials a product of two field elements takes two.
         """
-        tail = self._tail
-        mask = self._mask
+        if value < 0:
+            raise ValueError("polynomials are represented by non-negative integers")
         m = self.m
-        while value >> m:
+        high = value >> m
+        while high:
+            value &= self._mask
+            for e in self._tail_exponents:
+                value ^= high << e
             high = value >> m
-            value = (value & mask) ^ clmul(high, tail)
         return value
 
     def add_raw(self, a: int, b: int) -> int:

@@ -48,7 +48,7 @@ def clmul(a: int, b: int) -> int:
         raise ValueError("polynomials are represented by non-negative integers")
     if a == 0 or b == 0:
         return 0
-    # Keep the table built from the shorter operand.
+    # Build the table from the longer operand and scan the shorter one.
     if a.bit_length() < b.bit_length():
         a, b = b, a
     table = [0] * (1 << _WINDOW)
@@ -101,15 +101,29 @@ def poly_gcd(a: int, b: int) -> int:
 
 
 def poly_egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return ``(g, s, t)`` with ``s*a + t*b = g = gcd(a, b)``."""
+    """Extended Euclid: return ``(g, s, t)`` with ``s*a + t*b = g = gcd(a, b)``.
+
+    Each division step cancels the leading term of the remainder with
+    ``r << shift``, one quotient term ``x^shift`` at a time, and applies
+    the same shift to the cofactors: ``q*s`` is the XOR of ``s << shift``
+    over the terms of ``q``, so no quotient or product is ever formed.
+    """
+    if a < 0 or b < 0:
+        raise ValueError("polynomials are represented by non-negative integers")
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
     while r:
-        q, rem = poly_divmod(old_r, r)
-        old_r, r = r, rem
-        old_s, s = s, old_s ^ clmul(q, s)
-        old_t, t = t, old_t ^ clmul(q, t)
+        length = r.bit_length()
+        shift = old_r.bit_length() - length
+        while shift >= 0:
+            old_r ^= r << shift
+            old_s ^= s << shift
+            old_t ^= t << shift
+            shift = old_r.bit_length() - length
+        old_r, r = r, old_r
+        old_s, s = s, old_s
+        old_t, t = t, old_t
     return old_r, old_s, old_t
 
 
