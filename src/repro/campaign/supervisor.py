@@ -44,6 +44,7 @@ from .chaos import ChaosConfig, chaos_acquire_shard
 from .errors import (
     DATA_INTEGRITY,
     TRANSIENT,
+    CampaignError,
     classify_exception,
 )
 from .spec import CampaignSpec, derive_seed
@@ -115,6 +116,25 @@ class RetryPolicy:
 # failure log + quarantine (the on-disk state)
 # ----------------------------------------------------------------------
 
+#: Keys (and types) of a ``failures.jsonl`` event that readers rely on.
+_EVENT_FIELDS = {"shard": int, "attempt": int, "kind": str,
+                 "reason": str, "action": str}
+#: Keys (and types) of a ``quarantine.json`` entry.
+_QUARANTINE_FIELDS = {"kind": str, "reason": str, "attempts": int}
+
+
+def _check_fields(value, fields: dict, where: str) -> None:
+    """Raise :class:`CampaignError` unless ``value`` is a JSON object
+    holding every key of ``fields`` with that exact type."""
+    if not isinstance(value, dict):
+        raise CampaignError(f"{where} must be a JSON object, "
+                            f"got {type(value).__name__}")
+    for key, kind in fields.items():
+        if type(value.get(key)) is not kind:
+            raise CampaignError(
+                f"{where}: {key!r} must be {kind.__name__}")
+
+
 @dataclass(frozen=True)
 class FailureEvent:
     """One failed shard attempt and what the supervisor did about it."""
@@ -150,7 +170,8 @@ class FailureLog:
 
     One JSON object per line, flushed per event, so the history
     survives whatever killed the campaign.  Reading tolerates a
-    truncated final line (a crash mid-append) by skipping it.
+    truncated line (a crash mid-append) by skipping it; a line that
+    parses but is not an event raises :class:`CampaignError`.
     """
 
     def __init__(self, directory: str):
@@ -177,14 +198,17 @@ class FailureLog:
             return []
         events = []
         with open(self.path, "r", encoding="utf-8") as f:
-            for line in f:
+            for number, line in enumerate(f, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    events.append(json.loads(line))
+                    event = json.loads(line)
                 except json.JSONDecodeError:
-                    continue   # torn final line from a crashed appender
+                    continue   # torn line from a crashed appender
+                _check_fields(event, _EVENT_FIELDS,
+                              f"{self.path} line {number}")
+                events.append(event)
         return events
 
     def tally(self) -> dict:
@@ -219,12 +243,33 @@ class Quarantine:
         return os.path.join(self.directory, QUARANTINE_NAME)
 
     def entries(self) -> dict:
-        """``{shard_index: {kind, reason, attempts}}`` currently held."""
+        """``{shard_index: {kind, reason, attempts}}`` currently held.
+
+        A file of any other shape raises :class:`CampaignError` naming
+        it.
+        """
         if not os.path.exists(self.path):
             return {}
         with open(self.path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-        return {int(k): v for k, v in raw.get("shards", {}).items()}
+            try:
+                raw = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise CampaignError(f"{self.path}: {exc}") from None
+        if not isinstance(raw, dict):
+            raise CampaignError(f"{self.path} must hold a JSON object, "
+                                f"got {type(raw).__name__}")
+        shards = raw.get("shards", {})
+        if not isinstance(shards, dict):
+            raise CampaignError(f"{self.path}: 'shards' must be an object")
+        entries = {}
+        for key, entry in shards.items():
+            if not key.isdecimal():
+                raise CampaignError(
+                    f"{self.path}: shard key {key!r} is not an index")
+            _check_fields(entry, _QUARANTINE_FIELDS,
+                          f"{self.path} shard {key}")
+            entries[int(key)] = entry
+        return entries
 
     def indices(self) -> list:
         return sorted(self.entries())

@@ -133,6 +133,39 @@ class TestFailureLog:
         assert len(log.events()) == 1
         assert log.tally()["retries"] == 1
 
+    def test_skips_an_undecodable_line_before_later_events(self, tmp_path):
+        log = FailureLog(str(tmp_path))
+        with open(log.path, "w") as f:
+            f.write('{"shard": 9, "attempt"\n')
+        log.append(self._event())
+        assert [e["shard"] for e in log.events()] == [2]
+
+    @pytest.mark.parametrize("line, problem", [
+        ("5", "must be a JSON object, got int"),
+        ("[1, 2]", "must be a JSON object, got list"),
+        ('"retry"', "must be a JSON object, got str"),
+        ("null", "must be a JSON object, got NoneType"),
+        ('{"shard": 1}', "'attempt' must be int"),
+        ('{"shard": "1", "attempt": 0, "kind": "transient", '
+         '"reason": "r", "action": "retry"}', "'shard' must be int"),
+        ('{"shard": 1, "attempt": 0, "kind": "transient", '
+         '"reason": 7, "action": "retry"}', "'reason' must be str"),
+    ], ids=["int", "list", "string", "null", "missing-attempt",
+            "str-shard", "int-reason"])
+    def test_non_event_line_raises_naming_the_line(self, tmp_path, line,
+                                                   problem):
+        log = FailureLog(str(tmp_path))
+        log.append(self._event())
+        with open(log.path, "a") as f:
+            f.write(line + "\n")
+        log.append(self._event())
+        with pytest.raises(CampaignError) as info:
+            log.events()
+        assert f"{log.path} line 2" in str(info.value)
+        assert problem in str(info.value)
+        with pytest.raises(CampaignError):
+            log.tally()
+
 
 class TestQuarantine:
     def test_persists_across_instances(self, tmp_path):
@@ -151,6 +184,32 @@ class TestQuarantine:
         assert quarantine.clear() == [1, 3]
         assert not os.path.exists(quarantine.path)
         assert Quarantine(str(tmp_path)).entries() == {}
+
+    @pytest.mark.parametrize("text, problem", [
+        ("[1]", "must hold a JSON object, got list"),
+        ("5", "must hold a JSON object, got int"),
+        ('{"shards": [1]}', "'shards' must be an object"),
+        ('{"shards": 5}', "'shards' must be an object"),
+        ('{"shards": {"x": {"kind": "transient", "reason": "r", '
+         '"attempts": 1}}}', "shard key 'x' is not an index"),
+        ('{"shards": {"1": 5}}', "shard 1 must be a JSON object, got int"),
+        ('{"shards": {"1": {"kind": "transient", "reason": "r"}}}',
+         "shard 1: 'attempts' must be int"),
+        ('{"shards": {"1": {"kind": 3, "reason": "r", "attempts": 1}}}',
+         "shard 1: 'kind' must be str"),
+        ('{"shards": ', "quarantine.json: Expecting value"),
+    ], ids=["list-root", "int-root", "list-shards", "int-shards", "str-key",
+            "int-entry", "missing-attempts", "int-kind", "truncated"])
+    def test_malformed_file_raises_naming_it(self, tmp_path, text, problem):
+        quarantine = Quarantine(str(tmp_path))
+        with open(quarantine.path, "w") as f:
+            f.write(text)
+        with pytest.raises(CampaignError) as info:
+            quarantine.entries()
+        assert quarantine.path in str(info.value)
+        assert problem in str(info.value)
+        with pytest.raises(CampaignError):
+            quarantine.indices()
 
 
 class TestInlineSupervision:
