@@ -52,7 +52,8 @@ DEFAULT_SWEEP: Tuple[float, ...] = (0.0, 0.05, 0.10, 0.20)
 def validate_sweep(sweep: Sequence[float]) -> None:
     """A sweep is one or more distinct loss rates in [0, 1): results
     are keyed by loss rate, so a repeated rate would be run and counted
-    twice."""
+    twice.  Exported series are labelled ``f"{loss:g}"``, so two rates
+    with the same label (0.1 and 0.1000001) are refused as well."""
     if not sweep:
         raise ValueError("sweep needs at least one loss rate")
     for loss in sweep:
@@ -60,6 +61,13 @@ def validate_sweep(sweep: Sequence[float]) -> None:
             raise ValueError(f"loss rate {loss} outside [0, 1)")
     if len(set(sweep)) != len(sweep):
         raise ValueError(f"sweep repeats a loss rate: {tuple(sweep)}")
+    labelled: dict = {}
+    for loss in sweep:
+        other = labelled.setdefault(f"{loss:g}", loss)
+        if other != loss:
+            raise ValueError(f"loss rates {other!r} and {loss!r} share "
+                             f"the label {loss:g}; make them differ "
+                             "within six significant digits")
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,36 @@ class TestBadInput:
         assert err.count("\n") == 1
         assert str(manifest_path) in err
 
+    @pytest.mark.parametrize("verb, name, text", [
+        ("status", "failures.jsonl", "5\n"),
+        ("doctor", "failures.jsonl", "5\n"),
+        ("doctor", "failures.jsonl", '{"shard": 0, "attempt": "1"}\n'),
+        ("status", "quarantine.json", "[1]"),
+        ("doctor", "quarantine.json", "[1]"),
+        ("acquire", "quarantine.json", "[1]"),
+        ("acquire", "quarantine.json", '{"shards": {"0": 5}}'),
+    ], ids=["status-int-event", "doctor-int-event", "doctor-str-attempt",
+            "status-list-quarantine", "doctor-list-quarantine",
+            "acquire-list-quarantine", "acquire-int-entry"])
+    def test_malformed_failure_files_exit_1(self, campaign, tmp_path, capsys,
+                                            verb, name, text):
+        """A failure log line or a quarantine file that parses but is
+        not the recorded shape is one line naming the file."""
+        directory = tmp_path / "campaign"
+        shutil.copytree(campaign, directory)
+        with open(directory / name, "a") as f:
+            f.write(text)
+        argv = ["campaign", verb, "--dir", str(directory)]
+        if verb == "acquire":
+            argv = TestCampaignVerbs.ACQUIRE + ["--dir", str(directory)]
+        capsys.readouterr()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("campaign error:")
+        assert err.count("\n") == 1
+        assert str(directory / name) in err
+
 
 class TestProtocolVerbs:
     """`repro protocol run|soak` — resilient sessions from the CLI."""
@@ -359,3 +389,17 @@ class TestProtocolVerbs:
         assert main(["protocol", "run", "--curve", "Q-999",
                      "--sessions", "1"]) == 1
         assert "protocol error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["soak", "amortize"])
+    def test_sweep_rates_that_print_alike_exit_1(self, tmp_path, capsys,
+                                                 verb):
+        code = main(["protocol", verb, "--sweep", "0.1,0.1000001",
+                     "--sessions", "3", "--obs-dir", str(tmp_path / "obs"),
+                     "--quiet"]
+                    + (["--dir", str(tmp_path / "am")]
+                       if verb == "amortize" else []))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("protocol error:")
+        assert err.count("\n") == 1
+        assert "0.1 and 0.1000001" in err

@@ -199,6 +199,13 @@ class TestPolicyValidation:
         # count every session twice.
         with pytest.raises(ValueError, match="repeats a loss rate"):
             FleetSpec(sessions=3, sweep=(0.1, 0.1))
+        # Exported series are labelled f"{loss:g}": two rates that
+        # print alike would be reported as one.
+        with pytest.raises(ValueError,
+                           match="0.1 and 0.1000001 share the label 0.1"):
+            FleetSpec(sessions=3, sweep=(0.1, 0.2, 0.1000001))
+        assert FleetSpec(sessions=3, sweep=(0.1, 0.100001)).sweep == \
+            (0.1, 0.100001)
 
 
 class TestEnergyAccounting:
