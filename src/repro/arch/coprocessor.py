@@ -271,20 +271,59 @@ class EccCoprocessor:
             raise ValueError("initial Z must be a non-zero reduced field value")
 
         self.registers.reset()
-        trace = ExecutionTrace()
-        self._trace = trace
-        self._cycle = 0
-        self._pending_control = 0.0
-
+        trace = self._start_trace()
         self._prologue(point, z0)
         bits = [
             (k_padded >> i) & 1 for i in range(k_padded.bit_length() - 2, -1, -1)
         ]
-        previous_bit = 1  # the implicit leading MSB
+        truncated = max_iterations is not None and max_iterations < len(bits)
+        if truncated:
+            bits = bits[:max(max_iterations, 0)]
+        self._ladder(trace, 1, bits)  # after the implicit leading MSB
+        if not truncated:
+            if recover_y:
+                trace.result = self._recover_y(point)
+            else:
+                trace.result_x_only = self._final_x()
+        return self._finish_trace(trace)
+
+    def resume_ladder(
+        self, registers: list, previous_bit: int, bits: list
+    ) -> ExecutionTrace:
+        """Run ladder iterations for ``bits`` from a saved register file.
+
+        ``registers`` is a :meth:`RegisterFile.snapshot` taken after the
+        prologue or after a ladder iteration, and ``previous_bit`` is
+        the key bit of that iteration (1, the implicit leading bit,
+        after the prologue); it sets the first iteration's pending mux
+        weight, as in a full run.  The iterations run through the same
+        ``_ladder_iteration`` and ``_exec`` as :meth:`point_multiply`,
+        so their four channels equal that window of an uninterrupted run
+        with the same key prefix; the returned trace counts cycles from
+        0 and has no result.  :attr:`registers` is left holding the file
+        after the last iteration.  This is the adversary's
+        divide-and-conquer step (:class:`~repro.sca.predict.ActivityPredictor`).
+        """
+        if previous_bit not in (0, 1) or any(b not in (0, 1) for b in bits):
+            raise ValueError("key bits must be 0 or 1")
+        self.registers.restore(registers)
+        trace = self._start_trace()
+        self._ladder(trace, previous_bit, bits)
+        return self._finish_trace(trace)
+
+    def _start_trace(self) -> ExecutionTrace:
+        """A fresh trace that ``_exec`` appends to, from cycle 0."""
+        trace = ExecutionTrace()
+        self._trace = trace
+        self._cycle = 0
+        self._pending_control = 0.0
+        return trace
+
+    def _ladder(self, trace: ExecutionTrace, previous_bit: int,
+                bits: list) -> None:
+        """One ladder iteration per key bit, each recorded as a span."""
         profiling = obs_profile.enabled()
-        for index, bit in enumerate(bits):
-            if max_iterations is not None and index >= max_iterations:
-                break
+        for bit in bits:
             start = self._cycle
             self._pending_control = self.config.mux_encoding.transition_weight(
                 previous_bit, bit
@@ -301,12 +340,8 @@ class EccCoprocessor:
             trace.key_bits.append(bit)
             previous_bit = bit
 
-        truncated = max_iterations is not None and max_iterations < len(bits)
-        if not truncated:
-            if recover_y:
-                trace.result = self._recover_y(point)
-            else:
-                trace.result_x_only = self._final_x()
+    def _finish_trace(self, trace: ExecutionTrace) -> ExecutionTrace:
+        """Check the trace and fold it into the obs registry, if any."""
         trace.check_consistency()
         self._trace = None
         rt = obs_runtime.current()

@@ -71,8 +71,22 @@ class RegisterFile:
             raise IndexError(f"register index {index} out of range 0..{self.count - 1}")
 
     def snapshot(self) -> list:
-        """Copy of all register values (for invariant checks in tests)."""
+        """Copy of all register values (see :meth:`restore`)."""
         return list(self._values)
+
+    def restore(self, values: list) -> None:
+        """Load values saved by :meth:`snapshot` and clear the write log.
+
+        Needs one value per register, each within the register width.
+        """
+        if len(values) != self.count:
+            raise ValueError(
+                f"expected {self.count} register values, got {len(values)}"
+            )
+        if any(not 0 <= value <= self._mask for value in values):
+            raise ValueError("value exceeds the register width")
+        self._values = list(values)
+        self.writes = []
 
     def reset(self) -> None:
         """Zero all registers and clear the write log."""

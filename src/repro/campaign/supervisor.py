@@ -186,9 +186,20 @@ class FailureLog:
         return os.path.exists(self.path)
 
     def append(self, event: FailureEvent) -> None:
+        """Append one event on a line of its own.
+
+        After a crash mid-append the file ends in a torn line with no
+        newline; the event then starts on a fresh line, so the torn
+        line stays the only one :meth:`events` skips.
+        """
         os.makedirs(self.directory, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(json.dumps(event.to_dict()) + "\n")
+        line = (json.dumps(event.to_dict()) + "\n").encode("utf-8")
+        with open(self.path, "a+b") as f:
+            if f.seek(0, os.SEEK_END):
+                f.seek(-1, os.SEEK_END)
+                if f.read(1) != b"\n":
+                    line = b"\n" + line
+            f.write(line)
             f.flush()
             os.fsync(f.fileno())
 

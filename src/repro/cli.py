@@ -623,6 +623,9 @@ def cmd_dse_report(directory: str, as_json: bool = False) -> tuple:
         if as_json:
             return json.dumps(payload, indent=1, sort_keys=True)
         rows = payload["rows"]
+        if not isinstance(rows, list) or \
+                not all(isinstance(row, dict) for row in rows):
+            raise ValueError("'rows' must be a list of objects")
         lines = [f"design space {directory}: {len(rows)} operating points "
                  f"(spec {payload['spec_digest']})"]
         return "\n".join(lines + _dse_rows_table(rows))

@@ -29,6 +29,7 @@ from typing import Callable, Optional
 from ..adversary.defense import defense_config
 from ..backends.evaluation import HANDSHAKE_POINT_MULTIPLICATIONS
 from ..campaign.acquire import default_workers
+from ..campaign.errors import CampaignError
 from ..campaign.supervisor import (
     FailureLog,
     Quarantine,
@@ -42,7 +43,7 @@ from ..power.technology import OperatingPoint
 from ..security.pyramid import (checkpoint_posture, defense_posture,
                                session_posture)
 from ..security.score import score_design
-from .errors import MissingMeasurementError
+from .errors import DseError, MissingMeasurementError
 from .evaluate import load_measurement, run_measurement_attempt
 from .pareto import constraint_violations, pareto_front
 from .space import DesignSpaceSpec
@@ -464,8 +465,11 @@ class ExplorationEngine:
                     grid=self.spec.grid_size,
                 ))
             cached, pending = self.plan()
-            held = [i for i in self.quarantine.indices()
-                    if i in set(pending)]
+            try:
+                held = [i for i in self.quarantine.indices()
+                        if i in set(pending)]
+            except CampaignError as exc:
+                raise DseError(str(exc)) from None
             attemptable = [i for i in pending if i not in set(held)]
             completed: list = []
             walls: list = []

@@ -35,6 +35,30 @@ for _byte in range(256):
     _SQUARE_SPREAD.append(_spread)
 
 
+def _byte_tables(images: list) -> list:
+    """Byte tables of the GF(2)-linear map with ``images[i]`` = L(x^i).
+
+    Table k maps a byte b to L(b x^(8k)), so L(a) is one lookup per byte
+    of ``a`` (:func:`_apply_linear`).
+    """
+    tables = []
+    for low in range(0, len(images), 8):
+        table = [0]
+        for image in images[low:low + 8]:
+            table += [entry ^ image for entry in table]
+        tables.append(table)
+    return tables
+
+
+def _apply_linear(tables: list, a: int) -> int:
+    """The linear map tabulated by :func:`_byte_tables`, applied to ``a``."""
+    acc = 0
+    for table in tables:
+        acc ^= table[a & 0xFF]
+        a >>= 8
+    return acc
+
+
 class BinaryField:
     """The finite field GF(2^m) with a chosen irreducible polynomial.
 
@@ -71,6 +95,9 @@ class BinaryField:
         # Reduction folds the high part against the tail's terms.
         tail = modulus ^ (1 << m)
         self._tail_exponents = tuple(e for e in range(m) if tail >> e & 1)
+        self._trace_mask = self._build_trace_mask()
+        # Byte tables of the half-trace images, built on first use.
+        self._half_trace_tables: Optional[list] = None
 
     # ------------------------------------------------------------------
     # element construction
@@ -206,26 +233,71 @@ class BinaryField:
         return result
 
     def trace_raw(self, a: int) -> int:
-        """Absolute trace Tr(a) = a + a^2 + ... + a^(2^(m-1)), in {0, 1}."""
-        t = a
-        acc = a
-        for _ in range(self.m - 1):
-            t = self.square_raw(t)
-            acc ^= t
-        if acc not in (0, 1):
-            raise ArithmeticError("trace did not land in the prime subfield")
-        return acc
+        """Absolute trace Tr(a) = a + a^2 + ... + a^(2^(m-1)), in {0, 1}.
+
+        The trace is GF(2)-linear, so Tr(a) is the parity of the bits
+        ``a`` shares with a per-field mask whose bit i is Tr(x^i).
+        """
+        return (a & self._trace_mask).bit_count() & 1
+
+    def _build_trace_mask(self) -> int:
+        """The mask of Tr(x^i), i < m, by Newton's identities.
+
+        Tr(x^k) is the k-th power sum p_k of the modulus's roots (its
+        conjugates).  Over GF(2), with ``modulus = x^m + sum c_j x^j``
+        and e_j = c_(m-j), p_0 = m mod 2 and, for 1 <= k < m,
+        p_k = sum_(j<k) e_j p_(k-j) + (k mod 2) e_k.  Only the tail's
+        terms have e_j = 1, so the cost is O(m x tail weight).
+        """
+        m = self.m
+        steps = sorted(m - e for e in self._tail_exponents)  # j with e_j = 1
+        powers = [m & 1]
+        for k in range(1, m):
+            p = k & 1 if k in steps else 0
+            for j in steps:
+                if j >= k:
+                    break
+                p ^= powers[k - j]
+            powers.append(p)
+        return sum(p << i for i, p in enumerate(powers))
 
     def half_trace_raw(self, a: int) -> int:
-        """Half-trace H(a) = sum a^(4^i), solving z^2 + z = a for odd m."""
+        """Half-trace H(a) = sum a^(4^i), solving z^2 + z = a for odd m.
+
+        The half-trace is GF(2)-linear, so H(a) is the XOR of the images
+        H(x^i) over the set bits of ``a``, read a byte at a time from
+        tables built on the field's first call.
+        """
         if self.m % 2 == 0:
             raise ValueError("half-trace requires odd extension degree")
-        t = a
-        acc = a
-        for _ in range((self.m - 1) // 2):
-            t = self.square_raw(self.square_raw(t))
-            acc ^= t
-        return acc
+        tables = self._half_trace_tables
+        if tables is None:
+            tables = self._half_trace_tables = self._build_half_trace_tables()
+        return _apply_linear(tables, a)
+
+    def _build_half_trace_tables(self) -> list:
+        """Byte tables of H, from its images H(x^i).
+
+        H(1) and the odd-index images come from the chain of fourth
+        powers, itself a linear map and tabulated the same way.  Since
+        H(a)^2 = H(a) + a + Tr(a) and H(a^2) = H(a)^2, an even-index
+        image is H(x^(2i)) = H(x^i) + x^i + Tr(x^i).
+        """
+        m = self.m
+        fourth = _byte_tables([self.square_raw(self.square_raw(1 << i))
+                               for i in range(m)])
+        images = []
+        for i in range(m):
+            if i and i % 2 == 0:
+                half = 1 << i // 2
+                image = images[i // 2] ^ half ^ self.trace_raw(half)
+            else:
+                image = t = 1 << i
+                for _ in range((m - 1) // 2):
+                    t = _apply_linear(fourth, t)
+                    image ^= t
+            images.append(image)
+        return _byte_tables(images)
 
     def solve_quadratic_raw(self, c: int) -> Optional[int]:
         """Solve ``z**2 + z = c``; return one solution or None.

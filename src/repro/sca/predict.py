@@ -4,9 +4,12 @@ DPA "recovers the key in a divide-and-conquer fashion by comparing the
 measured power consumption with several hypothesized power
 consumptions, one for each sub-key hypothesis" (Section 7).  Here the
 sub-key is one ladder key bit, and the hypothesized power consumption
-comes from replaying the coprocessor's *public* microcode
-(:meth:`~repro.arch.coprocessor.EccCoprocessor.replay_padded`) under a
-guessed key prefix and an assumed randomization value.
+comes from replaying the coprocessor's *public* microcode under a
+guessed key prefix and an assumed randomization value: the prologue
+and the known prefix once per trace
+(:meth:`~repro.arch.coprocessor.EccCoprocessor.replay_padded`), then
+one iteration per hypothesis from the saved register file
+(:meth:`~repro.arch.coprocessor.EccCoprocessor.resume_ladder`).
 
 When Z-randomization is off (or its value is known, the white-box
 scenario), the replay under the correct hypothesis predicts the
@@ -41,6 +44,25 @@ def bits_to_int(bits: list) -> int:
 class ActivityPredictor:
     """Predicts per-cycle data-dependent activity for key hypotheses.
 
+    Predictions are divide-and-conquer, as Section 7 describes: the
+    predictor carries each trace's coprocessor register file past the
+    known key prefix, so a prediction for bit ``i`` simulates only
+    iteration ``i``.  Register files are kept per (point, Z, prefix):
+    the file after the prologue, which runs once per trace through
+    :meth:`~repro.arch.coprocessor.EccCoprocessor.replay_padded`, and
+    the file after each predicted iteration, stored under the prefix
+    extended by that iteration's hypothesis.  A prefix with no stored
+    file (a first call that starts deep, or a second pass over the
+    leading bits) is rebuilt by one replay of the prologue and the
+    prefix's iterations.  Only files of two consecutive depths are
+    kept, so memory stays O(traces) however many bits are attacked.
+
+    Recovering B bits therefore simulates one prologue and 2B
+    iterations per trace, where replaying from the start for every
+    prediction would take 2B prologues and B(B+1) iterations.  Each
+    prediction equals the same window of a full ``replay_padded`` run
+    under ``[1] + known_prefix + [hypothesis]``, sample for sample.
+
     Parameters
     ----------
     coprocessor:
@@ -50,6 +72,8 @@ class ActivityPredictor:
 
     def __init__(self, coprocessor: EccCoprocessor):
         self.coprocessor = coprocessor
+        #: depth -> {(point, z0, prefix): register file after the prefix}
+        self._files: dict = {}
 
     def padded_length(self) -> int:
         """Bit length of recoded scalars on this device (public)."""
@@ -74,22 +98,33 @@ class ActivityPredictor:
             raise ValueError("prefix length must equal the target iteration")
         if hypothesis not in (0, 1):
             raise ValueError("hypothesis must be a bit")
-        bits = [1] + list(known_prefix) + [hypothesis]
-        # Pad with zeros to full length; iterations beyond the target
-        # are never executed thanks to max_iterations.
-        padding = self.padded_length() - len(bits)
-        scalar = bits_to_int(bits) << padding
-        replay = self.coprocessor.replay_padded(
-            scalar, point, initial_z=z0, max_iterations=iteration_index + 1
-        )
-        span = replay.iterations[iteration_index]
-        datapath = np.asarray(
-            replay.datapath[span.start:span.end], dtype=np.float64
-        )
-        register = np.asarray(
-            replay.register[span.start:span.end], dtype=np.float64
-        )
+        prefix = tuple(known_prefix)
+        for depth in [d for d in self._files
+                      if d not in (iteration_index, iteration_index + 1)]:
+            del self._files[depth]
+        files = self._files.setdefault(iteration_index, {})
+        registers = files.get((point, z0, prefix))
+        if registers is None:
+            registers = files[(point, z0, prefix)] = self._rebuild(
+                point, z0, prefix)
+        cop = self.coprocessor
+        replay = cop.resume_ladder(registers, prefix[-1] if prefix else 1,
+                                   [hypothesis])
+        self._files.setdefault(iteration_index + 1, {})[
+            (point, z0, prefix + (hypothesis,))] = cop.registers.snapshot()
+        datapath = np.asarray(replay.datapath, dtype=np.float64)
+        register = np.asarray(replay.register, dtype=np.float64)
         return datapath + register
+
+    def _rebuild(self, point: AffinePoint, z0: int, prefix: tuple) -> list:
+        """The register file after the prologue and ``prefix``'s
+        iterations, from one truncated replay."""
+        bits = [1, *prefix]
+        scalar = bits_to_int(bits) << (self.padded_length() - len(bits))
+        self.coprocessor.replay_padded(
+            scalar, point, initial_z=z0, max_iterations=len(prefix)
+        )
+        return self.coprocessor.registers.snapshot()
 
     def prediction_matrix(
         self,

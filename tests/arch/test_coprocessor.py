@@ -210,6 +210,32 @@ class TestExecutionTrace:
         with pytest.raises(ValueError):
             cop.replay_padded(1, cop.domain.generator, initial_z=1)
 
+    @pytest.mark.parametrize("encoding", [BalancedEncoding,
+                                          UnbalancedEncoding])
+    @pytest.mark.parametrize("split", [0, 1, 3])
+    def test_resumed_ladder_equals_the_uninterrupted_window(self, encoding,
+                                                            split):
+        config = CoprocessorConfig(
+            mux_encoding=encoding(), input_isolation=False,
+            glitch_factor=0.3,
+            clock_gating=ClockGatingPolicy.DATA_DEPENDENT)
+        whole, part = EccCoprocessor(config), EccCoprocessor(config)
+        g = whole.domain.generator
+        padded = whole.recode_scalar(0x5A5A5)
+        full = whole.replay_padded(padded, g, initial_z=9, max_iterations=5)
+        part.replay_padded(padded, g, initial_z=9, max_iterations=split)
+        previous = full.key_bits[split - 1] if split else 1
+        rest = part.resume_ladder(part.registers.snapshot(), previous,
+                                  full.key_bits[split:])
+        start = full.iterations[split].start
+        for channel in ("datapath", "register", "control", "clock"):
+            assert getattr(rest, channel) == getattr(full, channel)[start:]
+        assert rest.key_bits == full.key_bits[split:]
+        assert [(s.start + start, s.end + start) for s in rest.iterations] \
+            == full.iteration_slices()[split:]
+        assert part.registers.snapshot() == whole.registers.snapshot()
+        assert rest.result is None and rest.result_x_only is None
+
 
 class TestCountermeasureConfiguration:
     def test_control_channel_reflects_encoding(self):

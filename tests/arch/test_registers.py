@@ -49,6 +49,24 @@ class TestRegisterFile:
         assert rf.read(0) == 0
         assert rf.writes == []
 
+    def test_restore_loads_a_snapshot_and_clears_the_log(self):
+        rf = RegisterFile(4, 16)
+        rf.write(1, 0xBEEF, cycle=0)
+        saved = rf.snapshot()
+        rf.write(1, 7, cycle=1)
+        rf.restore(saved)
+        assert rf.snapshot() == [0, 0xBEEF, 0, 0]
+        assert rf.writes == []
+        saved[1] = 0   # the file keeps its own copy
+        assert rf.read(1) == 0xBEEF
+
+    @pytest.mark.parametrize("values", [[0] * 3, [0] * 5, [0, 1 << 16, 0, 0],
+                                        [0, -1, 0, 0]])
+    def test_restore_rejects_a_foreign_file(self, values):
+        rf = RegisterFile(4, 16)
+        with pytest.raises(ValueError):
+            rf.restore(values)
+
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             RegisterFile(0, 16)

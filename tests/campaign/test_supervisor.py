@@ -133,6 +133,17 @@ class TestFailureLog:
         assert len(log.events()) == 1
         assert log.tally()["retries"] == 1
 
+    def test_event_after_a_torn_line_starts_a_fresh_line(self, tmp_path):
+        log = FailureLog(str(tmp_path))
+        with open(log.path, "w") as f:
+            f.write('{"shard": 9, "attempt"')   # crashed mid-append
+        log.append(self._event())
+        log.append(self._event(attempt=2))
+        assert [(e["shard"], e["attempt"]) for e in log.events()] == \
+            [(2, 1), (2, 2)]
+        with open(log.path) as f:
+            assert f.read().count("\n") == 3
+
     def test_skips_an_undecodable_line_before_later_events(self, tmp_path):
         log = FailureLog(str(tmp_path))
         with open(log.path, "w") as f:

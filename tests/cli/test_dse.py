@@ -113,6 +113,18 @@ def test_wrong_shape_file_fails_with_one_line(tmp_path, capsys, verb, name,
     assert "explore" in err
 
 
+def test_malformed_quarantine_fails_explore_with_one_line(tmp_path, capsys):
+    (tmp_path / "quarantine.json").write_text("[1]", encoding="utf-8")
+    code = main(["dse", "explore", "--dir", str(tmp_path), "--curve",
+                 "TOY-B17", "--digits", "4", "--vdd", "1.0", "--freq",
+                 "847.5e3", "--countermeasures", "full", "--workers", "1"])
+    assert code == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert err.startswith("dse error:")
+    assert err.count("\n") == 1
+    assert "quarantine.json" in err
+
+
 class TestObservability:
     def test_obs_run_satisfies_the_contract(self, tmp_path, capsys):
         directory = str(tmp_path / "obs-run")

@@ -12,19 +12,26 @@ here against a slow reference that shares none of that code:
 * the Itoh–Tsujii chain for inversion;
 * the multiplier loop that reduced the shifted accumulator and the
   partial-product sum separately, kept below with ``poly_mod`` as its
-  reduction.
+  reduction;
+* the squaring chains for the absolute trace and the half-trace, kept
+  below as they stood before both became linear maps (a mask and a
+  parity; byte tables of the basis images).
 
 Fields: the five NIST binary fields, TOY-B17's trinomial, the
-GF(2^13) pentanomial of the fault tests and, for reduction only, two
-reducible moduli.
+GF(2^13) pentanomial of the fault tests, the reciprocals of those two,
+GF(2^8) with the AES modulus (trace only: the half-trace needs odd m)
+and, for reduction only, two reducible moduli.
 """
 
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ec.curves import get_curve
 from repro.gf2m import (BinaryField, DigitSerialMultiplier,
                         NIST_REDUCTION_POLYNOMIALS, clmul, poly_divmod,
                         poly_egcd, poly_mod)
@@ -33,6 +40,16 @@ FIELDS = {f"GF(2^{m})": BinaryField(m, f)
           for m, f in NIST_REDUCTION_POLYNOMIALS.items()}
 FIELDS["TOY-B17"] = BinaryField(17, (1 << 17) | (1 << 3) | 1)
 FIELDS["GF(2^13)"] = BinaryField(13, (1 << 13) | 0b11011)
+FIELDS["GF(2^8)"] = BinaryField(8, 0b1_0001_1011)
+# Reciprocals of the two above: tail terms above m/2, so Tr(x^i) = 1 for
+# some 0 < i < m/2 and the half-trace's even images need their Tr term.
+FIELDS["GF(2^17) x^14"] = BinaryField(17, (1 << 17) | (1 << 14) | 1)
+FIELDS["GF(2^13) x^12"] = BinaryField(13, 0b11_0110_0000_0001)
+ODD_FIELDS = sorted(name for name, field in FIELDS.items() if field.m % 2)
+#: Fields small enough to run a squaring chain from every monomial; the
+#: random-element checks cover GF(2^409) and GF(2^571).
+CHAIN_PER_MONOMIAL = sorted(name for name, field in FIELDS.items()
+                            if field.m <= 283)
 #: Reduction must end, and agree with long division, for any modulus.
 REDUCIBLE = {
     "x^8+1": BinaryField(8, (1 << 8) | 1, check_irreducible=False),
@@ -49,6 +66,25 @@ def elements(field):
     """Field values with zero and the all-ones value well represented."""
     top = field.order - 1
     return st.one_of(st.just(0), st.just(top), st.integers(0, top))
+
+
+def trace_chain(field, a):
+    """Tr(a) = a + a^2 + ... + a^(2^(m-1)) by m - 1 squarings."""
+    t = acc = a
+    for _ in range(field.m - 1):
+        t = field.square_raw(t)
+        acc ^= t
+    assert acc in (0, 1), "trace did not land in the prime subfield"
+    return acc
+
+
+def half_trace_chain(field, a):
+    """H(a) = sum a^(4^i), i <= (m-1)/2, by m - 1 squarings."""
+    t = acc = a
+    for _ in range((field.m - 1) // 2):
+        t = field.square_raw(field.square_raw(t))
+        acc ^= t
+    return acc
 
 
 def egcd_reference(a, b):
@@ -163,3 +199,86 @@ def test_egcd_rejects_negative_input(a, b):
 def test_reduce_rejects_negative_input():
     with pytest.raises(ValueError):
         TOY.reduce(-1)
+
+
+@pytest.mark.parametrize("name", CHAIN_PER_MONOMIAL)
+def test_trace_mask_is_the_trace_of_each_monomial(name):
+    field = FIELDS[name]
+    mask = sum(trace_chain(field, 1 << i) << i for i in range(field.m))
+    assert field._trace_mask == mask
+    assert [field.trace_raw(1 << i) for i in range(field.m)] == \
+        [mask >> i & 1 for i in range(field.m)]
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_trace_matches_squaring_chain(name, data):
+    field = FIELDS[name]
+    a = data.draw(elements(field))
+    assert field.trace_raw(a) == trace_chain(field, a)
+
+
+@pytest.mark.parametrize("name", ODD_FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_half_trace_matches_squaring_chain(name, data):
+    field = FIELDS[name]
+    a = data.draw(elements(field))
+    assert field.half_trace_raw(a) == half_trace_chain(field, a)
+
+
+@pytest.mark.parametrize("name", sorted(set(ODD_FIELDS)
+                                        & set(CHAIN_PER_MONOMIAL)))
+def test_half_trace_of_each_monomial(name):
+    field = FIELDS[name]
+    for i in range(field.m):
+        assert field.half_trace_raw(1 << i) == half_trace_chain(field, 1 << i)
+
+
+@pytest.mark.parametrize("name", ODD_FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_solve_quadratic_matches_half_trace_chain(name, data):
+    field = FIELDS[name]
+    c = data.draw(elements(field))
+    if c == 0:
+        expected = 0
+    elif trace_chain(field, c):
+        expected = None
+    else:
+        expected = half_trace_chain(field, c)
+    assert field.solve_quadratic_raw(c) == expected
+
+
+def test_even_degree_half_trace_is_refused():
+    with pytest.raises(ValueError):
+        FIELDS["GF(2^8)"].half_trace_raw(3)
+
+
+#: sha256 over 40 seeded ``lift_x(x, y_bit)`` results per curve (None
+#: for an x with no point), recorded with the squaring-chain trace and
+#: half-trace.
+LIFT_X_DIGESTS = {
+    "K-163": "09532a2e3993a0e1f52f142f00c87b56"
+             "0febfdd7eabc2bfcfec2db82588854be",
+    "TOY-B17": "f812fb7c915f1c420f1a2c06aa383b23"
+               "b8cad862cd7f8047b1acd156873c87c1",
+    "B-163": "ae160735e7d75c4d9640c55d6ffb27f4"
+             "14d64e49da5c791681831bfb4298870d",
+    "K-233": "a5ea4553daf83d793b7ca825224532bf"
+             "434990aaafdece5a0343466d159cf394",
+}
+
+
+@pytest.mark.parametrize("curve_name", sorted(LIFT_X_DIGESTS))
+def test_lift_x_returns_the_recorded_points(curve_name):
+    curve = get_curve(curve_name).curve
+    rng = random.Random(99)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        x = rng.getrandbits(curve.field.m)
+        point = curve.lift_x(x, rng.getrandbits(1))
+        digest.update(repr(None if point is None
+                           else (point.x, point.y)).encode())
+    assert digest.hexdigest() == LIFT_X_DIGESTS[curve_name]
