@@ -306,8 +306,7 @@ class _AttackSession(SessionEngine, PeetersHermansAdapter):
         reader = PeetersHermansReader(domain, ring.random_scalar(key_rng))
         tag = PeetersHermansTag(
             domain, ring.random_scalar(key_rng), reader.public,
-            multiplier=lambda k, point, rng: domain.curve.multiply_naive(
-                k, point))
+            multiplier=lambda k, point, rng: domain.curve.multiply(k, point))
         reader.register(session_index + 1, tag.identity_point)
         PeetersHermansAdapter.__init__(self, domain, tag, reader)
         SessionEngine.__init__(

@@ -438,63 +438,67 @@ def cmd_campaign_doctor(directory: str, clear: bool = False,
 def cmd_campaign_attack(directory: str, attack: str = "dpa",
                         bits: int = 2, grid=None,
                         verify: bool = False,
-                        allow_partial: bool = False) -> str:
+                        allow_partial: bool = False, obs_dir=None,
+                        obs_profile: bool = False) -> str:
     """Run a streaming attack over an acquired campaign.
 
     Attacks refuse incomplete stores unless ``allow_partial`` is set,
     in which case the report states exactly which shards and traces
     backed the statistics (see
-    :class:`~repro.campaign.streaming.AttackProvenance`).
+    :class:`~repro.campaign.streaming.AttackProvenance`).  With
+    ``obs_dir`` the attack is traced into that directory: its own, so
+    an acquisition's ``<directory>/obs`` is never overwritten.
     """
     from .campaign import StreamingCpa, StreamingDpa, TraceStore, \
         store_provenance, streaming_spa
 
+    if attack not in ("dpa", "cpa", "spa"):
+        raise ValueError(f"unknown attack {attack!r}")
     store = TraceStore(directory).load()
-    if verify:
-        store.verify_all()
     use_z = store.spec.scenario == "known_randomness"
-    header = (
+    lines = [
         f"campaign {directory}: {attack.upper()} over "
         f"{store.n_traces_on_disk} traces "
         f"({store.spec.scenario}"
         + (", stored randomness used" if use_z else "")
         + ")"
-    )
-    if attack == "spa":
-        result = streaming_spa(store, allow_partial=allow_partial)
-        return (
-            f"{header}\n"
-            f"provenance: {store_provenance(store).describe()}\n"
-            f"recovered {len(result.recovered_bits)} ladder bits with "
-            f"{result.bit_errors} errors from the averaged trace"
-        )
-    cls = {"dpa": StreamingDpa, "cpa": StreamingCpa}.get(attack)
-    if cls is None:
-        raise ValueError(f"unknown attack {attack!r}")
-    engine = cls(store, use_stored_randomness=use_z,
-                 allow_partial=allow_partial)
-    lines = [header]
-    if grid:
-        disclosure = engine.traces_to_disclosure(bits, grid)
-        lines.append(
-            f"traces to disclosure over grid {sorted(grid)}: {disclosure}"
-        )
-    result = engine.recover_bits(bits)
-    if engine.last_provenance is not None:
-        lines.append(f"provenance: {engine.last_provenance.describe()}")
-    lines.append(
-        f"{result.num_correct}/{bits} bits recovered "
-        f"(chosen {result.recovered_bits}, truth {result.true_bits})"
-    )
-    lines.append(
-        "peak statistics: "
-        f"{[round(p, 2) for p in result.peak_statistics]}"
-    )
-    lines.append(
-        "verdict: key bits "
-        + ("RECOVERED" if result.success else "NOT recovered")
-    )
-    return "\n".join(lines)
+    ]
+    with _obs_session(obs_dir, kind="campaign-attack",
+                      seed=store.spec.seed,
+                      config_digest=store.spec.digest(),
+                      profile=obs_profile,
+                      argv=["campaign", "attack", "--attack", attack]):
+        if verify:
+            store.verify_all()
+        if attack == "spa":
+            result = streaming_spa(store, allow_partial=allow_partial)
+            lines += [
+                f"provenance: {store_provenance(store).describe()}",
+                f"recovered {len(result.recovered_bits)} ladder bits with "
+                f"{result.bit_errors} errors from the averaged trace",
+            ]
+        else:
+            cls = StreamingDpa if attack == "dpa" else StreamingCpa
+            engine = cls(store, use_stored_randomness=use_z,
+                         allow_partial=allow_partial)
+            if grid:
+                disclosure = engine.traces_to_disclosure(bits, grid)
+                lines.append(f"traces to disclosure over grid "
+                             f"{sorted(grid)}: {disclosure}")
+            result = engine.recover_bits(bits)
+            if engine.last_provenance is not None:
+                lines.append(
+                    f"provenance: {engine.last_provenance.describe()}")
+            lines += [
+                f"{result.num_correct}/{bits} bits recovered "
+                f"(chosen {result.recovered_bits}, "
+                f"truth {result.true_bits})",
+                "peak statistics: "
+                f"{[round(p, 2) for p in result.peak_statistics]}",
+                "verdict: key bits "
+                + ("RECOVERED" if result.success else "NOT recovered"),
+            ]
+    return "\n".join(lines + _obs_note(obs_dir, obs_dir))
 
 
 # ----------------------------------------------------------------------
@@ -1514,9 +1518,11 @@ def _parser() -> argparse.ArgumentParser:
     attack.add_argument("--allow-partial", action="store_true",
                         help="attack an incomplete store (the report "
                              "states which shards backed the statistics)")
+    _add_obs_dir(attack, "attack")
     attack.set_defaults(run=lambda a: cmd_campaign_attack(
         a.dir, attack=a.attack, bits=a.bits, grid=_csv(a.grid, int),
-        verify=a.verify, allow_partial=a.allow_partial))
+        verify=a.verify, allow_partial=a.allow_partial,
+        obs_dir=a.obs_dir, obs_profile=a.obs_profile))
 
     doctor = verbs.add_parser(
         "doctor", help="inspect failures.jsonl and the quarantine"

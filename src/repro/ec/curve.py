@@ -3,8 +3,9 @@
 This is the group the paper's coprocessor computes in (Section 4,
 equation (1)).  The class implements the textbook affine group law —
 the *reference* arithmetic every other layer (ladder, coprocessor
-microcode, protocol) is validated against — plus point (de)compression
-and random point sampling.
+microcode, protocol) is validated against — the energy-rich reader's
+scalar multiplication over cached doubling chains, plus point
+(de)compression and random point sampling.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ from ..gf2m.field import BinaryField
 from .point import AffinePoint
 
 __all__ = ["BinaryEllipticCurve"]
+
+#: Base points whose doubling chains :meth:`BinaryEllipticCurve.multiply`
+#: keeps; the least recently used one goes first.  A Peeters–Hermans
+#: session multiplies three bases (G, the reader's key, the commitment).
+CHAIN_CACHE_SIZE = 8
 
 
 class BinaryEllipticCurve:
@@ -45,6 +51,8 @@ class BinaryEllipticCurve:
         self.a = a
         self.b = b
         self._sqrt_b = field.sqrt_raw(b)
+        #: base point -> [P, 2P, 4P, ...], in least-recently-used order
+        self._chains: dict = {}
 
     # ------------------------------------------------------------------
     # membership and structure
@@ -123,6 +131,52 @@ class BinaryEllipticCurve:
             addend = self.double(addend)
             k >>= 1
         return result
+
+    def multiply(self, k: int, p: AffinePoint) -> AffinePoint:
+        """``k * p``: the NAF digits of ``|k|`` summed over p's doubling
+        chain ``[p, 2p, 4p, ...]``, negated for ``k < 0``.
+
+        The energy-rich reader's arithmetic (Section 4 puts no
+        countermeasure on it): not constant-time, and it keeps the
+        chains of the :data:`CHAIN_CACHE_SIZE` most recently used base
+        points, so a base point multiplied again costs only the adds.
+        A chain is built on first use and extended when a longer scalar
+        arrives; it is keyed by the base point and holds only its
+        multiples by powers of two, never anything of the scalar.  Any
+        ``k`` is taken exactly (no reduction mod n), so the result
+        equals :meth:`multiply_naive` on every input.
+        """
+        if k < 0:
+            return self.negate(self.multiply(-k, p))
+        if k == 0 or p.is_infinity:
+            return AffinePoint.infinity()
+        # NAF(k) has (3k).bit_length() - 1 digits, one per chain entry.
+        chain = self._chain(p, (3 * k).bit_length() - 1)
+        result = AffinePoint.infinity()
+        i = 0
+        while k:
+            if k & 1:
+                if k & 2:  # NAF digit -1: k ≡ 3 (mod 4)
+                    result = self.add(result, self.negate(chain[i]))
+                    k += 1
+                else:      # NAF digit +1
+                    result = self.add(result, chain[i])
+            k >>= 1
+            i += 1
+        return result
+
+    def _chain(self, p: AffinePoint, length: int) -> list:
+        """p's doubling chain, at least ``length`` long, now most
+        recently used; the least recently used one beyond the bound is
+        dropped."""
+        chains = self._chains
+        chain = chains.pop(p, None) or [p]
+        while len(chain) < length:
+            chain.append(self.double(chain[-1]))
+        chains[p] = chain
+        if len(chains) > CHAIN_CACHE_SIZE:
+            del chains[next(iter(chains))]
+        return chain
 
     # ------------------------------------------------------------------
     # compression / decompression / sampling

@@ -98,10 +98,13 @@ def _madd(f, x_base: int, x1: int, z1: int, x2: int, z2: int) -> tuple[int, int]
 
 
 def _mdouble(f, sqrt_b: int, x: int, z: int) -> tuple[int, int]:
-    """Doubling: x(2P) from x(P).  2 multiplications + 3 squarings."""
+    """Doubling: x(2P) from x(P).  2 multiplications + 3 squarings;
+    sqrt(b) = 1 (K-163, K-233, TOY-B17) skips the first multiplication,
+    as the coprocessor microcode does, and the result is the same."""
     x_sq = f.square_raw(x)
     z_sq = f.square_raw(z)
-    x3 = f.square_raw(x_sq ^ f.mul_raw(sqrt_b, z_sq))
+    root_b_z_sq = z_sq if sqrt_b == 1 else f.mul_raw(sqrt_b, z_sq)
+    x3 = f.square_raw(x_sq ^ root_b_z_sq)
     z3 = f.mul_raw(x_sq, z_sq)
     return x3, z3
 
@@ -160,8 +163,8 @@ def _degenerate_result(curve: BinaryEllipticCurve, k: int,
         return AffinePoint.infinity()
     if point.x == 0:
         # The 2-torsion point; the x-only formulas degenerate (x_base
-        # appears as a multiplicand).  Fall back to the reference law.
-        return curve.multiply_naive(k, point)
+        # appears as a multiplicand).  Fall back to the affine law.
+        return curve.multiply(k, point)
     return None
 
 

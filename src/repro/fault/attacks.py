@@ -131,7 +131,7 @@ def find_small_order_invalid_point(
         candidate = twist.lift_x(x)
         if candidate is None:
             continue
-        reduced = twist.multiply_naive(cofactor, candidate)
+        reduced = twist.multiply(cofactor, candidate)
         if not reduced.is_infinity and reduced.x != 0:
             return InvalidCurvePoint(reduced, r, twist.a)
     return None

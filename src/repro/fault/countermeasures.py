@@ -94,7 +94,7 @@ class HardenedMultiplier:
         if not result.is_infinity and not self.curve.is_on_curve(result):
             raise FaultDetectedError("output point failed the curve check")
         if self.verify_by_recomputation:
-            reference = self.curve.multiply_naive(k, point)
+            reference = self.curve.multiply(k, point)
             if reference != result:
                 raise FaultDetectedError("recomputation mismatch")
         return result

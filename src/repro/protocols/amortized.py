@@ -56,7 +56,7 @@ from ..channel import BodyAreaChannel, derive_channel_seed
 from ..jsonspec import JsonSpec
 from ..obs import runtime as _obs_runtime
 from ..soak import sweep_records
-from .fleet import DEFAULT_SWEEP, _loss_salt, validate_sweep
+from .fleet import DEFAULT_SWEEP, _loss_salt, loss_percent, validate_sweep
 from .session import RetransmissionPolicy, make_adapter, \
     run_resilient_session
 
@@ -599,7 +599,7 @@ class AmortizedReport:
             message_uj = (sum(r.message_compute_uj for r in p.records)
                           + sum(r.message_radio_uj for r in p.records))
             lines.append(
-                f"{p.frame_loss:>6.0%} "
+                f"{loss_percent(p.frame_loss):>6} "
                 f"{p.delivery_rate:>8.2%} "
                 f"{p.keys_used:>5d} "
                 f"{handshake_uj:>9.2f} "
@@ -610,7 +610,8 @@ class AmortizedReport:
             )
             if p.delivery_rate < 1.0:
                 degraded.append(
-                    f"{p.delivered}/{p.messages} at {p.frame_loss:.0%}")
+                    f"{p.delivered}/{p.messages} "
+                    f"at {loss_percent(p.frame_loss)}")
         verdict = ["delivery: " + (
             "100% at every loss rate" if not degraded else
             "DEGRADED — " + ", ".join(degraded))]

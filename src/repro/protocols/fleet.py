@@ -70,6 +70,16 @@ def validate_sweep(sweep: Sequence[float]) -> None:
                              "within six significant digits")
 
 
+def loss_percent(loss: float) -> str:
+    """A sweep point's exported label ``f"{loss:g}"`` as a percent, the
+    decimal point shifted exactly: 0.1 -> ``10%``, 0.104 -> ``10.4%``.
+    :func:`validate_sweep` keeps the labels unique, so the printed
+    table rows are too."""
+    from decimal import Decimal  # only summaries print; keep soaks lean
+
+    return f"{Decimal(f'{loss:g}').scaleb(2).normalize():f}%"
+
+
 @dataclass(frozen=True)
 class FleetSpec(JsonSpec):
     """Everything a fleet run depends on (and nothing else).
@@ -232,7 +242,7 @@ class FleetReport:
         degraded = []
         for point in sorted(self.points, key=lambda p: p.frame_loss):
             lines.append(
-                f"{point.frame_loss:>6.0%} "
+                f"{loss_percent(point.frame_loss):>6} "
                 f"{point.availability:>8.2%} "
                 f"{point.mean_epochs:>7.2f} "
                 f"{point.mean_frames:>7.2f} "
@@ -242,7 +252,7 @@ class FleetReport:
             )
             if point.availability < 1.0:
                 degraded.append(f"{point.successes}/{point.sessions} "
-                                f"at {point.frame_loss:.0%}")
+                                f"at {loss_percent(point.frame_loss)}")
         verdict = ["availability: " + (
             "100% at every loss rate" if not degraded else
             "DEGRADED — " + ", ".join(degraded))]

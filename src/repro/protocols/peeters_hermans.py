@@ -110,7 +110,7 @@ class PeetersHermansTag:
     @property
     def identity_point(self) -> AffinePoint:
         """X = x * P, the entry the reader's database stores."""
-        return self.domain.curve.multiply_naive(self._x, self.domain.generator)
+        return self.domain.curve.multiply(self._x, self.domain.generator)
 
     def commit(self, rng) -> AffinePoint:
         """Round 1: draw r and send R = r * P.
@@ -196,7 +196,7 @@ class PeetersHermansReader:
             raise ValueError("reader secret out of range")
         self.domain = domain
         self._y = secret_y
-        self.public = domain.curve.multiply_naive(secret_y, domain.generator)
+        self.public = domain.curve.multiply(secret_y, domain.generator)
         self.database: TagDatabase = (
             database if database is not None
             else InMemoryTagDatabase(domain.curve)
@@ -231,12 +231,12 @@ class PeetersHermansReader:
             return None
         if not curve.is_on_curve(commitment) or commitment.is_infinity:
             return None
-        shared = curve.multiply_naive(self._y, commitment)
+        shared = curve.multiply(self._y, commitment)
         self.ops.point_multiplications += 1
         d = ring.reduce(shared.x)
         s_minus_d = ring.sub(s, d)
-        term1 = curve.multiply_naive(s_minus_d, self.domain.generator)
-        term2 = curve.multiply_naive(e, commitment)
+        term1 = curve.multiply(s_minus_d, self.domain.generator)
+        term2 = curve.multiply(e, commitment)
         self.ops.point_multiplications += 2
         candidate = curve.subtract(term1, term2)
         self.ops.point_additions += 1

@@ -114,12 +114,12 @@ def peeters_hermans_linkage_game(domain: NamedCurve, rng,
         s_c = challenge_tag.respond(e_c, rng)
         # Linkage feature: s*P - e*R = (d + x)*P, blinded by fresh d.
         feature_a = curve.subtract(
-            curve.multiply_naive(s_a, domain.generator),
-            curve.multiply_naive(e_a, r_a),
+            curve.multiply(s_a, domain.generator),
+            curve.multiply(e_a, r_a),
         )
         feature_c = curve.subtract(
-            curve.multiply_naive(s_c, domain.generator),
-            curve.multiply_naive(e_c, r_c),
+            curve.multiply(s_c, domain.generator),
+            curve.multiply(e_c, r_c),
         )
         guess = 0 if feature_a == feature_c else rng.getrandbits(1)
         if guess == coin:

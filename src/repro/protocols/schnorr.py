@@ -49,7 +49,7 @@ class SchnorrTag:
             raise ValueError("secret out of range")
         self.domain = domain
         self._x = secret_x
-        self.public = domain.curve.multiply_naive(secret_x, domain.generator)
+        self.public = domain.curve.multiply(secret_x, domain.generator)
         self._multiplier = multiplier or (
             lambda k, point, rng: montgomery_ladder(domain.curve, k, point,
                                                     rng=rng)
@@ -110,8 +110,8 @@ class SchnorrVerifier:
     def verify(self, commitment: AffinePoint, e: int, s: int) -> bool:
         """Check s*P == R + e*X."""
         curve = self.domain.curve
-        lhs = curve.multiply_naive(s, self.domain.generator)
-        rhs = curve.add(commitment, curve.multiply_naive(e, self.tag_public))
+        lhs = curve.multiply(s, self.domain.generator)
+        rhs = curve.add(commitment, curve.multiply(e, self.tag_public))
         self.ops.point_multiplications += 2
         self.ops.point_additions += 1
         return lhs == rhs
@@ -143,7 +143,7 @@ def extract_public_key(domain: NamedCurve,
     """
     curve = domain.curve
     ring = domain.scalar_ring
-    s_p = curve.multiply_naive(session.response, domain.generator)
+    s_p = curve.multiply(session.response, domain.generator)
     numerator = curve.subtract(s_p, session.commitment)
     e_inv = ring.inverse(session.challenge)
-    return curve.multiply_naive(e_inv, numerator)
+    return curve.multiply(e_inv, numerator)

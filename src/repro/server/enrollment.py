@@ -188,7 +188,7 @@ def enroll_shard(spec_dict: dict, directory: str, shard_index: int,
     # point addition (consecutive secrets).  At a secret wrap
     # (n-1 -> 1) the next point is P itself, skipping infinity.
     secret = spec.secret_for(start)
-    point = curve.multiply_naive(secret, generator)
+    point = curve.multiply(secret, generator)
     out = bytearray()
     for _ in range(count):
         out += compress_point(curve, point)

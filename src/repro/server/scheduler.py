@@ -8,13 +8,17 @@ awaits one multiplication" and "the reader's EC backend executes
 many": requests arriving within one coalescing window are dispatched
 as a single batch to a pluggable engine.
 
-Today the only engine is :class:`NaiveScalarEngine` (a loop over
-``multiply_naive`` — the reader is energy-rich, Section 4's asymmetry
-rule, so it owes no countermeasures).  ROADMAP item 1's batch/windowed
-engine drops in behind the same two-method interface
-(:meth:`ScalarMultEngine.execute`, :attr:`ScalarMultEngine.name`)
-without touching a single session: amortized precomputation across a
-batch is exactly what the coalescing window exists to feed.
+Today the only engine is :class:`NaiveScalarEngine`, a loop over
+``curve.multiply`` — the reader is energy-rich, Section 4's asymmetry
+rule, so it owes no countermeasures.  That method already shares work
+across requests: it keeps the doubling chains of recently used base
+points, so every ``(s-d')*P`` reuses G's chain, and ``e*R`` reuses
+the one ``y*R`` built unless eight other bases came in between.  An
+engine that amortizes more across a batch (for instance a
+simultaneous multi-scalar multiplication) drops in behind the same
+two-method interface (:meth:`ScalarMultEngine.execute`,
+:attr:`ScalarMultEngine.name`) without touching a single session:
+that is what the coalescing window exists to feed.
 
 The scheduler runs on the virtual-time :class:`~.simloop.SimLoop`, so
 batch composition — which requests share a flush — is deterministic
@@ -52,7 +56,12 @@ class ScalarMultEngine:
 
 
 class NaiveScalarEngine(ScalarMultEngine):
-    """The scalar baseline: one ``multiply_naive`` per request."""
+    """The scalar baseline: one ``curve.multiply`` per request.
+
+    The name ``naive-scalar`` (the ``engine`` label of the
+    ``repro_server_scalarmult_*`` series) predates the cached chains
+    and is kept: it means one multiplication per request, no batching.
+    """
 
     name = "naive-scalar"
 
@@ -61,7 +70,7 @@ class NaiveScalarEngine(ScalarMultEngine):
 
     def execute(self, requests: List[Tuple[int, AffinePoint]]
                 ) -> List[AffinePoint]:
-        return [self.curve.multiply_naive(scalar, point)
+        return [self.curve.multiply(scalar, point)
                 for scalar, point in requests]
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import EXIT_FAILED, EXIT_OK, main
+from repro.cli import EXIT_DEGRADED, EXIT_FAILED, EXIT_OK, main
 
 
 class TestProtocolAmortize:
@@ -33,6 +33,19 @@ class TestProtocolAmortize:
                             "--quiet"]) == EXIT_OK
         assert (a / "summary.json").read_bytes() == \
             (b / "summary.json").read_bytes()
+
+    def test_rows_and_degraded_list_print_each_rate_by_its_label(
+            self, capsys):
+        code = main(["protocol", "amortize", "--epoch", "4",
+                     "--messages", "8", "--sessions", "2",
+                     "--sweep", "0.1,0.104,0.604", "--workers", "0",
+                     "--min-delivery", "0", "--quiet"])
+        assert code == EXIT_DEGRADED
+        out = capsys.readouterr().out
+        rows = out.splitlines()[2:5]
+        assert [row[:7] for row in rows] == ["   10% ", " 10.4% ",
+                                             " 60.4% "]
+        assert "/16 at 60.4%" in out
 
     def test_bad_backend_is_an_argparse_choice(self, capsys):
         with pytest.raises(SystemExit):

@@ -370,6 +370,13 @@ class TestProtocolVerbs:
                      "0,0.1", "--workers", "0", "--quiet"]) == 0
         assert "energy vs loss" in capsys.readouterr().out
 
+    def test_soak_rows_print_each_rate_by_its_label(self, capsys):
+        """Two rates that round to one whole percent print apart."""
+        assert main(["protocol", "soak", "--sweep", "0.1,0.104",
+                     "--sessions", "3", "--workers", "0", "--quiet"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:4]
+        assert [row[:7] for row in rows] == ["   10% ", " 10.4% "]
+
     def test_soak_degraded_exit_three(self, capsys):
         # an aggressive sweep point with a tiny epoch budget cannot
         # stay at 100%; with a permissive floor that is "degraded"

@@ -61,6 +61,28 @@ class TestObsReport:
         assert "obs error:" in capsys.readouterr().err
 
 
+class TestCampaignAttackObs:
+    def test_attack_traces_into_its_own_dir(self, traced_cli_run, tmp_path,
+                                            capsys):
+        acquired = os.path.join(traced_cli_run, "obs", "metrics.json")
+        with open(acquired, "rb") as f:
+            acquire_metrics = f.read()
+        obs_dir = str(tmp_path / "attack-obs")
+        assert main(["campaign", "attack", "--dir", traced_cli_run,
+                     "--bits", "2", "--obs-dir", obs_dir]) == 0
+        assert f"observability: {obs_dir}" in capsys.readouterr().out
+        with open(os.path.join(obs_dir, "metrics.json")) as f:
+            metrics = json.load(f)["metrics"]
+        bits = metrics["repro_campaign_attack_bits_total"]["values"]
+        assert sum(item["value"] for item in bits) == 2
+        with open(acquired, "rb") as f:
+            assert f.read() == acquire_metrics
+        assert main(["obs", "report", "--dir", obs_dir,
+                     "--require-spans", "campaign.attack",
+                     "--require-metrics",
+                     "repro_campaign_attack_bits_total"]) == 0
+
+
 class TestObsDiff:
     def test_self_diff_passes_threshold(self, traced_cli_run, capsys):
         assert main(["obs", "diff", traced_cli_run, traced_cli_run,

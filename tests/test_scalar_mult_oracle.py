@@ -6,8 +6,13 @@ cases 1, 2, n − 1, n and n + 1), base points and Z values (drawn from
 an rng, 1, or explicit), and every k·P implementation in ``src/`` must
 agree with the oracle:
 
+* ``curve.multiply`` (NAF over cached doubling chains), also on B-163,
+  for k ≤ 0 and k ≥ n, on the identity and the 2-torsion point, and
+  through cache hits, evictions and chain extensions, with the cache
+  never past ``CHAIN_CACHE_SIZE`` bases;
 * ``montgomery_ladder`` at Z = 1 and at the drawn or explicit Z, and
-  on the identity and 2-torsion bases;
+  on the identity and 2-torsion bases, also on B-163, whose
+  sqrt(b) ≠ 1 keeps the doubling's multiplication by sqrt(b) covered;
 * ``montgomery_ladder_full``, whose last iteration's registers must
   also be the finished suspendable state's;
 * the suspendable ladder, split at random step counts, with a
@@ -35,7 +40,8 @@ from repro.arch import (
     UnbalancedEncoding,
 )
 from repro.campaign import random_protocol_point
-from repro.ec import NIST_K163, AffinePoint
+from repro.ec import NIST_B163, NIST_K163, AffinePoint, BinaryEllipticCurve
+from repro.ec.curve import CHAIN_CACHE_SIZE
 from repro.ec.curves import TOY_B17
 from repro.ec.ladder import (
     LadderState,
@@ -139,7 +145,14 @@ class TestLadders:
     def test_k163(self, k, point, z0, rng, splits):
         check_ladders(NIST_K163, k, point, z0, rng, splits)
 
-    @pytest.mark.parametrize("domain", [TOY_B17, NIST_K163],
+    @given(k=scalars(NIST_B163, 4 * NIST_B163.order),
+           point=bases(NIST_B163), z0=z_modes(NIST_B163), rng=SEEDS,
+           splits=SPLITS)
+    @settings(max_examples=6, deadline=None)
+    def test_b163(self, k, point, z0, rng, splits):
+        check_ladders(NIST_B163, k, point, z0, rng, splits)
+
+    @pytest.mark.parametrize("domain", [TOY_B17, NIST_K163, NIST_B163],
                              ids=lambda d: d.name)
     @given(k=st.one_of(st.just(0), st.integers(min_value=0,
                                                max_value=1 << 170)))
@@ -156,6 +169,122 @@ class TestLadders:
             assert montgomery_ladder_full(curve, scalar, base,
                                           randomize_z=False).result \
                 == expected
+
+
+MULTIPLY_DOMAINS = pytest.mark.parametrize(
+    "domain", [TOY_B17, NIST_K163, NIST_B163], ids=lambda d: d.name)
+
+
+def fresh_curve(domain):
+    """The domain's curve with an empty chain cache."""
+    curve = domain.curve
+    return BinaryEllipticCurve(curve.field, curve.a, curve.b)
+
+
+def signed_scalars(domain):
+    """Any integer: zero, the signed edge cases around n, short and
+    long scalars of either sign."""
+    n = domain.order
+    edges = [0, 1, -1, 2, n - 1, n, n + 1, 2 * n, -(n - 1), -n, -(n + 1)]
+    return st.one_of(st.sampled_from(edges),
+                     st.integers(min_value=-(1 << 40), max_value=1 << 40),
+                     st.integers(min_value=-4 * n, max_value=4 * n))
+
+
+def base_pool(domain, rng):
+    """More distinct cacheable bases than the cache keeps: G, the
+    2-torsion point, and random points of order n and of any order."""
+    curve = domain.curve
+    pool = [domain.generator, curve.lift_x(0)]
+    while len(pool) < CHAIN_CACHE_SIZE + 2:
+        point = (random_protocol_point(domain, rng) if len(pool) % 2
+                 else curve.random_point(rng))
+        if point not in pool:
+            pool.append(point)
+    return pool
+
+
+def chain_length(curve, point):
+    """Entries of ``point``'s cached doubling chain; 0 when uncached."""
+    return len(curve._chains.get(point, ()))
+
+
+class TestMultiply:
+    """``curve.multiply`` against the oracle, and its chain cache."""
+
+    @MULTIPLY_DOMAINS
+    @given(data=st.data(), rng=SEEDS)
+    @settings(max_examples=12, deadline=None)
+    def test_calls_against_the_oracle(self, domain, data, rng):
+        """A sequence of calls over more bases than the cache keeps:
+        hits, evictions and extensions in whatever order hypothesis
+        draws them."""
+        curve = fresh_curve(domain)
+        pool = base_pool(domain, rng)
+        calls = data.draw(st.lists(
+            st.tuples(signed_scalars(domain),
+                      st.integers(min_value=0, max_value=len(pool) - 1)),
+            min_size=1, max_size=14))
+        for k, index in calls:
+            base = pool[index]
+            assert curve.multiply(k, base) == curve.multiply_naive(k, base)
+            assert len(curve._chains) <= CHAIN_CACHE_SIZE
+            assert set(curve._chains) <= set(pool)
+
+    @MULTIPLY_DOMAINS
+    @given(k=signed_scalars(NIST_K163))
+    @settings(max_examples=10, deadline=None)
+    def test_identity_and_two_torsion(self, domain, k):
+        curve = fresh_curve(domain)
+        two_torsion = curve.lift_x(0)
+        for base in (AffinePoint.infinity(), two_torsion):
+            assert curve.multiply(k, base) == curve.multiply_naive(k, base)
+        assert set(curve._chains) <= {two_torsion}
+
+    @MULTIPLY_DOMAINS
+    def test_edge_scalars(self, domain):
+        curve, g, n = fresh_curve(domain), domain.generator, domain.order
+        for k in (0, 1, n - 1, n, n + 1, 3 * n + 5, -1, -(n - 1), -n):
+            assert curve.multiply(k, g) == curve.multiply_naive(k, g)
+        assert curve.multiply(n, g).is_infinity
+        assert curve.multiply(n - 1, g) == curve.negate(g)
+
+    @MULTIPLY_DOMAINS
+    def test_same_base_twice_is_a_hit(self, domain):
+        curve, g, n = fresh_curve(domain), domain.generator, domain.order
+        assert curve.multiply(n - 1, g) == curve.multiply_naive(n - 1, g)
+        chain = curve._chains[g]
+        built = len(chain)
+        assert curve.multiply(n // 3, g) == curve.multiply_naive(n // 3, g)
+        assert curve._chains[g] is chain and len(chain) == built
+
+    @MULTIPLY_DOMAINS
+    def test_longer_scalar_extends_the_chain(self, domain):
+        curve, g, n = fresh_curve(domain), domain.generator, domain.order
+        short = (1 << 9) + 3
+        assert curve.multiply(short, g) == curve.multiply_naive(short, g)
+        assert chain_length(curve, g) == (3 * short).bit_length() - 1
+        chain = curve._chains[g]
+        assert curve.multiply(n - 2, g) == curve.multiply_naive(n - 2, g)
+        assert curve._chains[g] is chain
+        assert len(chain) == (3 * (n - 2)).bit_length() - 1
+
+    @MULTIPLY_DOMAINS
+    def test_least_recently_used_base_is_evicted(self, domain):
+        curve = fresh_curve(domain)
+        pool = base_pool(domain, random.Random(7))
+        first, second = pool[0], pool[1]
+        k = domain.order - 3
+        for base in pool[:CHAIN_CACHE_SIZE]:
+            curve.multiply(k, base)
+        assert len(curve._chains) == CHAIN_CACHE_SIZE
+        curve.multiply(k, first)              # now the most recently used
+        curve.multiply(k, pool[CHAIN_CACHE_SIZE])
+        assert len(curve._chains) == CHAIN_CACHE_SIZE
+        assert first in curve._chains and second not in curve._chains
+        assert curve.multiply(k, second) == curve.multiply_naive(k, second)
+        assert second in curve._chains
+        assert len(curve._chains) == CHAIN_CACHE_SIZE
 
 
 @functools.lru_cache(maxsize=None)
