@@ -18,6 +18,7 @@ list, which the supervisor re-hashes before accepting the result.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -75,7 +76,7 @@ def _measure_observed(spec: DesignSpaceSpec, directory: str,
     started = time.perf_counter()
     digest = spec.config_digest(job)
 
-    span_ctx = None
+    span_ctx = contextlib.nullcontext()
     if obs is not None:
         # the point's parent is the engine's root span, derived — not
         # communicated — so worker and coordinator agree on it.
@@ -90,7 +91,7 @@ def _measure_observed(spec: DesignSpaceSpec, directory: str,
         span_ctx = obs.tracer.span(
             "point", key=job.index, parent_id=root_id, **span_attrs,
         )
-    with span_ctx if span_ctx is not None else _null_context() as span:
+    with span_ctx as span:
         if job.backend != "ecc":
             payload = _measure_backend_payload(spec, job, digest)
         else:
@@ -152,14 +153,6 @@ def _measure_backend_payload(spec: DesignSpaceSpec,
         "area": {"total": measured.area_ge},
         "whitebox": None,
     }
-
-
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
 
 
 def load_measurement(directory: str, digest: str) -> Optional[dict]:

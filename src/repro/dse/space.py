@@ -108,10 +108,10 @@ class DesignSpaceSpec(JsonSpec):
 
     def __post_init__(self):
         for name in ("digit_sizes", "vdd_volts", "frequencies_hz",
-                     "countermeasures", "objectives"):
+                     "countermeasures", "objectives") + _OPT_IN_AXES:
             value = tuple(getattr(self, name))
             object.__setattr__(self, name, value)
-            if not value:
+            if not value and name not in _OPT_IN_AXES:
                 raise SpaceValidationError(f"{name} must not be empty")
             if len(set(value)) != len(value):
                 raise SpaceValidationError(f"{name} has duplicates: {value}")
@@ -131,32 +131,17 @@ class DesignSpaceSpec(JsonSpec):
                 known = ", ".join(sorted(COUNTERMEASURE_SETS))
                 raise SpaceValidationError(
                     f"unknown countermeasure set {cm!r}; known: {known}")
-        defenses = tuple(self.defenses)
-        object.__setattr__(self, "defenses", defenses)
-        if len(set(defenses)) != len(defenses):
-            raise SpaceValidationError(
-                f"defenses has duplicates: {defenses}")
-        for defense in defenses:
+        for defense in self.defenses:
             if defense not in DEFENSE_SETS:
                 known = ", ".join(sorted(DEFENSE_SETS))
                 raise SpaceValidationError(
                     f"unknown defense set {defense!r}; known: {known}")
-        intervals = tuple(self.checkpoint_intervals)
-        object.__setattr__(self, "checkpoint_intervals", intervals)
-        if len(set(intervals)) != len(intervals):
-            raise SpaceValidationError(
-                f"checkpoint_intervals has duplicates: {intervals}")
-        for interval in intervals:
+        for interval in self.checkpoint_intervals:
             if not isinstance(interval, int) or interval < 1:
                 raise SpaceValidationError(
                     "checkpoint intervals must be positive integers, "
                     f"got {interval!r}")
-        backends = tuple(self.backends)
-        object.__setattr__(self, "backends", backends)
-        if len(set(backends)) != len(backends):
-            raise SpaceValidationError(
-                f"backends has duplicates: {backends}")
-        for label in backends:
+        for label in self.backends:
             try:
                 parse_backend_point(label)
             except ValueError as exc:
@@ -166,7 +151,7 @@ class DesignSpaceSpec(JsonSpec):
                 known = ", ".join(sorted(OBJECTIVES))
                 raise SpaceValidationError(
                     f"unknown objective {objective!r}; known: {known}")
-        if "energy_per_message" in self.objectives and not backends:
+        if "energy_per_message" in self.objectives and not self.backends:
             raise SpaceValidationError(
                 "objective 'energy_per_message' needs the backend axis "
                 "(only backend rows carry a per-message energy)")

@@ -21,6 +21,7 @@ per configuration and derives every (Vdd, f) grid row from it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Union
 
@@ -72,6 +73,7 @@ def reference_config(curve: Union[str, None, object] = None) -> CoprocessorConfi
     return CoprocessorConfig(domain=curve, digit_size=4)
 
 
+@functools.lru_cache(maxsize=8)
 def reference_model(
     curve: Union[str, None, object] = None,
     target_power_watts: float = PAPER_POWER_WATTS,
@@ -85,6 +87,9 @@ def reference_model(
     benchmarks, hoisted: fit the per-toggle energy so the *reference*
     configuration hits the paper's published power, then reuse that
     one constant to price every other design point on the same curve.
+    Cached per argument set, so a process simulates the reference
+    design once per curve; every caller shares the returned model and
+    must not mutate it.
     """
     coprocessor = EccCoprocessor(reference_config(curve))
     return calibrate_energy_model(
