@@ -136,10 +136,11 @@ class WhiteBoxEvaluation:
         rng = random.Random(self.seed + 1)
         sim = PowerTraceSimulator(noise_sigma=self.noise_sigma,
                                   seed=self.seed + 1)
-        key = self.coprocessor.domain.scalar_ring.random_scalar(rng)
+        domain = self.coprocessor.domain
+        key = domain.scalar_ring.random_scalar(rng)
         execution = self.coprocessor.point_multiply(
-            key, self.coprocessor.domain.generator,
-            initial_z=rng.getrandbits(160) | 1,
+            key, domain.generator,
+            initial_z=(rng.getrandbits(160) | 1) & (domain.field.order - 1),
         )
         result = transition_spa(sim.measure(execution),
                                 execution.iteration_slices(),

@@ -45,6 +45,21 @@ class TestExplore:
         # The fixture already measured every cell: pure cache.
         assert "0 simulated, 4 cached" in out
 
+    def test_whitebox_exploration_on_a_small_field(self, tmp_path,
+                                                   capsys):
+        directory = tmp_path / "whitebox"
+        code = main(["dse", "explore", "--dir", str(directory),
+                     "--digits", "4", "--vdd", "1.0", "--freq", "847.5e3",
+                     "--countermeasures", "full", "--curve", "TOY-B17",
+                     "--whitebox", "--whitebox-traces", "12",
+                     "--workers", "1"])
+        assert code == EXIT_OK, capsys.readouterr().err
+        cells = list((directory / "measurements").glob("*.json"))
+        assert cells
+        for cell in cells:
+            findings = json.loads(cell.read_text())["whitebox"]
+            assert {f["attack"] for f in findings} >= {"spa", "dpa"}
+
     def test_rejects_an_invalid_space(self, capsys):
         code = main(["dse", "explore", "--dir", "/tmp/unused",
                      "--digits", "4", "--countermeasures", "tinfoil"])

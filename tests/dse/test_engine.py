@@ -137,7 +137,22 @@ def fail_job_one(spec_dict, directory, job_index, attempt, chaos_dict):
                                    attempt, chaos_dict)
 
 
+def fail_reference_job(spec_dict, directory, job_index, attempt,
+                       chaos_dict):
+    if job_index == SMOKE.reference_job().index:
+        raise RuntimeError("injected measurement fault")
+    return run_measurement_attempt(spec_dict, directory, job_index,
+                                   attempt, chaos_dict)
+
+
 class TestDegradedPath:
+    def test_quarantined_reference_is_named(self, tmp_path):
+        engine = ExplorationEngine(str(tmp_path / "no-reference"), SMOKE,
+                                   workers=1, retry_policy=FAST,
+                                   task=fail_reference_job)
+        with pytest.raises(MissingMeasurementError, match="quarantined"):
+            engine.run()
+
     def test_persistent_failure_quarantines_the_cell(self, tmp_path):
         directory = str(tmp_path / "degraded")
         engine = ExplorationEngine(directory, SMOKE, workers=1,
