@@ -32,6 +32,7 @@ from .model import (
     LossProfile,
     ber_from_radio,
     derive_channel_seed,
+    loss_percent,
 )
 
 __all__ = [
@@ -55,4 +56,5 @@ __all__ = [
     "BodyAreaChannel",
     "ber_from_radio",
     "derive_channel_seed",
+    "loss_percent",
 ]

@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # imported lazily at runtime (channel -> energy ->
     from ..energy.radio import RadioModel
 
 __all__ = ["LossProfile", "Delivery", "ChannelStats", "BodyAreaChannel",
-           "ber_from_radio", "derive_channel_seed"]
+           "ber_from_radio", "derive_channel_seed", "loss_percent"]
 
 
 def derive_channel_seed(seed: int, stream: str, session: int,
@@ -44,6 +44,17 @@ def derive_channel_seed(seed: int, stream: str, session: int,
     message = (f"repro.channel/{seed}/{stream}/{session}/"
                f"{frame}/{attempt}").encode()
     return int.from_bytes(hashlib.sha256(message).digest()[:8], "big")
+
+
+def loss_percent(loss: float) -> str:
+    """A loss rate's label ``f"{loss:g}"`` as a percent, the decimal
+    point shifted exactly: 0.1 -> ``10%``, 0.104 -> ``10.4%``.  Sweep
+    tables print their rows this way, and
+    :func:`repro.protocols.fleet.validate_sweep` keeps the labels of
+    one sweep unique, so the rows are too."""
+    from decimal import Decimal  # only summaries print; keep soaks lean
+
+    return f"{Decimal(f'{loss:g}').scaleb(2).normalize():f}%"
 
 
 def ber_from_radio(radio: "RadioModel", distance_m: float,
@@ -130,7 +141,8 @@ class LossProfile:
         return replace(self, frame_loss=frame_loss)
 
     def describe(self) -> str:
-        return (f"loss={self.frame_loss:.0%} ber={self.bit_error_rate:.2e} "
+        return (f"loss={loss_percent(self.frame_loss)} "
+                f"ber={self.bit_error_rate:.2e} "
                 f"dup={self.duplicate_rate:.0%} "
                 f"reorder={self.reorder_rate:.0%}")
 

@@ -1098,7 +1098,7 @@ def cmd_attack_run(adversary: str = "amplification", defenses=None,
     """
     from .adversary import (ADVERSARY_NAMES, DEFENSE_SETS, defense_config,
                             run_attack_session)
-    from .channel import LossProfile
+    from .channel import LossProfile, loss_percent
 
     if adversary not in ADVERSARY_NAMES + ("legit",):
         known = ", ".join(ADVERSARY_NAMES + ("legit",))
@@ -1111,7 +1111,7 @@ def cmd_attack_run(adversary: str = "amplification", defenses=None,
                              f"known: {known}")
     profile = LossProfile(frame_loss=loss)
     lines = [f"adversary {adversary}: {sessions} session(s) per defense "
-             f"posture, {loss:.0%} frame loss, seed {seed}"]
+             f"posture, {loss_percent(loss)} frame loss, seed {seed}"]
     for name in names:
         tag_uj = adv_uj = 0.0
         outcomes: dict = {}

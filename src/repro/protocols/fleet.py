@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
 
-from ..channel import LossProfile
+from ..channel import LossProfile, loss_percent
 from ..jsonspec import JsonSpec
 from ..obs import runtime as _obs_runtime
 from ..soak import fan_out, session_slices, sweep_records
@@ -68,16 +68,6 @@ def validate_sweep(sweep: Sequence[float]) -> None:
             raise ValueError(f"loss rates {other!r} and {loss!r} share "
                              f"the label {loss:g}; make them differ "
                              "within six significant digits")
-
-
-def loss_percent(loss: float) -> str:
-    """A sweep point's exported label ``f"{loss:g}"`` as a percent, the
-    decimal point shifted exactly: 0.1 -> ``10%``, 0.104 -> ``10.4%``.
-    :func:`validate_sweep` keeps the labels unique, so the printed
-    table rows are too."""
-    from decimal import Decimal  # only summaries print; keep soaks lean
-
-    return f"{Decimal(f'{loss:g}').scaleb(2).normalize():f}%"
 
 
 @dataclass(frozen=True)

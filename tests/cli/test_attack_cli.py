@@ -32,6 +32,12 @@ class TestAttackRun:
         assert "replay-flood" in out
         assert "full" in out
 
+    def test_prints_the_loss_rate_exactly(self, capsys):
+        code = main(["attack", "run", "--loss", "0.104", "--sessions", "1",
+                     "--adversary", "legit"])
+        assert code == EXIT_OK
+        assert "10.4% frame loss" in capsys.readouterr().out
+
     def test_unknown_adversary_fails(self, capsys):
         code = main(["attack", "run", "--adversary", "evil-twin"])
         assert code == EXIT_FAILED
