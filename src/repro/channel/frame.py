@@ -173,18 +173,13 @@ def int_from_bytes(data: bytes) -> int:
 
 
 def compress_point(curve, point) -> bytes:
-    """Compressed encoding: x plus the standard binary-curve y-bit.
-
-    For binary curves the select bit is the least-significant bit of
-    ``y / x`` (the two candidate points for one x differ by ``y`` vs
-    ``y + x``).
-    """
+    """Compressed encoding: x plus the curve's y-bit (the
+    least-significant bit of ``y / x``, see
+    :meth:`~repro.ec.curve.BinaryEllipticCurve.compress`)."""
     if point.is_infinity or point.x == 0:
         raise FrameFormatError("cannot compress the identity or 2-torsion")
-    f = curve.field
-    width = (f.m + 7) // 8
-    y_bit = f.mul_raw(point.y, f.inverse_raw(point.x)) & 1
-    return int_to_bytes(point.x, width) + bytes([y_bit])
+    x, y_bit = curve.compress(point)
+    return int_to_bytes(x, (curve.field.m + 7) // 8) + bytes([y_bit])
 
 
 def decompress_point(curve, data: bytes):
@@ -196,10 +191,7 @@ def decompress_point(curve, data: bytes):
     x = int_from_bytes(data[:-1])
     if x == 0 or x >> f.m:
         raise FrameFormatError("compressed x out of field range")
-    point = curve.lift_x(x)
+    point = curve.lift_x(x, data[-1])
     if point is None:
         raise FrameFormatError("compressed x has no point on the curve")
-    y_bit = f.mul_raw(point.y, f.inverse_raw(x)) & 1
-    if y_bit != data[-1]:
-        point = type(point)(x, point.y ^ x)
     return point
