@@ -1,5 +1,6 @@
 """CLI tests for the `repro dse` verbs (explore / pareto / report)."""
 
+import hashlib
 import json
 
 import pytest
@@ -23,6 +24,11 @@ SMOKE_ARGS = [
 ]
 
 OPTIMUM = "d4-full-1V-847.5kHz"
+
+#: SHA-256 of the sorted JSON map from cell digest to white-box findings
+#: of the four-cell TOY-B17 exploration below.
+WHITEBOX_FINDINGS_SHA256 = (
+    "83f1de0af935007a317e9b549c47d5b322486d627bc89ceeb1eea5d185847a7e")
 
 
 @pytest.fixture(scope="module")
@@ -49,16 +55,23 @@ class TestExplore:
                                                    capsys):
         directory = tmp_path / "whitebox"
         code = main(["dse", "explore", "--dir", str(directory),
-                     "--digits", "4", "--vdd", "1.0", "--freq", "847.5e3",
-                     "--countermeasures", "full", "--curve", "TOY-B17",
+                     "--digits", "1,4", "--vdd", "1.0", "--freq", "847.5e3",
+                     "--countermeasures", "full,none", "--curve", "TOY-B17",
                      "--whitebox", "--whitebox-traces", "12",
                      "--workers", "1"])
         assert code == EXIT_OK, capsys.readouterr().err
         cells = list((directory / "measurements").glob("*.json"))
-        assert cells
+        assert len(cells) == 4
+        findings = {}
         for cell in cells:
-            findings = json.loads(cell.read_text())["whitebox"]
-            assert {f["attack"] for f in findings} >= {"spa", "dpa"}
+            payload = json.loads(cell.read_text())
+            findings[payload["digest"]] = payload["whitebox"]
+            attacks = {f["attack"] for f in payload["whitebox"]}
+            assert attacks >= {"spa", "dpa"}
+        # Every finding's verdict and detail text, pinned: the battery's
+        # acquisition and attacks may be rewritten, never its findings.
+        blob = json.dumps(findings, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == WHITEBOX_FINDINGS_SHA256
 
     def test_rejects_an_invalid_space(self, capsys):
         code = main(["dse", "explore", "--dir", "/tmp/unused",
