@@ -45,12 +45,12 @@ from .progress import (
     NullReporter,
     ShardEvent,
 )
-from .spec import CampaignSpec, derive_rng, derive_seed
-from .store import ShardRecord, TraceStore
+from .spec import SCENARIOS, CampaignSpec, derive_rng, derive_seed
+from .store import ShardRecord, TraceSet, TraceStore
 from .supervisor import FailureLog, Quarantine, RetryPolicy, ShardSupervisor
 
-__all__ = ["AcquisitionEngine", "acquire_shard", "default_workers",
-           "random_protocol_point"]
+__all__ = ["AcquisitionEngine", "acquire_in_memory", "acquire_shard",
+           "acquire_traces", "default_workers", "random_protocol_point"]
 
 
 def default_workers(requested: Optional[int] = None) -> int:
@@ -74,6 +74,59 @@ def random_protocol_point(domain, rng):
         p = curve.double(curve.random_point(rng))
         if not p.is_infinity and p.x != 0:
             return p
+
+
+def acquire_traces(coprocessor, simulator: PowerTraceSimulator, key: int,
+                   points: list, z_rng, randomize: bool,
+                   max_iterations: Optional[int]):
+    """Yield ``(z, execution, trace)`` for each base point, in order.
+
+    The one acquisition loop: draw the ladder's starting Z with
+    :func:`~repro.ec.ladder.choose_z` (1 unless ``randomize``), run the
+    fixed-key point multiplication, measure it on ``simulator``.  The
+    trace store's shards and in-RAM campaigns both acquire through it.
+    """
+    field = coprocessor.domain.field
+    for point in points:
+        z0 = choose_z(field, z_rng, randomize, None)
+        execution = coprocessor.point_multiply(
+            key, point, initial_z=z0, max_iterations=max_iterations,
+            recover_y=False,
+        )
+        yield z0, execution, simulator.measure(execution)
+
+
+def acquire_in_memory(coprocessor, simulator: PowerTraceSimulator,
+                      key: int, points: list, rng=None,
+                      scenario: str = "protected",
+                      max_iterations: Optional[int] = None) -> TraceSet:
+    """Acquire one trace per base point with a fixed secret key, in RAM.
+
+    ``scenario`` selects the Section 7 evaluation configuration:
+
+    * ``"unprotected"`` — Z-randomization off (Z = 1 every run),
+    * ``"known_randomness"`` — randomization on, but the adversary
+      is handed each run's Z (white-box evaluation),
+    * ``"protected"`` — randomization on, randomness secret.
+
+    ``rng`` draws the Z values.  The streaming attacks read the result
+    like a complete one-shard store.
+    """
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    if scenario != "unprotected" and rng is None:
+        raise ValueError("randomized scenarios need an rng")
+    rows, z_values = [], []
+    for z0, execution, trace in acquire_traces(
+            coprocessor, simulator, key, points, rng,
+            scenario != "unprotected", max_iterations):
+        rows.append(trace)
+        z_values.append(z0)
+    return TraceSet(
+        np.vstack(rows), list(points), execution.iteration_slices(),
+        list(execution.key_bits), coprocessor.config,
+        z_values if scenario == "known_randomness" else None,
+    )
 
 
 def acquire_shard(spec: CampaignSpec, directory: str,
@@ -123,17 +176,19 @@ def _acquire_shard_observed(spec: CampaignSpec, directory: str,
         noise_sigma=spec.noise_sigma,
         seed=derive_seed(spec.seed, "noise", shard_index),
     )
-    point_rng = derive_rng(spec.seed, "points", shard_index)
-    z_rng = derive_rng(spec.seed, "z", shard_index)
     key = spec.resolve_key()
-    field = coprocessor.domain.field
     attribute = _shard_energy_reporter(spec, coprocessor, obs)
 
     n = spec.shard_trace_count(shard_index)
-    rows, points = [], []
-    z_values = [] if spec.scenario == "known_randomness" else None
-    iteration_slices = None
-    key_bits = None
+    point_rng = derive_rng(spec.seed, "points", shard_index)
+    points = [random_protocol_point(coprocessor.domain, point_rng)
+              for _ in range(n)]
+    traces = acquire_traces(
+        coprocessor, simulator, key, points,
+        derive_rng(spec.seed, "z", shard_index), spec.randomize_z,
+        spec.max_iterations,
+    )
+    rows, z_values = [], []
     shard_uj = 0.0
     with contextlib.ExitStack() as stack:
         shard_span = None
@@ -147,32 +202,19 @@ def _acquire_shard_observed(spec: CampaignSpec, directory: str,
                 shard=shard_index,
             ))
         for trace_index in range(n):
-            point = random_protocol_point(coprocessor.domain, point_rng)
-            z0 = choose_z(field, z_rng, spec.scenario != "unprotected", None)
             with contextlib.ExitStack() as trace_stack:
                 trace_span = None
                 if obs is not None:
                     trace_span = trace_stack.enter_context(
                         obs.tracer.span("trace", key=trace_index)
                     )
-                execution = coprocessor.point_multiply(
-                    key,
-                    point,
-                    initial_z=z0,
-                    max_iterations=spec.max_iterations,
-                    recover_y=False,
-                )
-                rows.append(simulator.measure(execution))
+                z0, execution, trace = next(traces)
+                rows.append(trace)
+                z_values.append(z0)
                 if trace_span is not None:
                     uj = _attribute_trace(obs, trace_span, execution,
                                           attribute)
                     shard_uj += uj
-            points.append(point)
-            if z_values is not None:
-                z_values.append(z0)
-            if iteration_slices is None:
-                iteration_slices = execution.iteration_slices()
-                key_bits = list(execution.key_bits)
         if shard_span is not None:
             shard_span.set(uj=shard_uj, traces=n)
             obs.registry.counter(
@@ -180,11 +222,13 @@ def _acquire_shard_observed(spec: CampaignSpec, directory: str,
                 "simulated microjoules across acquired traces",
             ).inc(shard_uj)
 
+    if spec.scenario != "known_randomness":
+        z_values = None
     store = TraceStore(directory)
     record = store.write_shard(shard_index, np.vstack(rows), points, z_values)
     record["wall_seconds"] = time.perf_counter() - started
-    record["iteration_slices"] = iteration_slices
-    record["key_bits"] = key_bits
+    record["iteration_slices"] = execution.iteration_slices()
+    record["key_bits"] = list(execution.key_bits)
     return record
 
 

@@ -35,7 +35,8 @@ __all__ = ["SCHEMA_VERSION", "CampaignSpec", "derive_seed", "derive_rng",
 #: Manifest/spec schema version; bumped on incompatible layout changes.
 SCHEMA_VERSION = 1
 
-#: The Section 7 evaluation scenarios (see PowerTraceSimulator.campaign).
+#: The Section 7 evaluation scenarios: Z = 1, random Z recorded for the
+#: white-box adversary, random Z kept secret (see acquire.acquire_in_memory).
 SCENARIOS = ("unprotected", "known_randomness", "protected")
 
 _MUX_ENCODINGS = {"balanced": BalancedEncoding, "unbalanced": UnbalancedEncoding}

@@ -38,14 +38,16 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from ..arch.coprocessor import CoprocessorConfig, EccCoprocessor
 from ..ec.point import AffinePoint
 from ..jsonspec import JsonSpec, _check_envelope
 from ..obs.metrics import atomic_write_bytes
 from .errors import DATA_INTEGRITY, CampaignError
 from .spec import SCHEMA_VERSION, CampaignSpec
 
-__all__ = ["ShardRecord", "ShardView", "TraceStore", "CorruptShardError",
-           "CoverageReport", "file_digest"]
+__all__ = ["AttackProvenance", "ShardRecord", "ShardView", "TraceSet",
+           "TraceStore", "CorruptShardError", "CoverageReport",
+           "file_digest"]
 
 MANIFEST_NAME = "manifest.json"
 
@@ -113,6 +115,27 @@ class CoverageReport:
         )
         if self.missing_shards:
             text += f"; missing shards {list(self.missing_shards)}"
+        return text
+
+
+@dataclass(frozen=True)
+class AttackProvenance:
+    """Exactly which data backed a streamed statistic."""
+
+    shard_indices: tuple
+    n_traces: int
+    n_traces_planned: int
+
+    @property
+    def partial(self) -> bool:
+        return self.n_traces < self.n_traces_planned
+
+    def describe(self) -> str:
+        text = (f"{self.n_traces} trace(s) from shard(s) "
+                f"{list(self.shard_indices)} of {self.n_traces_planned} "
+                "planned")
+        if self.partial:
+            text += " — PARTIAL coverage"
         return text
 
 
@@ -350,6 +373,31 @@ class TraceStore:
         for index in indices:
             self._shards.pop(index, None)
 
+    def build_coprocessor(self) -> EccCoprocessor:
+        """A fresh device-under-test for this campaign's spec."""
+        return self.spec.build_coprocessor()
+
+    def provenance(self, max_traces: Optional[int] = None) -> AttackProvenance:
+        """Provenance of a streamed pass over this store.
+
+        Mirrors :meth:`iter_shards` exactly: completed shards in index
+        order, truncated after ``max_traces``.
+        """
+        indices, used = [], 0
+        for record in self.shard_records:
+            if max_traces is not None and used >= max_traces:
+                break
+            take = record.n_traces
+            if max_traces is not None:
+                take = min(take, max_traces - used)
+            indices.append(record.index)
+            used += take
+        return AttackProvenance(
+            shard_indices=tuple(indices),
+            n_traces=used,
+            n_traces_planned=self.spec.n_traces,
+        )
+
     def coverage(self, verify_digests: bool = False) -> CoverageReport:
         """Partial-completeness accounting of what is (validly) on disk."""
         missing = self.missing_shards(verify_digests=verify_digests)
@@ -415,9 +463,9 @@ class TraceStore:
         ``columns=(start, end)`` restricts the sample matrix to that
         cycle window (sliced straight off the memory-map, so only those
         columns are ever read).  ``max_traces`` truncates the stream
-        after that many traces — the streaming equivalent of
-        ``TraceSet.subset`` for traces-to-disclosure sweeps.
-        ``verify`` checks file digests before trusting the bytes.
+        after that many traces (traces-to-disclosure sweeps attack
+        campaign prefixes).  ``verify`` checks file digests before
+        trusting the bytes.
         """
         remaining = max_traces
         for record in self.shard_records:
@@ -455,32 +503,97 @@ class TraceStore:
                 record.aux_sha256,
             )
 
-    # ------------------------------------------------------------------
-    # batch-compat escape hatch
-    # ------------------------------------------------------------------
 
-    def as_trace_set(self, max_traces: Optional[int] = None):
-        """Materialize a batch :class:`~repro.power.simulator.TraceSet`.
+class TraceSet:
+    """An in-RAM campaign, read by the attacks like a one-shard store.
 
-        Loads everything into RAM — meant for tests and small campaigns
-        that want to cross-check the streaming layer against the batch
-        attacks, not for paper-scale analysis.
-        """
-        from ..power.simulator import TraceSet
+    The white-box battery and the unit tests acquire a few hundred
+    traces at most, so they keep them in memory (see
+    :func:`~repro.campaign.acquire.acquire_in_memory`) instead of
+    writing a directory.  The streaming attacks read a ``TraceSet``
+    through the same surface as a :class:`TraceStore`: the iteration
+    schedule, the key bits, :meth:`iter_shards`, :meth:`coverage`,
+    :meth:`provenance` and :meth:`build_coprocessor`.
 
-        rows, points, z_all = [], [], []
-        have_z = self.spec.scenario == "known_randomness"
-        for view in self.iter_shards(max_traces=max_traces):
-            rows.append(np.asarray(view.samples))
-            points.extend(view.points)
-            if have_z:
-                z_all.extend(view.z_values)
-        if not rows:
-            raise ValueError("no shards on disk")
-        return TraceSet(
-            np.vstack(rows),
-            points,
-            list(self.iteration_slices),
-            list(self.key_bits),
-            z_all if have_z else None,
+    Attributes
+    ----------
+    samples:
+        ``(n_traces, n_samples)`` float64 array of power samples.
+    inputs:
+        The known per-trace inputs (base points).
+    iteration_slices:
+        Cycle windows of each ladder iteration (public knowledge: the
+        design is constant-time, so the schedule is fixed).
+    key_bits:
+        Ground truth (for *evaluation* of an attack, never used by the
+        attack itself).
+    config:
+        The measured device's :class:`~repro.arch.CoprocessorConfig`.
+    known_randomness:
+        Per-trace ``initial_z`` values, only populated in the white-box
+        "randomness known to the adversary" scenario; None otherwise.
+    """
+
+    def __init__(self, samples: np.ndarray, inputs: list,
+                 iteration_slices: list, key_bits: list,
+                 config: CoprocessorConfig,
+                 known_randomness: Optional[list] = None):
+        self.samples = samples
+        self.inputs = inputs
+        self.iteration_slices = iteration_slices
+        self.key_bits = key_bits
+        self.config = config
+        self.known_randomness = known_randomness
+
+    @property
+    def n_traces(self) -> int:
+        """Number of acquired traces."""
+        return self.samples.shape[0]
+
+    def build_coprocessor(self) -> EccCoprocessor:
+        """A fresh copy of the measured device."""
+        return EccCoprocessor(self.config)
+
+    def coverage(self) -> CoverageReport:
+        """An in-RAM campaign is always complete."""
+        return CoverageReport(
+            n_shards_planned=1,
+            n_traces_planned=self.n_traces,
+            completed_shards=(0,),
+            missing_shards=(),
+            n_traces_on_disk=self.n_traces,
+        )
+
+    def _used(self, max_traces: Optional[int]) -> int:
+        if max_traces is None:
+            return self.n_traces
+        return max(0, min(self.n_traces, max_traces))
+
+    def provenance(self, max_traces: Optional[int] = None) -> AttackProvenance:
+        """Provenance of a pass over the first ``max_traces`` traces."""
+        used = self._used(max_traces)
+        return AttackProvenance(
+            shard_indices=(0,) if used else (),
+            n_traces=used,
+            n_traces_planned=self.n_traces,
+        )
+
+    def iter_shards(self, columns: Optional[tuple] = None,
+                    max_traces: Optional[int] = None) -> Iterator[ShardView]:
+        """The whole campaign as one shard, as :meth:`TraceStore.iter_shards`
+        would stream a complete one-shard store."""
+        used = self._used(max_traces)
+        if not used:
+            return
+        samples = self.samples[:used]
+        if columns is not None:
+            start, end = columns
+            samples = samples[:, start:end]
+        z_values = self.known_randomness
+        yield ShardView(
+            index=0,
+            samples=samples,
+            points=self.inputs[:used],
+            z_values=None if z_values is None else z_values[:used],
+            key_bits=self.key_bits,
         )

@@ -445,12 +445,12 @@ def cmd_campaign_attack(directory: str, attack: str = "dpa",
     Attacks refuse incomplete stores unless ``allow_partial`` is set,
     in which case the report states exactly which shards and traces
     backed the statistics (see
-    :class:`~repro.campaign.streaming.AttackProvenance`).  With
+    :class:`~repro.campaign.store.AttackProvenance`).  With
     ``obs_dir`` the attack is traced into that directory: its own, so
     an acquisition's ``<directory>/obs`` is never overwritten.
     """
     from .campaign import StreamingCpa, StreamingDpa, TraceStore, \
-        store_provenance, streaming_spa
+        streaming_spa
 
     if attack not in ("dpa", "cpa", "spa"):
         raise ValueError(f"unknown attack {attack!r}")
@@ -473,7 +473,7 @@ def cmd_campaign_attack(directory: str, attack: str = "dpa",
         if attack == "spa":
             result = streaming_spa(store, allow_partial=allow_partial)
             lines += [
-                f"provenance: {store_provenance(store).describe()}",
+                f"provenance: {store.provenance().describe()}",
                 f"recovered {len(result.recovered_bits)} ladder bits with "
                 f"{result.bit_errors} errors from the averaged trace",
             ]

@@ -25,7 +25,7 @@ from .models import (
     SablLeakageModel,
     WddlLeakageModel,
 )
-from .simulator import PowerTraceSimulator, TraceSet
+from .simulator import PowerTraceSimulator
 from .technology import (
     OperatingPoint,
     PAPER_ENERGY_PER_PM_JOULES,
@@ -52,7 +52,6 @@ __all__ = [
     "WddlLeakageModel",
     "ChannelWeights",
     "PowerTraceSimulator",
-    "TraceSet",
     "TechnologyParams",
     "OperatingPoint",
     "UMC_130NM",

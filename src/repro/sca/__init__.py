@@ -1,12 +1,12 @@
 """Side-channel analysis: the attack workflow of Figure 4.
 
-Timing attacks, SPA (clustering and profiled), DPA (difference of
-means), CPA (Pearson correlation), the TVLA t-test screen and the
-attacker's activity predictor.
+Timing attacks, SPA (clustering and profiled), the TVLA t-test screen,
+the attacker's activity predictor and the DPA/CPA outcome types.  The
+DPA (difference of means) and CPA (Pearson correlation) attacks run in
+:mod:`repro.campaign.streaming`, over a campaign on disk or in RAM.
 """
 
-from .cpa import LadderCpa, columnwise_correlation
-from .dpa import BitDecision, DpaResult, LadderDpa
+from .dpa import BitDecision, DpaResult
 from .predict import ActivityPredictor, bits_to_int
 from .preprocess import (
     average_traces,
@@ -23,9 +23,6 @@ from .timing import (
 from .ttest import TVLA_THRESHOLD, TvlaReport, tvla_fixed_vs_random, welch_t_statistic
 
 __all__ = [
-    "LadderCpa",
-    "columnwise_correlation",
-    "LadderDpa",
     "DpaResult",
     "BitDecision",
     "ActivityPredictor",

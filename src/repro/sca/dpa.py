@@ -1,21 +1,23 @@
-"""Differential Power Analysis on the Montgomery-ladder coprocessor.
+"""Outcomes of the DPA and CPA key-recovery attacks (Section 7).
 
 The Section 7 experiment: a DPA adversary with a fixed secret key
 collects traces over many known base points and recovers the key bit
 by bit.  For each target bit it compares the measured traces against
-the hypothesized power consumption of both bit guesses (Kocher's
-difference-of-means, with the netlist replay as the selection
-function) and keeps the hypothesis with the stronger differential
-peak.
+the hypothesized power consumption of both bit guesses (the netlist
+replay of :class:`~repro.sca.predict.ActivityPredictor` is the
+selection function) and keeps the hypothesis with the stronger
+differential peak.
 
-The three scenarios of the paper's evaluation map to how the
-:class:`~repro.power.simulator.TraceSet` was acquired and which
-``z_values`` the attack is given:
+The attacks themselves are :class:`~repro.campaign.streaming.StreamingDpa`
+(difference of means) and :class:`~repro.campaign.streaming.StreamingCpa`
+(Pearson correlation).  They read a campaign on disk or in RAM, and
+return the types defined here.  The three scenarios of the paper's
+evaluation map to how the campaign was acquired and whether the attack
+uses the recorded Z values:
 
-* countermeasure off  -> scenario "unprotected", z assumed 1: succeeds
-  with on the order of a couple hundred traces;
-* countermeasure on, randomness known (white-box) -> "known_randomness":
-  succeeds too, validating the attack's soundness;
+* countermeasure off -> scenario "unprotected", z assumed 1: succeeds;
+* countermeasure on, randomness known (white-box) -> "known_randomness"
+  with the stored Z: succeeds too, validating the attack's soundness;
 * countermeasure on, randomness secret -> "protected": the predictions
   decorrelate and the attack fails regardless of the trace count.
 """
@@ -23,15 +25,8 @@ The three scenarios of the paper's evaluation map to how the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-from ..arch.coprocessor import EccCoprocessor
-from ..power.simulator import TraceSet
-from .predict import ActivityPredictor
-
-__all__ = ["BitDecision", "DpaResult", "LadderDpa"]
+__all__ = ["BitDecision", "DpaResult"]
 
 
 @dataclass(frozen=True)
@@ -99,132 +94,3 @@ class DpaResult:
         """
         return self.success and all(p > threshold
                                     for p in self.peak_statistics)
-
-
-class LadderDpa:
-    """Difference-of-means DPA against the ladder coprocessor."""
-
-    def __init__(self, coprocessor: EccCoprocessor, min_partition: int = 5):
-        self.predictor = ActivityPredictor(coprocessor)
-        if min_partition < 1:
-            raise ValueError("min_partition must be positive")
-        self.min_partition = min_partition
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-
-    def _signed_dom_statistics(self, difference: np.ndarray,
-                               observed: np.ndarray) -> tuple:
-        """Signed difference-of-means against the hypothesis difference.
-
-        ``difference`` is the per-trace, per-cycle prediction gap
-        ``P(bit=1) - P(bit=0)``.  Per cycle, traces are partitioned by
-        whether that gap is above its median and the observed means are
-        differenced and normalized.  A strongly *positive* peak means
-        the measurements co-vary with the bit=1 prediction; a negative
-        peak favours bit=0.  Working on the gap removes every
-        hypothesis-independent (e.g. public-input-driven) component,
-        which would otherwise inflate both hypotheses alike.
-
-        Returns ``(evidence_for_zero, evidence_for_one)``.
-        """
-        best_pos = 0.0
-        best_neg = 0.0
-        for col in range(observed.shape[1]):
-            d = difference[:, col]
-            median = np.median(d)
-            high = d > median
-            low = ~high
-            if high.sum() < self.min_partition or low.sum() < self.min_partition:
-                continue
-            o = observed[:, col]
-            diff = o[high].mean() - o[low].mean()
-            pooled = np.sqrt(
-                o[high].var(ddof=1) / high.sum() + o[low].var(ddof=1) / low.sum()
-            )
-            if pooled == 0:
-                continue
-            statistic = diff / pooled
-            if statistic > best_pos:
-                best_pos = statistic
-            if -statistic > best_neg:
-                best_neg = -statistic
-        return best_neg, best_pos
-
-    # ------------------------------------------------------------------
-    # the attack
-    # ------------------------------------------------------------------
-
-    def attack_bit(
-        self,
-        traces: TraceSet,
-        bit_index: int,
-        known_prefix: list,
-        z_values: Optional[list] = None,
-    ) -> BitDecision:
-        """Decide one key bit from the campaign."""
-        start, end = traces.iteration_slices[bit_index]
-        observed = traces.samples[:, start:end]
-        predictions = {
-            hypothesis: self.predictor.prediction_matrix(
-                traces.inputs, known_prefix, hypothesis, bit_index, z_values
-            )
-            for hypothesis in (0, 1)
-        }
-        difference = predictions[1] - predictions[0]
-        evidence_zero, evidence_one = self._signed_dom_statistics(
-            difference, observed
-        )
-        chosen = 1 if evidence_one >= evidence_zero else 0
-        return BitDecision(
-            bit_index=bit_index,
-            chosen=chosen,
-            statistic_zero=evidence_zero,
-            statistic_one=evidence_one,
-            true_bit=traces.key_bits[bit_index],
-        )
-
-    def recover_bits(
-        self,
-        traces: TraceSet,
-        n_bits: int,
-        z_values: Optional[list] = None,
-    ) -> DpaResult:
-        """Attack the first ``n_bits`` ladder bits sequentially.
-
-        Later bits are attacked under the *recovered* prefix (not the
-        ground truth), so early mistakes propagate — as they would for
-        a real adversary.
-        """
-        if n_bits < 1 or n_bits > len(traces.iteration_slices):
-            raise ValueError("n_bits out of range for this campaign")
-        if z_values is not None and len(z_values) != traces.n_traces:
-            raise ValueError("one z value per trace is required")
-        decisions = []
-        prefix = []
-        for bit_index in range(n_bits):
-            decision = self.attack_bit(traces, bit_index, prefix, z_values)
-            decisions.append(decision)
-            prefix.append(decision.chosen)
-        return DpaResult(decisions)
-
-    def traces_to_disclosure(
-        self,
-        traces: TraceSet,
-        n_bits: int,
-        grid: list,
-        z_values: Optional[list] = None,
-    ) -> Optional[int]:
-        """Smallest campaign size in ``grid`` that *significantly*
-        recovers all bits (see :meth:`DpaResult.significant_success`).
-
-        Returns None when even the full campaign fails — the paper's
-        "even 20000 traces are not enough" outcome.
-        """
-        for n in sorted(grid):
-            subset = traces.subset(n)
-            sub_z = None if z_values is None else z_values[:n]
-            if self.recover_bits(subset, n_bits, sub_z).significant_success():
-                return n
-        return None

@@ -10,8 +10,13 @@ from repro.campaign import (
     CampaignSpec,
     CorruptShardError,
     TraceStore,
+    acquire_in_memory,
+    derive_rng,
+    derive_seed,
     file_digest,
+    random_protocol_point,
 )
+from repro.power import PowerTraceSimulator
 
 from .conftest import UNPROTECTED_SPEC
 
@@ -60,10 +65,32 @@ class TestRoundtrip:
         views = list(unprotected_store.iter_shards(max_traces=12))
         assert sum(v.n_traces for v in views) == 12
 
-    def test_as_trace_set(self, unprotected_store):
-        ts = unprotected_store.as_trace_set()
-        assert ts.n_traces == 24
-        assert ts.iteration_slices == list(unprotected_store.iteration_slices)
+    def test_in_memory_campaign_equals_a_one_shard_store(self, tmp_path):
+        """One acquisition loop: in RAM on a shard's own RNG streams, it
+        measures the shard's traces bit for bit."""
+        spec = CampaignSpec(n_traces=5, shard_size=5,
+                            scenario="known_randomness", max_iterations=2,
+                            seed=21, curve="TOY-B17")
+        store = AcquisitionEngine(str(tmp_path), spec, workers=1).run()
+        cop = spec.build_coprocessor()
+        point_rng = derive_rng(spec.seed, "points", 0)
+        points = [random_protocol_point(cop.domain, point_rng)
+                  for _ in range(spec.n_traces)]
+        sim = PowerTraceSimulator(noise_sigma=spec.noise_sigma,
+                                  seed=derive_seed(spec.seed, "noise", 0))
+        traces = acquire_in_memory(
+            cop, sim, spec.resolve_key(), points,
+            rng=derive_rng(spec.seed, "z", 0), scenario=spec.scenario,
+            max_iterations=spec.max_iterations)
+        [on_disk] = store.iter_shards()
+        [in_ram] = traces.iter_shards()
+        np.testing.assert_array_equal(in_ram.samples, on_disk.samples)
+        assert in_ram.points == on_disk.points
+        assert in_ram.z_values == on_disk.z_values
+        assert traces.iteration_slices == store.iteration_slices
+        assert traces.key_bits == store.key_bits
+        assert traces.provenance() == store.provenance()
+        assert traces.coverage().is_complete
 
 
 class TestSpecGuard:

@@ -1,6 +1,6 @@
 """Shared fixtures for the side-channel tests.
 
-Campaigns are module-scoped and deliberately small: the unit tests
+Campaigns are session-scoped, small and held in RAM: the unit tests
 check attack *behaviour* (succeeds/fails in the right scenario); the
 paper-scale trace counts live in the benchmarks.
 """
@@ -10,21 +10,11 @@ import random
 import pytest
 
 from repro.arch import CoprocessorConfig, EccCoprocessor
+from repro.campaign import acquire_in_memory, random_protocol_point
 from repro.power import PowerTraceSimulator
 
 #: Noise level used across the SCA tests (matches the benches).
 NOISE_SIGMA = 38.0
-
-
-def protocol_points(domain, count, rng):
-    """Random prime-order-subgroup points with x != 0."""
-    curve = domain.curve
-    points = []
-    while len(points) < count:
-        p = curve.double(curve.random_point(rng))
-        if not p.is_infinity and p.x != 0:
-            points.append(p)
-    return points
 
 
 @pytest.fixture(scope="session")
@@ -34,34 +24,32 @@ def secret_key():
 
 @pytest.fixture(scope="session")
 def attack_points():
-    cop = EccCoprocessor()
-    return protocol_points(cop.domain, 240, random.Random(77))
+    domain = EccCoprocessor().domain
+    rng = random.Random(77)
+    return [random_protocol_point(domain, rng) for _ in range(240)]
 
 
 @pytest.fixture(scope="session")
 def unprotected_campaign(secret_key, attack_points):
     cop = EccCoprocessor(CoprocessorConfig(randomize_z=False))
     sim = PowerTraceSimulator(noise_sigma=NOISE_SIGMA, seed=10)
-    traces = sim.campaign(cop, secret_key, attack_points,
-                          scenario="unprotected", max_iterations=3)
-    return cop, traces
+    return acquire_in_memory(cop, sim, secret_key, attack_points,
+                             scenario="unprotected", max_iterations=3)
 
 
 @pytest.fixture(scope="session")
 def protected_campaign(secret_key, attack_points):
     cop = EccCoprocessor(CoprocessorConfig(randomize_z=True))
     sim = PowerTraceSimulator(noise_sigma=NOISE_SIGMA, seed=11)
-    traces = sim.campaign(cop, secret_key, attack_points,
-                          rng=random.Random(5), scenario="protected",
-                          max_iterations=3)
-    return cop, traces
+    return acquire_in_memory(cop, sim, secret_key, attack_points,
+                             rng=random.Random(5), scenario="protected",
+                             max_iterations=3)
 
 
 @pytest.fixture(scope="session")
 def known_randomness_campaign(secret_key, attack_points):
     cop = EccCoprocessor(CoprocessorConfig(randomize_z=True))
     sim = PowerTraceSimulator(noise_sigma=NOISE_SIGMA, seed=12)
-    traces = sim.campaign(cop, secret_key, attack_points[:120],
-                          rng=random.Random(6), scenario="known_randomness",
-                          max_iterations=6)
-    return cop, traces
+    return acquire_in_memory(cop, sim, secret_key, attack_points[:120],
+                             rng=random.Random(6),
+                             scenario="known_randomness", max_iterations=6)

@@ -23,7 +23,9 @@ from repro.arch.control import BalancedEncoding, UnbalancedEncoding
 from repro.campaign import (AcquisitionEngine, CampaignSpec, StreamingCpa,
                             StreamingDpa, random_protocol_point)
 from repro.ec.curves import get_curve
-from repro.sca import ActivityPredictor, LadderCpa, LadderDpa, bits_to_int
+from repro.sca import ActivityPredictor, bits_to_int
+
+from . import batch_oracle
 
 BITS = 4
 ENCODINGS = {"balanced": BalancedEncoding, "unbalanced": UnbalancedEncoding}
@@ -203,14 +205,16 @@ def test_attack_decisions_equal_the_full_replay_record(scenario, mux):
                         curve="TOY-B17", mux_encoding=mux)
     with tempfile.TemporaryDirectory() as directory:
         store = AcquisitionEngine(directory, spec, workers=1).run()
-        traces = store.as_trace_set()
+        traces = batch_oracle.load_trace_set(store)
         z = traces.known_randomness
-        cop = spec.build_coprocessor()
         got = {}
-        for name, attack in (("LadderDpa", LadderDpa(cop)),
-                             ("LadderCpa", LadderCpa(cop))):
-            got[name] = _decisions(attack.recover_bits(traces, BITS, z))
-            got[name + "/z1"] = _decisions(attack.recover_bits(traces, BITS))
+        for name, distinguisher in (
+                ("LadderDpa", batch_oracle.difference_of_means),
+                ("LadderCpa", batch_oracle.correlation)):
+            got[name] = _decisions(batch_oracle.recover_bits(
+                traces, BITS, distinguisher, z))
+            got[name + "/z1"] = _decisions(batch_oracle.recover_bits(
+                traces, BITS, distinguisher))
         for name, cls in (("StreamingDpa", StreamingDpa),
                           ("StreamingCpa", StreamingCpa)):
             attack = cls(store, use_stored_randomness=z is not None)

@@ -34,7 +34,6 @@ SRC = ROOT / "src"
 #: Unreached on purpose, each with the reason it stays.
 ALLOWED = {
     "repro.fault": "the point-validation countermeasure the pyramid cites",
-    "repro.sca.cpa": "the reference that tests pin StreamingCpa against",
 }
 
 #: Unreferenced names that stay, each with its reason.
@@ -43,9 +42,6 @@ ALLOWED_NAMES = {
         "http.server dispatches GET requests to it",
     "repro.server.http._Handler.log_message":
         "http.server calls it; the override keeps request logs quiet",
-    "repro.campaign.store.TraceStore.as_trace_set":
-        "tests cross-check the streaming attacks against the batch "
-        "attack on a store's traces",
     "repro.arch.coprocessor.EccCoprocessor.cycles_per_point_multiplication":
         "tests pin the paper's ~85.7k-cycle operating point with it",
     "repro.intermittent.engine.IntermittentResult.wire_payloads":
