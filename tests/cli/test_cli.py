@@ -255,6 +255,21 @@ class TestBadInput:
             == 0
         return directory
 
+    @pytest.mark.parametrize("grid", ["1000,5000", "0,3"])
+    def test_disclosure_grid_beyond_the_traces_exits_1(self, campaign,
+                                                       capsys, grid):
+        capsys.readouterr()
+        code = main(["campaign", "attack", "--dir", str(campaign),
+                     "--attack", "dpa", "--bits", "1", "--grid", grid])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("campaign error:")
+        assert captured.err.count("\n") == 1
+        bad = grid.split(",")[0]
+        assert f"grid point {bad} " in captured.err
+        assert "6 trace(s)" in captured.err
+        assert "traces to disclosure" not in captured.out
+
     @pytest.mark.parametrize("verb, tamper", [
         ("status", lambda m: m["spec"].update(bogus=1)),
         ("attack", lambda m: m["spec"].update(n_traces="2")),
