@@ -52,17 +52,6 @@ def write_report(name: str, lines: list) -> str:
     return text
 
 
-def protocol_points(domain, count, rng):
-    """Random prime-order-subgroup points with x != 0."""
-    curve = domain.curve
-    points = []
-    while len(points) < count:
-        p = curve.double(curve.random_point(rng))
-        if not p.is_infinity and p.x != 0:
-            points.append(p)
-    return points
-
-
 def fresh_rng(stream: int) -> random.Random:
     """A deterministic RNG on one explicit stream of the master seed.
 
