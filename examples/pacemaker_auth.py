@@ -32,95 +32,102 @@ from repro.protocols import (
     run_identification,
     run_mutual_authentication,
 )
+from repro.protocols.fleet import FleetSpec, run_fleet
 
 DISTANCE_M = 1.5  # phone in the patient's pocket
 
-drbg = AesCtrDrbg(b"implant serial 0x4711")
-shared_key = bytes(range(16))
 
-# ------------------------------------------------------- mutual auth
-print("=== 1. AES mutual authentication (server first) ===")
-implant = SymmetricDevice(shared_key, device_id=b"pacemaker")
-phone = SymmetricServer(shared_key)
-session = run_mutual_authentication(
-    implant, phone, drbg, payload=b"hr=072bpm spo2=98% lead_ok=1"
-)
-print(f"authenticated: {session.authenticated}")
-print(f"telemetry delivered: {session.payload_delivered}")
-for message in session.transcript.messages:
-    print(f"  {message.sender:>7} -> {message.label:<9} {message.bits:>5} bits")
+def main() -> None:
+    drbg = AesCtrDrbg(b"implant serial 0x4711")
+    shared_key = bytes(range(16))
 
-print("\n=== 2. A fake programmer tries to connect ===")
-implant2 = SymmetricDevice(shared_key)
-impostor = SymmetricServer(shared_key)
-attack = run_mutual_authentication(implant2, impostor, drbg,
-                                   server_is_impostor=True)
-print(f"authenticated: {attack.authenticated} "
-      f"(aborted early: {attack.aborted_early})")
-table = ComputeEnergyTable()
-honest_j = table.computation_energy(session.device_ops)
-attack_j = table.computation_energy(attack.device_ops)
-print(f"implant compute spent on the impostor: {attack_j * 1e6:.3f} uJ "
-      f"({attack_j / honest_j:.0%} of an honest session) — the paper's "
-      "server-auth-first rule at work")
+    # ------------------------------------------------------- mutual auth
+    print("=== 1. AES mutual authentication (server first) ===")
+    implant = SymmetricDevice(shared_key, device_id=b"pacemaker")
+    phone = SymmetricServer(shared_key)
+    session = run_mutual_authentication(
+        implant, phone, drbg, payload=b"hr=072bpm spo2=98% lead_ok=1"
+    )
+    print(f"authenticated: {session.authenticated}")
+    print(f"telemetry delivered: {session.payload_delivered}")
+    for message in session.transcript.messages:
+        print(f"  {message.sender:>7} -> {message.label:<9} "
+              f"{message.bits:>5} bits")
 
-# --------------------------------------------------- private identification
-print("\n=== 3. Private identification (Peeters-Hermans, Figure 2) ===")
-rng = random.Random(7)
-ring = NIST_K163.scalar_ring
-hospital_reader = PeetersHermansReader(NIST_K163, ring.random_scalar(rng))
-tag = PeetersHermansTag(NIST_K163, ring.random_scalar(rng),
-                        hospital_reader.public)
-hospital_reader.register(4711, tag.identity_point)
-identification = run_identification(tag, hospital_reader, rng)
-print(f"identified as implant #{identification.identity}")
-print(f"tag workload: {identification.tag_ops.point_multiplications} point "
-      f"multiplications + {identification.tag_ops.modular_multiplications} "
-      "modular multiplication (matches the paper)")
+    print("\n=== 2. A fake programmer tries to connect ===")
+    implant2 = SymmetricDevice(shared_key)
+    impostor = SymmetricServer(shared_key)
+    attack = run_mutual_authentication(implant2, impostor, drbg,
+                                       server_is_impostor=True)
+    print(f"authenticated: {attack.authenticated} "
+          f"(aborted early: {attack.aborted_early})")
+    table = ComputeEnergyTable()
+    honest_j = table.computation_energy(session.device_ops)
+    attack_j = table.computation_energy(attack.device_ops)
+    print(f"implant compute spent on the impostor: {attack_j * 1e6:.3f} uJ "
+          f"({attack_j / honest_j:.0%} of an honest session) — the paper's "
+          "server-auth-first rule at work")
 
-# ------------------------------------------------------------- budget
-print("\n=== 4. The 10-year battery budget ===")
-radio = RadioModel()
-aes_energy = protocol_energy("AES session", session.device_ops, DISTANCE_M,
-                             radio, table)
-ph_energy = protocol_energy("PH identification", identification.tag_ops,
-                            DISTANCE_M, radio, table)
-print(aes_energy)
-print(ph_energy)
-budget = PACEMAKER_BUDGET
-print(f"\nsecurity allowance: {budget.security_joules:.0f} J over "
-      f"{budget.target_lifetime_years:.0f} years "
-      f"({budget.average_security_power_watts * 1e6:.2f} uW average)")
-for name, energy in (("AES sessions", aes_energy.total_j),
-                     ("PH identifications", ph_energy.total_j)):
-    per_day = budget.operations_per_day(energy)
-    print(f"  affordable {name}: {per_day:,.0f} per day")
-print("\nConclusion: even the public-key protocol fits the implant's "
-      "budget thousands of times a day — the paper's 5.1 uJ design "
-      "point makes PKC-grade privacy practical.")
+    # ----------------------------------------------- private identification
+    print("\n=== 3. Private identification (Peeters-Hermans, Figure 2) ===")
+    rng = random.Random(7)
+    ring = NIST_K163.scalar_ring
+    hospital_reader = PeetersHermansReader(NIST_K163, ring.random_scalar(rng))
+    tag = PeetersHermansTag(NIST_K163, ring.random_scalar(rng),
+                            hospital_reader.public)
+    hospital_reader.register(4711, tag.identity_point)
+    identification = run_identification(tag, hospital_reader, rng)
+    print(f"identified as implant #{identification.identity}")
+    ops = identification.tag_ops
+    print(f"tag workload: {ops.point_multiplications} point "
+          f"multiplications + {ops.modular_multiplications} "
+          "modular multiplication (matches the paper)")
 
-# --------------------------------------------- the body is in the way
-print("\n=== 5. The same identification over a lossy body-area link ===")
-# The numbers above assume every frame arrives.  Around a torso they
-# do not: frames fade, take bit errors, duplicate.  The session layer
-# retries with fresh nonces — and every retry is energy the battery
-# pays.  (Toy group: the channel behaviour is identical, the curve is
-# just small enough to run a sweep in an example.)
-from repro.protocols.fleet import FleetSpec, run_fleet
+    # ------------------------------------------------------------- budget
+    print("\n=== 4. The 10-year battery budget ===")
+    radio = RadioModel()
+    aes_energy = protocol_energy("AES session", session.device_ops, DISTANCE_M,
+                                 radio, table)
+    ph_energy = protocol_energy("PH identification", identification.tag_ops,
+                                DISTANCE_M, radio, table)
+    print(aes_energy)
+    print(ph_energy)
+    budget = PACEMAKER_BUDGET
+    print(f"\nsecurity allowance: {budget.security_joules:.0f} J over "
+          f"{budget.target_lifetime_years:.0f} years "
+          f"({budget.average_security_power_watts * 1e6:.2f} uW average)")
+    for name, energy in (("AES sessions", aes_energy.total_j),
+                         ("PH identifications", ph_energy.total_j)):
+        per_day = budget.operations_per_day(energy)
+        print(f"  affordable {name}: {per_day:,.0f} per day")
+    print("\nConclusion: even the public-key protocol fits the implant's "
+          "budget thousands of times a day — the paper's 5.1 uJ design "
+          "point makes PKC-grade privacy practical.")
 
-sweep = run_fleet(
-    FleetSpec(protocol="peeters-hermans", curve="TOY-B17", sessions=60,
-              seed=4711, sweep=(0.0, 0.10, 0.20), max_epochs=20,
-              distance_m=0.5),
-    workers=0,
-)
-print(f"{'frame loss':>11} {'availability':>13} {'frames/id':>10} "
-      f"{'uJ/id':>8} {'lifetime':>9}")
-for point in sweep.points:
-    print(f"{point.frame_loss:>11.0%} {point.availability:>13.1%} "
-          f"{point.mean_frames:>10.2f} {point.mean_initiator_uj:>8.2f} "
-          f"{point.lifetime_years(sweep.spec):>8.1f}y")
-print("\nConclusion: a 20% lossy link does not break authentication — "
-      "the session layer absorbs it — but it quietly taxes the battery. "
-      "Reliability is an energy line item, which is why security adds "
-      "an extra *design dimension*, not just a checkbox.")
+    # --------------------------------------------- the body is in the way
+    print("\n=== 5. The same identification over a lossy body-area link ===")
+    # The numbers above assume every frame arrives.  Around a torso they
+    # do not: frames fade, take bit errors, duplicate.  The session layer
+    # retries with fresh nonces — and every retry is energy the battery
+    # pays.  (Toy group: the channel behaviour is identical, the curve is
+    # just small enough to run a sweep in an example.)
+    sweep = run_fleet(
+        FleetSpec(protocol="peeters-hermans", curve="TOY-B17", sessions=60,
+                  seed=4711, sweep=(0.0, 0.10, 0.20), max_epochs=20,
+                  distance_m=0.5),
+        workers=0,
+    )
+    print(f"{'frame loss':>11} {'availability':>13} {'frames/id':>10} "
+          f"{'uJ/id':>8} {'lifetime':>9}")
+    for point in sweep.points:
+        print(f"{point.frame_loss:>11.0%} {point.availability:>13.1%} "
+              f"{point.mean_frames:>10.2f} {point.mean_initiator_uj:>8.2f} "
+              f"{point.lifetime_years(sweep.spec):>8.1f}y")
+    print("\nConclusion: a 20% lossy link does not break authentication — "
+          "the session layer absorbs it — but it quietly taxes the battery. "
+          "Reliability is an energy line item, which is why security adds "
+          "an extra *design dimension*, not just a checkbox.")
+
+
+if __name__ == "__main__":
+    main()

@@ -15,45 +15,51 @@ from repro.ec import NIST_K163, generate_keypair, montgomery_ladder
 from repro.gf2m import BinaryField, reduction_polynomial
 from repro.power import calibrate_energy_model
 
-rng = random.Random(2013)
 
-# ---------------------------------------------------------------- field
-print("=== GF(2^163), the paper's field ===")
-field = BinaryField(163, reduction_polynomial(163))
-a = field.random_element(rng)
-b = field.random_element(rng)
-product = a * b
-print(f"a * b            = {hex(product.value)[:20]}...")
-print(f"a * a^-1         = {hex((a * a.inverse()).value)} (must be 0x1)")
-print(f"sqrt(a^2) == a   : {a.square().sqrt() == a}")
+def main() -> None:
+    rng = random.Random(2013)
 
-# ---------------------------------------------------------------- curve
-print("\n=== NIST K-163, the paper's Koblitz curve ===")
-curve, G, n = NIST_K163.curve, NIST_K163.generator, NIST_K163.order
-print(f"curve: {curve}")
-print(f"group order (prime): {hex(n)[:24]}... ({n.bit_length()} bits)")
-k = NIST_K163.scalar_ring.random_scalar(rng)
-Q = montgomery_ladder(curve, k, G, rng=rng)  # randomized-Z ladder
-print(f"k*G on curve     : {curve.is_on_curve(Q)}")
-print(f"matches reference: {Q == curve.multiply_naive(k, G)}")
+    # ---------------------------------------------------------------- field
+    print("=== GF(2^163), the paper's field ===")
+    field = BinaryField(163, reduction_polynomial(163))
+    a = field.random_element(rng)
+    b = field.random_element(rng)
+    product = a * b
+    print(f"a * b            = {hex(product.value)[:20]}...")
+    print(f"a * a^-1         = {hex((a * a.inverse()).value)} (must be 0x1)")
+    print(f"sqrt(a^2) == a   : {a.square().sqrt() == a}")
 
-keypair = generate_keypair(NIST_K163, rng)
-print(f"generated key pair: {keypair}")
+    # ---------------------------------------------------------------- curve
+    print("\n=== NIST K-163, the paper's Koblitz curve ===")
+    curve, G, n = NIST_K163.curve, NIST_K163.generator, NIST_K163.order
+    print(f"curve: {curve}")
+    print(f"group order (prime): {hex(n)[:24]}... ({n.bit_length()} bits)")
+    k = NIST_K163.scalar_ring.random_scalar(rng)
+    Q = montgomery_ladder(curve, k, G, rng=rng)  # randomized-Z ladder
+    print(f"k*G on curve     : {curve.is_on_curve(Q)}")
+    print(f"matches reference: {Q == curve.multiply_naive(k, G)}")
 
-# ---------------------------------------------------------- coprocessor
-print("\n=== The coprocessor (cycle-accurate, full countermeasures) ===")
-coprocessor = EccCoprocessor(CoprocessorConfig())
-trace = coprocessor.point_multiply(k, G, rng=rng)
-print(f"result matches the pure-algorithm ladder: {trace.result == Q}")
-print(f"cycles per point multiplication: {trace.cycles}")
-print(f"ladder iterations (constant for every key): "
-      f"{len(trace.iterations)}")
-print(f"secure-zone registers: "
-      f"{coprocessor.config.core_register_count} x 163 bits")
+    keypair = generate_keypair(NIST_K163, rng)
+    print(f"generated key pair: {keypair}")
 
-# --------------------------------------------------------------- energy
-print("\n=== Energy at the paper's operating point ===")
-model = calibrate_energy_model(coprocessor)
-report = model.report(trace)
-print(report)
-print("paper:  50.4 uW, 5.10 uJ, 9.80 op/s  (UMC 0.13um, 847.5 kHz, 1 V)")
+    # ---------------------------------------------------------- coprocessor
+    print("\n=== The coprocessor (cycle-accurate, full countermeasures) ===")
+    coprocessor = EccCoprocessor(CoprocessorConfig())
+    trace = coprocessor.point_multiply(k, G, rng=rng)
+    print(f"result matches the pure-algorithm ladder: {trace.result == Q}")
+    print(f"cycles per point multiplication: {trace.cycles}")
+    print(f"ladder iterations (constant for every key): "
+          f"{len(trace.iterations)}")
+    print(f"secure-zone registers: "
+          f"{coprocessor.config.core_register_count} x 163 bits")
+
+    # --------------------------------------------------------------- energy
+    print("\n=== Energy at the paper's operating point ===")
+    model = calibrate_energy_model(coprocessor)
+    report = model.report(trace)
+    print(report)
+    print("paper:  50.4 uW, 5.10 uJ, 9.80 op/s  (UMC 0.13um, 847.5 kHz, 1 V)")
+
+
+if __name__ == "__main__":
+    main()
