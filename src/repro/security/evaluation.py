@@ -27,6 +27,7 @@ import numpy as np
 from ..arch.coprocessor import CoprocessorConfig, EccCoprocessor
 from ..campaign.acquire import acquire_in_memory, random_protocol_point
 from ..campaign.streaming import StreamingDpa
+from ..ec.ladder import choose_z
 from ..power.simulator import PowerTraceSimulator
 from ..sca.spa import transition_spa
 from ..sca.timing import coprocessor_timing_report
@@ -132,7 +133,7 @@ class WhiteBoxEvaluation:
         key = domain.scalar_ring.random_scalar(rng)
         execution = self.coprocessor.point_multiply(
             key, domain.generator,
-            initial_z=(rng.getrandbits(160) | 1) & (domain.field.order - 1),
+            initial_z=choose_z(domain.field, rng, True, None),
         )
         result = transition_spa(sim.measure(execution),
                                 execution.iteration_slices(),
