@@ -3,9 +3,9 @@
 The missing failure mode of the paper's wirelessly powered tag: the
 field drops mid-protocol.  This package makes every layer survive it —
 
-* :mod:`~repro.intermittent.supply` — seeded Vdd trajectories whose
-  brownout crossings raise :class:`~repro.intermittent.errors.PowerLossError`
-  at an exact cycle;
+* :mod:`~repro.intermittent.supply` — power-on windows whose ends
+  raise :class:`~repro.intermittent.errors.PowerLossError` at an exact
+  cycle;
 * :mod:`~repro.intermittent.checkpoint` — an NVM-modeled two-phase
   atomic commit of ladder and session state, µJ-accounted, with the
   nonce committed *before first use*;
@@ -39,13 +39,7 @@ from .errors import (
     ResumeExhaustedError,
     SupplySpecError,
 )
-from .supply import (
-    SUPPLY_PROFILES,
-    PowerSupply,
-    SupplyModel,
-    SupplySpec,
-    derive_supply_value,
-)
+from .supply import PowerSupply, derive_supply_value
 
 __all__ = [
     "ADVERSARIAL_EVENTS",
@@ -62,9 +56,6 @@ __all__ = [
     "PowerLossError",
     "PowerSupply",
     "ResumeExhaustedError",
-    "SUPPLY_PROFILES",
-    "SupplyModel",
-    "SupplySpec",
     "SupplySpecError",
     "adversarial_schedules",
     "derive_supply_value",

@@ -2,8 +2,8 @@
 
 Two kinds of chaos:
 
-* **seeded** — window lengths drawn from the same labelled-SHA-256
-  stream discipline as the supply model, so a thousand-schedule matrix
+* **seeded** — window lengths drawn from the labelled-SHA-256 stream
+  of :func:`~.supply.derive_supply_value`, so a thousand-schedule matrix
   test is reproducible to the cycle;
 * **adversarial** — cuts *aimed* at the protocol's tender spots.  A
   probe run with stable power records the cycle timeline of every
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..power.technology import TechnologyParams, UMC_130NM
 from .engine import IntermittentResult, IntermittentSpec, \
     run_intermittent_session
 from .supply import PowerSupply, derive_supply_value
@@ -77,14 +76,8 @@ class PowerCutSchedule:
         """One adversarially placed cut, then stable power."""
         return cls(windows=(at_cycle,))
 
-    def supply(self,
-               technology: TechnologyParams = UMC_130NM,
-               brownout_fraction: float = 0.7) -> PowerSupply:
-        return PowerSupply(
-            self.windows,
-            nominal_vdd=technology.nominal_vdd,
-            brownout_vdd=brownout_fraction * technology.nominal_vdd,
-            technology=technology)
+    def supply(self) -> PowerSupply:
+        return PowerSupply(self.windows)
 
 
 def run_with_schedule(spec: IntermittentSpec, session_index: int,

@@ -27,8 +27,8 @@ under one ``r``.  This extends the live-object single-use lifecycle
 survive restarts.
 
 Program energy for FRAM-class cells is dominated by the cell write
-itself and is, to first order, independent of where in the sag window
-the write happens, so the model charges flat joules per byte.
+itself and is, to first order, independent of where in the power-on
+window the write happens, so the model charges flat joules per byte.
 """
 
 from __future__ import annotations

@@ -67,7 +67,7 @@ from ..protocols.peeters_hermans import PeetersHermansReader, \
 from ..protocols.session import peeters_hermans_keys
 from .checkpoint import CheckpointStore, NonceVault, NVMModel
 from .errors import PowerLossError, ResumeExhaustedError
-from .supply import PowerSupply, SupplyModel, SupplySpec
+from .supply import PowerSupply
 
 __all__ = ["IntermittentSpec", "IntermittentResult", "IntermittentSession",
            "run_intermittent_session", "CYCLES_PER_LADDER_STEP"]
@@ -228,9 +228,7 @@ class IntermittentSession:
             domain, self.secret_x, self.verifier.reader.public
         ).identity_point)
 
-        self.supply = supply if supply is not None else \
-            SupplyModel(SupplySpec(seed=spec.seed),
-                        session_index).power_supply()
+        self.supply = supply if supply is not None else PowerSupply(())
         self.store = CheckpointStore(self.supply, spec.nvm)
         self.vault = NonceVault(self.store)
         self.session_id = derive_channel_seed(spec.seed, "session-id",

@@ -1,45 +1,26 @@
-"""Seeded supply-voltage trajectories with brownout crossings.
+"""Power-on windows with brownout crossings.
 
 The paper's tag is wirelessly powered or battery-backed; either way
-the supply is a *trajectory*, not a constant.  This module models it
-as a sequence of power-on windows measured in core-clock cycles: the
-device runs, Vdd sags from the technology's nominal voltage toward
-the brownout threshold along the window, and at the exact crossing
-cycle a :class:`~.errors.PowerLossError` fires.  Window lengths are
-derived from ``(seed, session, window)`` with the same SHA-256
-labelled-tuple discipline as :func:`repro.channel.model.derive_channel_seed`,
-so a supply trajectory is a pure function of its spec — two runs of
-one spec brown out at the same cycles on any machine.
-
-Profiles (:data:`SUPPLY_PROFILES`):
-
-* ``stable`` — mains/bench power, no cuts;
-* ``battery`` — discharge: windows *shrink* geometrically as the
-  battery sags (each recovery buys less on-time than the last);
-* ``harvested`` — coil/field power: i.i.d. jittered windows around the
-  mean (field alignment comes and goes, it does not trend).
-
-Voltage shares the existing energy model through
-:class:`~repro.power.technology.TechnologyParams`: the trajectory
-starts at ``nominal_vdd`` and :meth:`SupplyModel.vdd_at` follows the
-linear sag to ``brownout_vdd``, so the dynamic-energy scale at any
-point of a window is ``technology.dynamic_scale`` of that voltage.
+its supply comes and goes.  This module models the supply as a
+sequence of power-on windows measured in core-clock cycles: the device
+runs, and at the exact cycle a window closes a
+:class:`~.errors.PowerLossError` fires.  The cut schedules of
+:mod:`~.chaos` derive window lengths from ``(seed, session, window)``
+with the same SHA-256 labelled-tuple discipline as
+:func:`repro.channel.model.derive_channel_seed`, so a schedule is a
+pure function of its inputs: two runs brown out at the same cycles on
+any machine.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from ..power.technology import TechnologyParams, UMC_130NM
+from ..power.technology import UMC_130NM
 from .errors import PowerLossError, SupplySpecError
 
-__all__ = ["SUPPLY_PROFILES", "SupplySpec", "SupplyModel", "PowerSupply",
-           "derive_supply_value"]
-
-#: The supply shapes the engine and the CLI know.
-SUPPLY_PROFILES: Tuple[str, ...] = ("stable", "battery", "harvested")
+__all__ = ["PowerSupply", "derive_supply_value"]
 
 
 def derive_supply_value(seed: int, stream: str, session: int,
@@ -54,82 +35,6 @@ def derive_supply_value(seed: int, stream: str, session: int,
     return int.from_bytes(hashlib.sha256(message).digest()[:8], "big")
 
 
-@dataclass(frozen=True)
-class SupplySpec:
-    """Everything a supply trajectory depends on (and nothing else)."""
-
-    profile: str = "stable"
-    technology: TechnologyParams = UMC_130NM
-    brownout_fraction: float = 0.7
-    mean_on_cycles: int = 60_000
-    jitter: float = 0.5
-    battery_decay: float = 0.9
-    cuts: int = 4
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.profile not in SUPPLY_PROFILES:
-            known = ", ".join(SUPPLY_PROFILES)
-            raise SupplySpecError(
-                f"unknown supply profile {self.profile!r}; known: {known}")
-        if not 0.0 < self.brownout_fraction < 1.0:
-            raise SupplySpecError("brownout fraction must be in (0, 1)")
-        if self.mean_on_cycles < 1:
-            raise SupplySpecError("mean on-window must be at least 1 cycle")
-        if not 0.0 <= self.jitter < 1.0:
-            raise SupplySpecError("jitter must be in [0, 1)")
-        if not 0.0 < self.battery_decay <= 1.0:
-            raise SupplySpecError("battery decay must be in (0, 1]")
-        if self.cuts < 0:
-            raise SupplySpecError("cut count must be non-negative")
-
-    @property
-    def nominal_vdd(self) -> float:
-        return self.technology.nominal_vdd
-
-    @property
-    def brownout_vdd(self) -> float:
-        return self.brownout_fraction * self.technology.nominal_vdd
-
-
-class SupplyModel:
-    """One tag's deterministic supply trajectory under a spec."""
-
-    def __init__(self, spec: SupplySpec, session_index: int = 0):
-        self.spec = spec
-        self.session_index = session_index
-
-    def window_cycles(self, window_index: int) -> int:
-        """On-time (cycles) of one power-on window, >= 1."""
-        spec = self.spec
-        unit = derive_supply_value(spec.seed, f"window/{spec.profile}",
-                                   self.session_index,
-                                   window_index) / 2.0 ** 64
-        mean = spec.mean_on_cycles
-        if spec.profile == "battery":
-            mean = mean * (spec.battery_decay ** window_index)
-        scale = 1.0 + spec.jitter * (2.0 * unit - 1.0)
-        return max(1, int(round(mean * scale)))
-
-    def windows(self) -> Tuple[int, ...]:
-        """The finite cut schedule: ``spec.cuts`` brownout windows.
-
-        After the schedule is exhausted the supply is treated as
-        stable, so every session has a terminating final window — the
-        model's analogue of the clinician re-seating the programming
-        head until the exchange completes.
-        """
-        if self.spec.profile == "stable":
-            return ()
-        return tuple(self.window_cycles(i) for i in range(self.spec.cuts))
-
-    def power_supply(self) -> "PowerSupply":
-        return PowerSupply(self.windows(),
-                           nominal_vdd=self.spec.nominal_vdd,
-                           brownout_vdd=self.spec.brownout_vdd,
-                           technology=self.spec.technology)
-
-
 class PowerSupply:
     """The runtime supply: a cycle meter that browns out on schedule.
 
@@ -140,19 +45,14 @@ class PowerSupply:
     is the caller's problem, which is the whole point.
     """
 
-    def __init__(self, windows: Sequence[int],
-                 nominal_vdd: float = UMC_130NM.nominal_vdd,
-                 brownout_vdd: float = 0.7 * UMC_130NM.nominal_vdd,
-                 technology: TechnologyParams = UMC_130NM):
+    #: The voltage a window closes at: 70% of the 0.13 µm node's nominal.
+    brownout_vdd = 0.7 * UMC_130NM.nominal_vdd
+
+    def __init__(self, windows: Sequence[int]):
         for w in windows:
             if w < 1:
                 raise SupplySpecError("every window needs at least 1 cycle")
-        if not brownout_vdd < nominal_vdd:
-            raise SupplySpecError("brownout voltage must be below nominal")
         self.windows: Tuple[int, ...] = tuple(int(w) for w in windows)
-        self.nominal_vdd = nominal_vdd
-        self.brownout_vdd = brownout_vdd
-        self.technology = technology
         self.cycle = 0              # global cycles ever powered
         self.window_index = 0       # current power-on window
         self.window_used = 0        # cycles consumed in this window
@@ -172,16 +72,6 @@ class PowerSupply:
         if self.exhausted:
             return None
         return self.windows[self.window_index] - self.window_used
-
-    def vdd(self) -> float:
-        """Supply voltage now: linear sag from nominal to brownout."""
-        remaining = self.remaining_in_window()
-        if remaining is None:
-            return self.nominal_vdd
-        window = self.windows[self.window_index]
-        frac = self.window_used / window
-        return self.nominal_vdd - frac * (self.nominal_vdd
-                                          - self.brownout_vdd)
 
     def spend(self, cycles: int) -> None:
         """Advance the meter; brown out exactly at a window boundary."""
