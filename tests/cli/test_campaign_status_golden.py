@@ -2,7 +2,7 @@
 
 Two TOY-B17 campaigns are acquired in process (``--workers 1``): a
 clean one, and one whose shard 1 fails on every attempt (the
-smoke-chaos recipe: ``--chaos error=1.0 --chaos-shards 1
+failure-lifecycle recipe: ``--chaos error=1.0 --chaos-shards 1
 --max-attempts 2``), so it ends with one shard quarantined and two
 failure events logged.  The status text is compared line for line
 with text recorded before the view was rendered straight from the

@@ -143,6 +143,7 @@ class TestFailureLifecycle:
         assert code == 3
         assert "DEGRADED" in out
         assert "failures.jsonl" in out
+        assert (tmp_path / "camp" / "failures.jsonl").stat().st_size > 0
         assert "QUARANTINED shards [1]" in out
 
     def test_status_shows_coverage_and_quarantine(self, tmp_path, capsys):
