@@ -10,7 +10,7 @@ tag's :class:`~.defense.EnergyBudget` and
 cohort, and sessions run back-to-back at seeded arrival times.  Cohort
 results are pure functions of ``(spec, cohort_index)``; workers never
 share a tag; the summary is assembled in cohort order — worker count
-and chaos-kill history are invisible in the bytes.
+and chaos crash history are invisible in the bytes.
 
 Supervision, chaos, the cohort files and the summary come from the
 soak kernel's :func:`repro.soak.run_cohorts`: a chaos-killed worker
@@ -32,8 +32,8 @@ from ..obs.alerts import default_rulebook
 from ..obs.metrics import MetricRegistry, strip_wall_metrics
 from ..obs.stream import make_event, spread_drain_events
 from ..protocols.session import RetransmissionPolicy
-from ..soak import (SUMMARY_NAME, CohortReport, arrival_gap, chaos_kill,
-                    rounded_sum, run_cohort_attempt, run_cohorts)
+from ..soak import (SUMMARY_NAME, CohortReport, arrival_gap, rounded_sum,
+                    run_cohort_attempt, run_cohorts)
 from .defense import (DEFENSE_SETS, DefenseConfig, WakeUpRadio,
                       defense_config)
 from .engine import ADVERSARY_NAMES, run_attack_session
@@ -119,8 +119,6 @@ class AttackSpec(JsonSpec):
 # ----------------------------------------------------------------------
 
 def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
-                           crash_after: Optional[int] = None,
-                           crash_tmp_path: Optional[str] = None,
                            registry: Optional[MetricRegistry] = None,
                            ) -> dict:
     """One tag through one cohort's flood; aggregates + metrics.
@@ -156,9 +154,6 @@ def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
             registry=registry)
         clock = start + result.elapsed_s
         results.append(result)
-        if crash_after is not None and len(results) >= crash_after:
-            chaos_kill(crash_tmp_path, cohort=cohort_index,
-                       sessions_completed=len(results))
 
     by_outcome: Dict[str, int] = {k: 0 for k in ATTACK_OUTCOMES}
     by_kind: Dict[str, int] = {}
@@ -229,7 +224,7 @@ def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
 
 
 #: The supervised worker task: one cohort attempt of this family.
-run_attack_cohort = functools.partial(run_cohort_attempt, AttackSpec,
+run_attack_cohort = functools.partial(run_cohort_attempt,
                                       simulate_attack_cohort)
 
 
@@ -337,7 +332,7 @@ def run_attack_soak(directory: str, spec: AttackSpec, *,
     """Drive every cohort under supervision and write ``summary.json``
     (plus ``telemetry.json`` and ``alerts.json``) through
     :func:`repro.soak.run_cohorts`; ``cmp`` across worker counts and
-    chaos-kill histories matches byte for byte."""
+    chaos crash histories matches byte for byte."""
     report = functools.partial(AttackReport, adversary=spec.adversary,
                                defense=spec.defense)
     return run_cohorts(directory, spec, run_attack_cohort, _attack_totals,

@@ -27,7 +27,7 @@ from .coprocessor import (
     EccCoprocessor,
     InvalidDigitSizeError,
 )
-from .isa import Instruction, InstructionTiming, Opcode
+from .isa import Instruction, Opcode
 from .malu import Malu
 from .program import (
     ProgramStatistics,
@@ -57,7 +57,6 @@ __all__ = [
     "InvalidDigitSizeError",
     "Opcode",
     "Instruction",
-    "InstructionTiming",
     "Malu",
     "ProgramStatistics",
     "REGISTER_NAMES",

@@ -41,7 +41,7 @@ from ..obs import runtime as obs_runtime
 from ..obs.metrics import DEFAULT_CYCLE_BUCKETS
 from .clockgate import ClockGatingPolicy, ClockTreeModel
 from .control import BalancedEncoding, MuxEncoding
-from .isa import Instruction, InstructionTiming, Opcode
+from .isa import Instruction, Opcode
 from .malu import Malu
 from .registers import RegisterFile
 from .trace import ExecutionTrace, IterationSpan
@@ -104,6 +104,8 @@ class CoprocessorConfig:
                 "multiplication already finishes in one cycle at d = m, "
                 "so the extra partial-product rows buy nothing"
             )
+        if self.fetch_overhead < 0:
+            raise ValueError("fetch overhead cannot be negative")
 
     @property
     def is_koblitz_b1(self) -> bool:
@@ -143,12 +145,6 @@ class EccCoprocessor:
         field = self.domain.field
         self.malu = Malu(
             field, self.config.digit_size, self.config.dedicated_squarer
-        )
-        self.timing = InstructionTiming(
-            m=field.m,
-            digit_size=self.config.digit_size,
-            dedicated_squarer=self.config.dedicated_squarer,
-            fetch_overhead=self.config.fetch_overhead,
         )
         self._io0 = self.config.core_register_count
         self._io1 = self.config.core_register_count + 1

@@ -10,18 +10,21 @@ after a point multiplication completes.
 Instruction timing is parameterized by the digit size ``d`` of the
 MALU: a field multiplication (and a squaring, when no dedicated
 squarer is configured) occupies the MALU for ``ceil(m/d)`` datapath
-cycles.  Every instruction additionally pays a constant fetch/decode
-overhead, which is the knob the energy model calibrates against the
-paper's measured 9.8 point multiplications per second.
+cycles, and ADD, MOV and LDI for one.  Every instruction additionally
+pays a constant fetch/decode overhead
+(:attr:`~repro.arch.coprocessor.CoprocessorConfig.fetch_overhead`),
+which is the knob the energy model calibrates against the paper's
+measured 9.8 point multiplications per second.  The coprocessor
+counts each instruction's cycles from its datapath activity, and
+records them in the instruction log.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
-__all__ = ["Opcode", "Instruction", "InstructionTiming"]
+__all__ = ["Opcode", "Instruction"]
 
 
 class Opcode(enum.Enum):
@@ -58,57 +61,3 @@ class Instruction:
         if self.rb >= 0:
             operands.append(f"r{self.rb}")
         return f"{self.opcode.value} {', '.join(operands)} ; {self.cycles}cyc"
-
-
-@dataclass(frozen=True)
-class InstructionTiming:
-    """Cycle cost of each opcode for a given MALU configuration.
-
-    Parameters
-    ----------
-    m:
-        Field degree.
-    digit_size:
-        MALU digit size d; a multiplication takes ``ceil(m/d)`` datapath
-        cycles.
-    dedicated_squarer:
-        When True, SQR is a single-cycle combinational operation (a
-        separate squarer block, extra area); when False, SQR runs on the
-        multiplier (the paper's minimal-area choice).
-    fetch_overhead:
-        Constant fetch/decode/writeback cycles added to *every*
-        instruction.  Being constant, it does not affect the
-        constant-time property; it is the throughput-calibration knob.
-    """
-
-    m: int
-    digit_size: int
-    dedicated_squarer: bool = False
-    fetch_overhead: int = 2
-
-    def __post_init__(self):
-        if self.digit_size < 1 or self.digit_size > self.m:
-            raise ValueError("digit size out of range")
-        if self.fetch_overhead < 0:
-            raise ValueError("fetch overhead cannot be negative")
-
-    @property
-    def mul_datapath_cycles(self) -> int:
-        """MALU-occupancy cycles of one multiplication: ceil(m/d)."""
-        return math.ceil(self.m / self.digit_size)
-
-    def cycles(self, opcode: Opcode) -> int:
-        """Total cycles (datapath + fetch overhead) for an opcode.
-
-        The count is a pure function of the opcode — never of operand
-        values — which is what makes the architecture constant-time.
-        """
-        if opcode is Opcode.MUL:
-            datapath = self.mul_datapath_cycles
-        elif opcode is Opcode.SQR:
-            datapath = 1 if self.dedicated_squarer else self.mul_datapath_cycles
-        elif opcode in (Opcode.ADD, Opcode.MOV, Opcode.LDI):
-            datapath = 1
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown opcode {opcode}")
-        return datapath + self.fetch_overhead

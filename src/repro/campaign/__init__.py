@@ -47,7 +47,6 @@ from .chaos import (
     CHAOS_CRASH_EXIT_CODE,
     ChaosConfig,
     ChaosInjectedError,
-    chaos_acquire_shard,
 )
 from .errors import (
     DATA_INTEGRITY,
@@ -124,7 +123,6 @@ __all__ = [
     "TraceStore",
     "acquire_in_memory",
     "acquire_shard",
-    "chaos_acquire_shard",
     "classify_exception",
     "default_workers",
     "derive_rng",

@@ -131,7 +131,9 @@ def acquire_in_memory(coprocessor, simulator: PowerTraceSimulator,
 
 def acquire_shard(spec: CampaignSpec, directory: str,
                   shard_index: int) -> dict:
-    """Simulate and write one shard; returns its manifest record dict.
+    """Simulate and write one shard; returns its manifest record dict
+    plus the two shard files as ``artifacts`` (the supervisor's task
+    protocol).
 
     Runs in a worker process (but is an ordinary function — tests call
     it inline).  RNG streams are derived per shard:
@@ -229,6 +231,8 @@ def _acquire_shard_observed(spec: CampaignSpec, directory: str,
     record["wall_seconds"] = time.perf_counter() - started
     record["iteration_slices"] = execution.iteration_slices()
     record["key_bits"] = list(execution.key_bits)
+    record["artifacts"] = [(record["samples_file"], record["samples_sha256"]),
+                           (record["aux_file"], record["aux_sha256"])]
     return record
 
 
@@ -327,6 +331,7 @@ class AcquisitionEngine:
     def _absorb(self, store: TraceStore, record: dict) -> ShardRecord:
         """Fold one worker result into the manifest (checkpoint)."""
         record = dict(record)
+        del record["artifacts"]
         iteration_slices = [tuple(s) for s in record.pop("iteration_slices")]
         key_bits = list(record.pop("key_bits"))
         if not store.iteration_slices:
@@ -390,8 +395,10 @@ class AcquisitionEngine:
                     completed.append(shard.index)
                     self._note_shard(store, shard, metrics, started)
 
+                # Looked up per run, not bound at import, so a wrapper
+                # patched onto this module is the task that runs.
                 supervisor = ShardSupervisor(
-                    spec, self.directory,
+                    spec, self.directory, acquire_shard,
                     workers=workers,
                     use_processes=self.workers > 1,
                     policy=self.retry_policy,

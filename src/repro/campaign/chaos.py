@@ -1,19 +1,23 @@
 """Deterministic chaos harness for the campaign's own infrastructure.
 
 :mod:`repro.fault` injects faults into the *device under test*; this
-module aims the same idea at our acquisition pipeline.  A
-:class:`ChaosConfig` rides along with each shard task and, keyed by
-``(chaos seed, fault name, shard index, attempt)``, decides whether
-that attempt crashes the worker, hangs it, raises, dawdles, or
-corrupts the shard files after a successful write.  Because decisions
-hash the *attempt* number, a fault that fires on attempt 0 generally
-clears on attempt 1 — exactly the flaky-environment shape the
-supervisor's retry policy exists for — while ``only_shards`` plus a
-rate of 1.0 models a permanently broken shard that must end in
+module aims the same idea at the supervised pipelines (trace
+acquisition, fleet enrollment, the cohort soaks).  A
+:class:`ChaosConfig` rides along with each supervised attempt and,
+keyed by ``(chaos seed, fault name, shard index, attempt)``, decides
+whether that attempt crashes the worker, hangs it, raises, dawdles, or
+corrupts the task's first artifact after a successful write.  Because
+decisions hash the *attempt* number, a fault that fires on attempt 0
+generally clears on attempt 1 — exactly the flaky-environment shape
+the supervisor's retry policy exists for — while ``only_shards`` plus
+a rate of 1.0 models a permanently broken shard that must end in
 quarantine.
 
-The harness never touches the trace *content* path: a chaos campaign
-that completes is byte-for-byte identical to a fault-free one (the
+:func:`run_attempt` is the one place faults are injected: the
+supervisor calls it for every attempt of every task, inline or in a
+worker process, so no task sees an attempt number or a chaos config.
+The harness never touches a task's content path: a chaos run that
+completes is byte-for-byte identical to a fault-free one (the
 recovery-matrix tests pin this), which is what makes the fault
 tolerance provable rather than anecdotal.
 """
@@ -28,7 +32,7 @@ from typing import Optional, Tuple
 from ..jsonspec import JsonSpec
 from .spec import derive_seed
 
-__all__ = ["ChaosConfig", "ChaosInjectedError", "chaos_acquire_shard",
+__all__ = ["ChaosConfig", "ChaosInjectedError", "run_attempt",
            "CHAOS_CRASH_EXIT_CODE"]
 
 #: Exit code of a chaos-crashed worker (recognizable in failures.jsonl).
@@ -48,12 +52,12 @@ _RATE_FIELDS = {
 
 
 class ChaosInjectedError(RuntimeError):
-    """The failure the ``error`` fault injects into a shard task."""
+    """The failure the ``error`` fault injects into a supervised task."""
 
 
 @dataclass(frozen=True)
 class ChaosConfig(JsonSpec):
-    """Seeded fault rates for the acquisition pipeline.
+    """Seeded fault rates for the supervised pipelines.
 
     Attributes
     ----------
@@ -63,8 +67,8 @@ class ChaosConfig(JsonSpec):
         config inject the same faults.
     crash_rate:
         Probability a worker dies hard (``os._exit``) after leaving a
-        stale ``.tmp`` file behind, like a writer killed mid-write.
-        Needs real worker processes.
+        stale ``chaos-NNNNN.tmp`` file behind, like a writer killed
+        mid-write.  Needs real worker processes.
     hang_rate:
         Probability the task sleeps ``hang_seconds`` — long enough
         that only the supervisor's watchdog ends it.  Needs real
@@ -76,7 +80,7 @@ class ChaosConfig(JsonSpec):
         Probability/duration of an injected delay that stays under
         the watchdog — exercises scheduling, not recovery.
     corrupt_rate:
-        Probability the shard's sample file is flipped *after* a
+        Probability the task's first artifact is flipped *after* a
         successful write and digest computation — the supervisor's
         post-completion integrity check must catch it.
     only_shards:
@@ -167,49 +171,44 @@ class ChaosConfig(JsonSpec):
 
 
 # ----------------------------------------------------------------------
-# the wrapped shard task
+# the one injector
 # ----------------------------------------------------------------------
 
-def chaos_acquire_shard(spec, directory: str, shard_index: int,
-                        attempt: int, chaos: ChaosConfig) -> dict:
-    """:func:`~repro.campaign.acquire.acquire_shard` under injected faults.
+def run_attempt(task, spec, directory: str, index: int, attempt: int,
+                chaos: Optional[ChaosConfig]) -> dict:
+    """``task(spec, directory, index)`` under the faults ``chaos`` draws.
 
+    The execution fault (if any) fires before the task; corruption
+    flips one byte of ``record["artifacts"][0]`` after it, once the
+    task has computed its digests, so the record lies about the bytes
+    on disk and only the supervisor's independent re-hash can notice.
     Runs in the worker (inline or subprocess); the supervisor passes
     the attempt number so retries draw fresh fault decisions.
     """
-    from .acquire import acquire_shard
-    from .store import TraceStore
-
-    fault = chaos.execution_fault(shard_index, attempt)
+    fault = None if chaos is None else chaos.execution_fault(index, attempt)
     if fault == "crash":
         # Die the way a mid-write kill does: a stale .tmp left behind,
-        # no result, nonzero exit — TraceStore.initialize must sweep
-        # the débris and the supervisor must classify this transient.
-        samples_name, _ = TraceStore.shard_filenames(shard_index)
-        tmp_path = os.path.join(directory, samples_name + ".tmp")
-        with open(tmp_path, "wb") as f:
+        # no result, nonzero exit — the directory's .tmp sweep must
+        # clear the débris and the supervisor must classify this
+        # transient.
+        with open(os.path.join(directory, f"chaos-{index:05d}.tmp"),
+                  "wb") as f:
             f.write(b"chaos: torn write\x00" * 4)
         os._exit(CHAOS_CRASH_EXIT_CODE)
     elif fault == "hang":
         time.sleep(chaos.hang_seconds)
     elif fault == "error":
         raise ChaosInjectedError(
-            f"injected task failure (shard {shard_index}, "
-            f"attempt {attempt})"
-        )
+            f"injected failure (shard {index}, attempt {attempt})")
     elif fault == "slow":
         time.sleep(chaos.slow_seconds)
 
-    record = acquire_shard(spec, directory, shard_index)
+    record = task(spec, directory, index)
 
-    if chaos.corrupts(shard_index, attempt):
-        # Flip one byte *after* the worker computed its digests: the
-        # record now lies about the bytes on disk, which only the
-        # supervisor's independent integrity check can notice.
-        path = os.path.join(directory, record["samples_file"])
+    if chaos is not None and chaos.corrupts(index, attempt):
+        path = os.path.join(directory, record["artifacts"][0][0])
         with open(path, "r+b") as f:
-            f.seek(128)
             byte = f.read(1) or b"\x00"
-            f.seek(128)
+            f.seek(0)
             f.write(bytes([byte[0] ^ 0xFF]))
     return record

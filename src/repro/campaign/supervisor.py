@@ -15,8 +15,11 @@ hope with supervision:
   jitter; shards that keep failing are **quarantined** so the rest of
   the campaign completes degraded instead of dying;
 * every worker result passes a **post-completion integrity check**
-  (the files on disk re-hashed against the digests the worker
-  reported) before it may touch the manifest;
+  (the files its record lists as ``artifacts`` re-hashed against the
+  digests the worker reported) before it may touch the manifest;
+* seeded **chaos faults** reach every task through one injector,
+  :func:`repro.campaign.chaos.run_attempt`, so a task is just
+  ``task(spec, directory, index) -> record``;
 * every failure is appended to ``failures.jsonl`` in the campaign
   directory — the campaign's black box recorder — and the current
   quarantine set lives in ``quarantine.json`` until
@@ -40,18 +43,18 @@ from multiprocessing.connection import wait as _wait_for_any
 from typing import Callable, Optional
 
 from ..obs.metrics import atomic_write_bytes
-from .chaos import ChaosConfig, chaos_acquire_shard
+from .chaos import ChaosConfig, run_attempt
 from .errors import (
     DATA_INTEGRITY,
     TRANSIENT,
     CampaignError,
     classify_exception,
 )
-from .spec import CampaignSpec, derive_seed
+from .spec import derive_seed
 from .store import file_digest
 
 __all__ = ["RetryPolicy", "FailureEvent", "FailureLog", "Quarantine",
-           "ShardSupervisor", "SupervisorOutcome", "run_shard_attempt",
+           "ShardSupervisor", "SupervisorOutcome",
            "FAILURES_NAME", "QUARANTINE_NAME"]
 
 FAILURES_NAME = "failures.jsonl"
@@ -307,27 +310,11 @@ class Quarantine:
 
 
 # ----------------------------------------------------------------------
-# the shard task (worker side)
+# the worker side
 # ----------------------------------------------------------------------
 
-def run_shard_attempt(spec_dict: dict, directory: str, shard_index: int,
-                      attempt: int, chaos_dict: Optional[dict]) -> dict:
-    """One shard attempt, with chaos faults applied when configured.
-
-    Module-level (and dict-in, dict-out) so it crosses the ``spawn``
-    pickle boundary; also called inline when ``workers=1``.
-    """
-    from .acquire import acquire_shard
-
-    spec = CampaignSpec.from_dict(spec_dict)
-    if chaos_dict is not None:
-        return chaos_acquire_shard(spec, directory, shard_index, attempt,
-                                   ChaosConfig.from_dict(chaos_dict))
-    return acquire_shard(spec, directory, shard_index)
-
-
-def _shard_worker_main(conn, task, spec_dict, directory, shard_index,
-                       attempt, chaos_dict) -> None:
+def _shard_worker_main(conn, task, spec, directory, shard_index,
+                       attempt, chaos) -> None:
     """Entry point of a supervised worker process.
 
     Sends exactly one ``("ok", record)`` or ``("error", info)`` on the
@@ -335,8 +322,8 @@ def _shard_worker_main(conn, task, spec_dict, directory, shard_index,
     sends nothing, which the supervisor reads as a transient failure.
     """
     try:
-        record = task(spec_dict, directory, shard_index, attempt,
-                      chaos_dict)
+        record = run_attempt(task, spec, directory, shard_index, attempt,
+                             chaos)
         conn.send(("ok", record))
     except BaseException as exc:      # noqa: BLE001 — ferry it, typed
         try:
@@ -386,15 +373,23 @@ class ShardSupervisor:
     Parameters
     ----------
     spec, directory:
-        The campaign being acquired.
+        The spec being run (any spec with a ``seed`` and a
+        ``digest()``; it must pickle for process mode) and the
+        directory its files and logs live in.
+    task:
+        ``task(spec, directory, index) -> record``, one attempt at one
+        shard; module-level (picklable) for process mode.  The record
+        lists its files as ``artifacts``, ``[relpath, sha256]`` pairs,
+        which the supervisor re-hashes before accepting it.
     workers:
         1 = inline (no processes, no watchdog); >1 = one spawned
         process per in-flight shard attempt, at most ``workers`` live.
     policy:
         :class:`RetryPolicy`; defaults to the standard budgets.
     chaos:
-        Optional :class:`~repro.campaign.chaos.ChaosConfig` forwarded
-        to every attempt.  Crash/hang faults require ``workers > 1``.
+        Optional :class:`~repro.campaign.chaos.ChaosConfig` applied to
+        every attempt by :func:`~repro.campaign.chaos.run_attempt`.
+        Crash/hang faults require worker processes.
     shard_timeout:
         Watchdog seconds per attempt (process mode only); None
         disables the watchdog.
@@ -405,23 +400,19 @@ class ShardSupervisor:
         killed, the error propagates).
     on_event:
         Called with each :class:`FailureEvent` (reporters hook here).
-    task:
-        The attempt callable (tests inject flaky ones); must be
-        picklable for process mode.
     use_processes:
         Force process (True) or inline (False) execution; default
         follows ``workers > 1``.  Lets the engine keep real worker
         processes even when only one shard remains pending.
     """
 
-    def __init__(self, spec: CampaignSpec, directory: str, *,
+    def __init__(self, spec, directory: str, task: Callable, *,
                  workers: int = 1,
                  policy: Optional[RetryPolicy] = None,
                  chaos: Optional[ChaosConfig] = None,
                  shard_timeout: Optional[float] = None,
                  on_success: Optional[Callable] = None,
                  on_event: Optional[Callable] = None,
-                 task: Callable = run_shard_attempt,
                  sleep: Callable = time.sleep,
                  use_processes: Optional[bool] = None):
         if workers < 1:
@@ -438,12 +429,11 @@ class ShardSupervisor:
             )
         self.use_processes = use_processes
         self.spec = spec
-        self.spec_dict = spec.to_dict()
         self.spec_digest = spec.digest()
         self.directory = str(directory)
         self.workers = workers
         self.policy = policy or RetryPolicy()
-        self.chaos_dict = None if chaos is None else chaos.to_dict()
+        self.chaos = chaos
         self.shard_timeout = shard_timeout
         self.on_success = on_success or (lambda record, attempt: None)
         self.on_event = on_event
@@ -490,8 +480,8 @@ class ShardSupervisor:
 
             started = time.monotonic()
             try:
-                record = self.task(self.spec_dict, self.directory, shard,
-                                   attempt, self.chaos_dict)
+                record = run_attempt(self.task, self.spec, self.directory,
+                                     shard, attempt, self.chaos)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
@@ -559,8 +549,8 @@ class ShardSupervisor:
         receiver, sender = context.Pipe(duplex=False)
         process = context.Process(
             target=_shard_worker_main,
-            args=(sender, self.task, self.spec_dict, self.directory,
-                  shard, attempt, self.chaos_dict),
+            args=(sender, self.task, self.spec, self.directory,
+                  shard, attempt, self.chaos),
             daemon=True,
         )
         process.start()
@@ -674,20 +664,9 @@ class ShardSupervisor:
         outcome.completed.append(shard)
 
     def _integrity_reason(self, record: dict) -> Optional[str]:
-        """Re-hash the shard files against the worker's own digests.
-
-        A record may carry an explicit ``"artifacts"`` list of
-        ``[relpath, sha256]`` pairs (how non-acquisition tasks such as
-        the design-space engine describe their outputs); records
-        without one use the acquisition layout's fixed file pair.
-        """
-        artifacts = record.get("artifacts")
-        if artifacts is None:
-            artifacts = [(record[file_key], record[digest_key])
-                         for file_key, digest_key
-                         in (("samples_file", "samples_sha256"),
-                             ("aux_file", "aux_sha256"))]
-        for relpath, digest in artifacts:
+        """Re-hash the record's ``artifacts`` against the worker's own
+        digests."""
+        for relpath, digest in record["artifacts"]:
             path = os.path.join(self.directory, relpath)
             if not os.path.exists(path):
                 return (f"{relpath} vanished after the worker "

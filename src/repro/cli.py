@@ -1037,6 +1037,12 @@ def cmd_server_run(spec, metrics_port=None, serve_seconds: float = 0.0,
     from .server.soak import simulate_cohort, soak_rulebook
 
     registry = MetricRegistry()
+    # The server creates these when the first session concludes; a
+    # scrape before that must already list them.
+    registry.counter("repro_server_sessions_total",
+                     "sessions by final outcome")
+    registry.counter("repro_server_energy_uj_total",
+                     "microjoules spent, by role")
     rules = soak_rulebook(spec)
     stream = StreamAggregator(window_s=rules[0].window_s)
     exporter = None

@@ -405,14 +405,13 @@ class ExplorationEngine:
                     walls.append(record.get("wall_seconds", 0.0))
 
                 supervisor = ShardSupervisor(
-                    self.spec, self.directory,
+                    self.spec, self.directory, self.task,
                     workers=min(self.workers, len(attemptable)) or 1,
                     use_processes=self.workers > 1,
                     policy=self.retry_policy,
                     shard_timeout=self.shard_timeout,
                     on_success=on_success,
                     on_event=self._on_failure_event,
-                    task=self.task,
                 )
                 result = supervisor.run(attemptable)
                 quarantined = sorted(set(held) | set(result.quarantined))

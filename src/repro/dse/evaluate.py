@@ -9,11 +9,12 @@ The result is written atomically to
 measurement's inputs, so the same cell is never simulated twice, not
 even across explorations with different grids or constraints.
 
-:func:`run_measurement_attempt` matches the campaign supervisor's
-task signature (module-level, dict-in/dict-out, picklable), so design
-points inherit the whole retry / watchdog / quarantine / integrity
-machinery for free.  The record it returns carries an ``artifacts``
-list, which the supervisor re-hashes before accepting the result.
+:func:`run_measurement_attempt` is a campaign supervisor task
+(module-level, picklable, ``(spec, directory, index) -> record``), so
+design points inherit the whole retry / watchdog / quarantine /
+integrity machinery for free.  The record it returns carries an
+``artifacts`` list, which the supervisor re-hashes before accepting
+the result.
 """
 
 from __future__ import annotations
@@ -42,16 +43,9 @@ def measurement_relpath(digest: str) -> str:
     return os.path.join(MEASUREMENTS_DIRNAME, f"{digest}.json")
 
 
-def run_measurement_attempt(spec_dict: dict, directory: str,
-                            job_index: int, attempt: int,
-                            chaos_dict: Optional[dict]) -> dict:
-    """One supervised measurement attempt (supervisor task protocol).
-
-    ``chaos_dict`` is accepted for signature compatibility; tests
-    inject faults by wrapping the task instead.
-    """
-    del attempt, chaos_dict
-    spec = DesignSpaceSpec.from_dict(spec_dict)
+def run_measurement_attempt(spec: DesignSpaceSpec, directory: str,
+                            job_index: int) -> dict:
+    """One supervised measurement attempt (supervisor task protocol)."""
     job = spec.measurement_jobs()[job_index]
     with obs_runtime.shard_scope(job_index) as obs:
         return _measure_observed(spec, directory, job, obs)

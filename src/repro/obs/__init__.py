@@ -17,7 +17,8 @@ reproduction.  Three pillars, one API:
 * **live telemetry** (:mod:`.stream`, :mod:`.alerts`,
   :mod:`.flightrec`) — ordered seeded metric deltas folded in virtual
   time, a deterministic alert-rule engine with hysteresis, and a
-  bounded crash flight recorder dumped on power loss or chaos kill.
+  bounded crash flight recorder dumped on power loss, exception or
+  watchdog timeout.
 
 Nothing here depends on anything outside the stdlib; the rest of the
 package depends on it (guarded, so tracing off costs one global

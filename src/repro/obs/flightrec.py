@@ -1,7 +1,7 @@
 """Crash flight recorder: the last N spans, dumped at the disaster.
 
-A supervised worker that dies — chaos kill, watchdog timeout, power
-loss — takes its in-flight telemetry with it; the coordinator only
+A supervised worker that dies — an exception, a watchdog timeout,
+power loss — takes its in-flight telemetry with it; the coordinator only
 learns *that* it died, not what it was doing.  The flight recorder
 closes that gap the way an aircraft's does: every finished span/event
 record also lands in a bounded ring buffer
@@ -11,7 +11,6 @@ deterministically named ``flight-<tag>.json`` in the obs directory.
 
 Dump sites (each states its reason in the payload):
 
-* ``chaos-kill`` — the soak chaos hook, just before ``os._exit``;
 * ``exception`` — :func:`repro.obs.runtime.shard_scope` when the
   shard body raises;
 * ``watchdog`` — the :class:`~repro.campaign.supervisor.ShardSupervisor`
@@ -25,10 +24,10 @@ Dump sites (each states its reason in the payload):
 Dumps are deterministic: records are the canonical span projection
 (wall clock and pid stripped, exactly like
 :func:`repro.obs.report.canonical_span_tree`), the ring's content at
-a chaos kill is a pure function of the seeded crash point, and the
-file name is derived from the shard/session index — so two same-seed
-runs crash-dump byte-identical black boxes, which the replay tests
-pin.  ``campaign doctor`` and ``obs tail`` surface them.
+a dump is a pure function of the seeded run up to that point, and
+the file name is derived from the shard/session index — so two
+same-seed runs crash-dump byte-identical black boxes, which the
+replay tests pin.  ``campaign doctor`` and ``obs tail`` surface them.
 """
 
 from __future__ import annotations

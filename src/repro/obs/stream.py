@@ -17,7 +17,7 @@ makes:
   :func:`sort_events` imposes regardless of which worker produced
   which event, so float accumulation order — and therefore the live
   snapshot's bytes — is independent of worker count, scheduling and
-  chaos-kill history;
+  chaos crash history;
 * every serialized float is rounded once, at event creation.
 
 :func:`run_pipeline` is the one-call composition the soaks use: sort,

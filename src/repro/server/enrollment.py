@@ -37,12 +37,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..campaign.chaos import (CHAOS_CRASH_EXIT_CODE, ChaosConfig,
-                              ChaosInjectedError)
+from ..campaign.chaos import ChaosConfig
 from ..campaign.store import file_digest
 from ..channel.frame import compress_point, decompress_point, \
     point_width_bytes
@@ -143,40 +141,19 @@ class EnrollmentSpec(JsonSpec):
 # the worker task
 # ----------------------------------------------------------------------
 
-def enroll_shard(spec_dict: dict, directory: str, shard_index: int,
-                 attempt: int, chaos_dict: Optional[dict]) -> dict:
+def enroll_shard(spec: EnrollmentSpec, directory: str,
+                 shard_index: int) -> dict:
     """Build one shard of the fleet: the supervised worker task.
 
-    Module-level and dict-in/dict-out so it crosses the ``spawn``
-    pickle boundary.  The returned record carries ``artifacts`` so the
-    supervisor re-hashes the shard file after completion — a worker
-    that lies about its bytes (the corrupt fault below) is caught by
-    that independent check, exactly as in trace acquisition.
+    Module-level so it crosses the ``spawn`` pickle boundary.  The
+    returned record carries ``artifacts`` so the supervisor re-hashes
+    the shard file after completion — a worker that lies about its
+    bytes (chaos corruption) is caught by that independent check,
+    exactly as in trace acquisition.
     """
-    spec = EnrollmentSpec.from_dict(spec_dict)
     if not 0 <= shard_index < spec.num_shards:
         raise EnrollmentError(f"shard {shard_index} outside fleet of "
                               f"{spec.num_shards} shards")
-
-    chaos = None if chaos_dict is None else ChaosConfig.from_dict(chaos_dict)
-    if chaos is not None:
-        fault = chaos.execution_fault(shard_index, attempt)
-        if fault == "crash":
-            # Die mid-write: stale .tmp, no record, nonzero exit.
-            tmp = os.path.join(directory,
-                               spec.shard_filename(shard_index) + ".tmp")
-            with open(tmp, "wb") as f:
-                f.write(b"chaos: torn enrollment\x00" * 4)
-            os._exit(CHAOS_CRASH_EXIT_CODE)
-        elif fault == "hang":
-            time.sleep(chaos.hang_seconds)
-        elif fault == "error":
-            raise ChaosInjectedError(
-                f"injected enrollment failure (shard {shard_index}, "
-                f"attempt {attempt})"
-            )
-        elif fault == "slow":
-            time.sleep(chaos.slow_seconds)
 
     domain = spec.domain()
     curve, generator = domain.curve, domain.generator
@@ -203,16 +180,6 @@ def enroll_shard(spec_dict: dict, directory: str, shard_index: int,
     path = os.path.join(directory, name)
     atomic_write_bytes(path, bytes(out))
     digest = file_digest(path)
-
-    if chaos is not None and chaos.corrupts(shard_index, attempt):
-        # Flip a byte *after* the digest: the record now lies about
-        # the bytes on disk; only the supervisor's re-hash notices.
-        with open(path, "r+b") as f:
-            f.seek(0)
-            byte = f.read(1) or b"\x00"
-            f.seek(0)
-            f.write(bytes([byte[0] ^ 0xFF]))
-
     return {
         "shard": shard_index,
         "file": name,
@@ -246,7 +213,7 @@ class EnrollmentReport:
 
 def _sweep_stale_tmp(directory: str) -> None:
     for name in os.listdir(directory):
-        if name.startswith("tags-") and name.endswith(".tmp"):
+        if name.endswith(".tmp"):
             try:
                 os.unlink(os.path.join(directory, name))
             except OSError:
@@ -325,11 +292,10 @@ def enroll_fleet(directory: str, spec: EnrollmentSpec, *,
     if pending:
         workers = default_workers(workers)
         supervisor = ShardSupervisor(
-            spec, directory,
+            spec, directory, enroll_shard,
             workers=workers,
             policy=policy,
             chaos=chaos,
-            task=enroll_shard,
             on_success=lambda record, attempt: built.__setitem__(
                 record["shard"], record),
             on_event=on_event,

@@ -2,21 +2,21 @@
 
 A soak drives many thousands of sessions against one enrolled fleet
 and must produce the same summary — byte for byte — whether it ran on
-one worker or eight, with or without chaos faults killing workers
-mid-session.  The trick is the unit of parallelism: a **cohort** is a
-block of consecutive session indices simulated *whole* by one worker
-on its own virtual-time loop.  Cohort results are pure functions of
+one worker or eight, with or without chaos faults killing workers.
+The trick is the unit of parallelism: a **cohort** is a block of
+consecutive session indices simulated *whole* by one worker on its own
+virtual-time loop.  Cohort results are pure functions of
 ``(spec, cohort_index)``, workers never share a simulation, and the
 summary is assembled in cohort order — so scheduling, worker count
 and crash/retry history are invisible in the output.
 
 Supervision, chaos, the cohort files and the summary come from the
 soak kernel's :func:`repro.soak.run_cohorts`: a chaos-killed worker
-(``os._exit`` mid-simulation) is a transient failure, the cohort is
-retried from scratch (determinism makes the retry byte-identical), and
-a cohort that keeps failing is quarantined — the soak degrades loudly
-instead of hanging.  This module keeps the cohort simulation, the
-fleet rulebook and the totals fold.
+(``os._exit`` before the cohort runs) is a transient failure, the
+cohort is retried from scratch (determinism makes the retry
+byte-identical), and a cohort that keeps failing is quarantined — the
+soak degrades loudly instead of hanging.  This module keeps the cohort
+simulation, the fleet rulebook and the totals fold.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from ..jsonspec import JsonSpec
 from ..obs.alerts import default_rulebook
 from ..obs.metrics import MetricRegistry, strip_wall_metrics
 from ..obs.stream import make_event, spread_drain_events
-from ..soak import (SUMMARY_NAME, CohortReport, arrival_gap, chaos_kill,
-                    rounded_sum, run_cohort_attempt, run_cohorts)
+from ..soak import (SUMMARY_NAME, CohortReport, arrival_gap, rounded_sum,
+                    run_cohort_attempt, run_cohorts)
 from .enrollment import EnrollmentStore
 from .errors import (AdmissionRejectedError, ReplayQuarantinedError,
                      ServerError, SourceThrottledError)
@@ -144,16 +144,11 @@ def _check_fleet(spec: SoakSpec, verify: bool) -> EnrollmentStore:
 
 
 def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
-                    crash_after: Optional[int] = None,
-                    crash_tmp_path: Optional[str] = None,
                     registry: Optional[MetricRegistry] = None) -> dict:
     """Run one cohort on a fresh loop; returns its aggregates+metrics.
 
-    ``crash_after`` is the chaos hook: after that many sessions have
-    concluded the worker dies hard (``os._exit``) with the simulation
-    mid-flight — the supervised retry must reproduce the cohort
-    byte-identically.  ``registry`` lets a caller watch the metrics
-    live (the CLI's ``server run`` serves it over HTTP mid-flight).
+    ``registry`` lets a caller watch the metrics live (the CLI's
+    ``server run`` serves it over HTTP mid-flight).
     """
     store = _check_fleet(spec, verify=False)
     loop = SimLoop()
@@ -163,12 +158,9 @@ def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
         profile=LossProfile(frame_loss=spec.frame_loss),
         registry=registry)
     base = cohort_index * spec.sessions
-    concluded = 0
-
     source = f"cohort-{cohort_index:05d}"
 
     async def drive() -> List:
-        nonlocal concluded
         server.start()
         futures = []
         submit_vts = {}
@@ -201,13 +193,7 @@ def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
                 shed_reasons["overload"] += 1
                 shed_events.append(make_event(loop.now, source, index,
                                               shed=1))
-        outcomes = []
-        for future in futures:
-            outcomes.append(await future)
-            concluded += 1
-            if crash_after is not None and concluded >= crash_after:
-                chaos_kill(crash_tmp_path, cohort=cohort_index,
-                           sessions_concluded=concluded)
+        outcomes = [await future for future in futures]
         await server.close()
         return outcomes, submit_vts, shed_events, shed_indices, \
             shed_reasons
@@ -278,8 +264,7 @@ def simulate_cohort(spec: SoakSpec, cohort_index: int, *,
 
 
 #: The supervised worker task: one cohort attempt of this family.
-run_cohort = functools.partial(run_cohort_attempt, SoakSpec,
-                               simulate_cohort)
+run_cohort = functools.partial(run_cohort_attempt, simulate_cohort)
 
 
 #: The fleet soak's p99 alert line, in µJ.  A private-identification

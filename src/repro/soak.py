@@ -19,10 +19,11 @@ Two entry points:
   fresh interpreter per attempt, which costs more than a small sweep.
 * :func:`run_cohorts` runs the two **supervised cohort soaks** under
   :class:`~repro.campaign.supervisor.ShardSupervisor`: one cohort per
-  attempt (:func:`run_cohort_attempt`, chaos faults applied), cohort
-  files folded in cohort order, telemetry and alerts folded through
-  the family's rulebook, and one ``summary.json``.  Cohort results are
-  pure functions of ``(spec, cohort_index)``, so worker count and
+  attempt (:func:`run_cohort_attempt`; the supervisor applies chaos
+  faults around it, as for every supervised task), cohort files folded
+  in cohort order, telemetry and alerts folded through the family's
+  rulebook, and one ``summary.json``.  Cohort results are pure
+  functions of ``(spec, cohort_index)``, so worker count and
   crash/retry history are invisible in every file.
 
 Module-level imports are stdlib only: ``import repro.protocols.fleet``
@@ -41,8 +42,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence
 
 __all__ = ["fan_out", "session_slices", "sweep_records", "run_cohorts",
-           "run_cohort_attempt", "CohortReport", "chaos_kill",
-           "arrival_gap", "rounded_sum", "write_summary", "SUMMARY_NAME"]
+           "run_cohort_attempt", "CohortReport", "arrival_gap",
+           "rounded_sum", "write_summary", "SUMMARY_NAME"]
 
 SUMMARY_NAME = "summary.json"
 _SCHEMA_VERSION = 1
@@ -125,74 +126,28 @@ def arrival_gap(seed: int, stream: str, index: int, rate: float) -> float:
     return -math.log(max(unit, 1e-12)) / rate
 
 
-def chaos_kill(tmp_path: Optional[str], **context) -> None:
-    """Die the way a killed worker does: torn temp file, no result,
-    the simulation abandoned mid-flight.  The flight recorder dumps
-    first — the black box is the only telemetry that survives."""
-    from .campaign.chaos import CHAOS_CRASH_EXIT_CODE
-    from .obs import runtime as obs_runtime
+def run_cohort_attempt(simulate: Callable, spec, directory: str,
+                       cohort_index: int) -> dict:
+    """One supervised cohort attempt: simulate, write, report.
 
-    obs_runtime.flight_dump("chaos-kill", **context)
-    if tmp_path is not None:
-        try:
-            with open(tmp_path, "wb") as f:
-                f.write(b"chaos: torn soak write\x00" * 4)
-        except OSError:
-            pass
-    os._exit(CHAOS_CRASH_EXIT_CODE)
-
-
-def run_cohort_attempt(spec_type, simulate: Callable, spec_dict: dict,
-                       directory: str, cohort_index: int, attempt: int,
-                       chaos_dict: Optional[dict]) -> dict:
-    """One supervised cohort attempt: chaos, simulate, write, report.
-
-    ``functools.partial(run_cohort_attempt, SpecType, simulate)`` is a
-    family's supervisor task.  ``simulate(spec, cohort_index, *,
-    crash_after, crash_tmp_path)`` returns the cohort payload (its
-    aggregates plus ``telemetry`` events and a wall-stripped
-    ``metrics`` snapshot) and calls :func:`chaos_kill` once
-    ``crash_after`` sessions have concluded.  Chaos faults mirror the
-    campaign layer's: ``crash`` kills the worker mid-simulation (after
-    half the cohort), ``corrupt`` flips a byte after the digest was
-    taken so only the supervisor's independent re-hash can notice.
+    ``functools.partial(run_cohort_attempt, simulate)`` is a family's
+    supervisor task.  ``simulate(spec, cohort_index)`` returns the
+    cohort payload: its aggregates plus ``telemetry`` events and a
+    wall-stripped ``metrics`` snapshot.  The cohort file is written
+    atomically at the end, so a retry after any crash starts clean.
     """
-    from .campaign.chaos import ChaosConfig, ChaosInjectedError
     from .obs import runtime as obs_runtime
     from .obs.metrics import atomic_write_bytes
-
-    spec = spec_type.from_dict(spec_dict)
-    chaos = None if chaos_dict is None else ChaosConfig.from_dict(chaos_dict)
-    fault = None if chaos is None \
-        else chaos.execution_fault(cohort_index, attempt)
-    if fault == "hang":
-        time.sleep(chaos.hang_seconds)
-    elif fault == "error":
-        raise ChaosInjectedError(f"injected soak failure (cohort "
-                                 f"{cohort_index}, attempt {attempt})")
-    elif fault == "slow":
-        time.sleep(chaos.slow_seconds)
 
     name = f"cohort-{cohort_index:05d}.json"
     path = os.path.join(directory, name)
     with obs_runtime.shard_scope(cohort_index) as rt:
-        payload = simulate(
-            spec, cohort_index,
-            crash_after=max(1, spec.sessions // 2)
-            if fault == "crash" else None,
-            crash_tmp_path=path + ".tmp")
+        payload = simulate(spec, cohort_index)
         if rt is not None:
             rt.registry.merge_snapshot(payload["metrics"])
     data = json.dumps(payload, indent=1, sort_keys=True).encode()
     atomic_write_bytes(path, data)
     digest = hashlib.sha256(data).hexdigest()
-
-    if chaos is not None and chaos.corrupts(cohort_index, attempt):
-        with open(path, "r+b") as f:
-            f.seek(16)
-            byte = f.read(1) or b"\x00"
-            f.seek(16)
-            f.write(bytes([byte[0] ^ 0xFF]))
     return {"shard": cohort_index, "file": name, "sha256": digest,
             "artifacts": [(name, digest)]}
 
@@ -272,7 +227,7 @@ def run_cohorts(directory, spec, task: Callable, fold: Callable, rules,
     aggregates in cohort order, metric snapshots merged in cohort
     order, wall-clock families stripped — and the telemetry/alerts
     fold order is total, so all three files ``cmp`` equal across
-    worker counts and chaos-kill histories.
+    worker counts and chaos crash histories.
     """
     from .campaign.acquire import default_workers
     from .campaign.supervisor import ShardSupervisor
@@ -293,8 +248,8 @@ def run_cohorts(directory, spec, task: Callable, fold: Callable, rules,
 
     files: dict = {}
     outcome = ShardSupervisor(
-        spec, directory, workers=default_workers(workers), policy=policy,
-        chaos=chaos, task=task, on_event=on_event,
+        spec, directory, task, workers=default_workers(workers),
+        policy=policy, chaos=chaos, on_event=on_event,
         on_success=lambda record, attempt: files.__setitem__(
             record["shard"], record["file"]),
     ).run(list(range(spec.cohorts)))

@@ -7,22 +7,28 @@ a fault-free run — recovery that changes the data is not recovery.
 """
 
 import os
+import time
 
 import pytest
 
+from repro.adversary import AttackSpec, run_attack_soak
 from repro.campaign import (
     CHAOS_CRASH_EXIT_CODE,
     DATA_INTEGRITY,
+    DETERMINISTIC,
     TRANSIENT,
     AcquisitionEngine,
     CampaignSpec,
     ChaosConfig,
     ChaosInjectedError,
     CollectingReporter,
+    Quarantine,
     RetryPolicy,
     TraceStore,
-    chaos_acquire_shard,
+    acquire_shard,
 )
+from repro.campaign.chaos import run_attempt
+from repro.server import EnrollmentSpec, SoakSpec, enroll_fleet, run_soak
 
 SPEC = CampaignSpec(n_traces=4, shard_size=2, scenario="unprotected",
                     max_iterations=2, seed=31, noise_sigma=38.0)
@@ -110,7 +116,7 @@ class TestDecisions:
         TraceStore(str(tmp_path)).initialize(SPEC)
         config = ChaosConfig(error_rate=1.0)
         with pytest.raises(ChaosInjectedError, match="shard 0"):
-            chaos_acquire_shard(SPEC, str(tmp_path), 0, 0, config)
+            run_attempt(acquire_shard, SPEC, str(tmp_path), 0, 0, config)
 
 
 def _fault_path(config, shard, budget):
@@ -156,15 +162,21 @@ class TestRecoveryMatrix:
         policy = RetryPolicy(max_attempts=6, base_delay=0.01,
                              max_delay=0.05, jitter=0.0)
 
+        started = time.monotonic()
         clean = AcquisitionEngine(clean_dir, SPEC, workers=2).run()
+        clean_wall = time.monotonic() - started
         clean_digests = {r.index: (r.samples_sha256, r.aux_sha256)
                          for r in clean.shard_records}
 
+        # The watchdog must end the injected hang but never an honest
+        # attempt: size it from this host's own clean run, which pays
+        # the same interpreter start-up per spawned attempt.
         config, hit = _find_chaos(SPEC.n_shards, policy.max_attempts)
         reporter = CollectingReporter()
         engine = AcquisitionEngine(
             chaos_dir, SPEC, workers=2, reporter=reporter,
-            shard_timeout=1.5, retry_policy=policy, chaos=config,
+            shard_timeout=max(1.5, 4 * clean_wall), retry_policy=policy,
+            chaos=config,
         )
         store = engine.run()
 
@@ -239,3 +251,63 @@ class TestRecoveryMatrix:
         engine.run()
         assert not os.path.exists(stale)
         assert engine.outcome == "clean"
+
+
+FLEET = EnrollmentSpec(tags=40, shard_size=20, seed=5)
+INLINE = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+
+
+def _acquire(directory, fleet_dir, chaos):
+    AcquisitionEngine(directory, SPEC, workers=1, retry_policy=INLINE,
+                      chaos=chaos).run()
+    return TraceStore.shard_filenames(1)
+
+
+def _enroll(directory, fleet_dir, chaos):
+    enroll_fleet(directory, FLEET, workers=1, chaos=chaos, policy=INLINE)
+    return (FLEET.shard_filename(1),)
+
+
+def _server_soak(directory, fleet_dir, chaos):
+    spec = SoakSpec(enrollment_digest=FLEET.digest(), store_dir=fleet_dir,
+                    sessions=4, cohorts=2, seed=3)
+    run_soak(directory, spec, workers=1, chaos=chaos, policy=INLINE)
+    return ("cohort-00001.json",)
+
+
+def _attack_soak(directory, fleet_dir, chaos):
+    run_attack_soak(directory, AttackSpec(sessions=4, cohorts=2, seed=3),
+                    workers=1, chaos=chaos, policy=INLINE)
+    return ("cohort-00001.json",)
+
+
+class TestOneInjector:
+    """Every supervised family gets its faults from the supervisor's
+    one injector, so one fault config means the same thing to all."""
+
+    @pytest.fixture(scope="class")
+    def fleet_dir(self, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("fleet"))
+        assert enroll_fleet(directory, FLEET, workers=1).complete
+        return directory
+
+    @pytest.mark.parametrize("family", [_acquire, _enroll, _server_soak,
+                                        _attack_soak],
+                             ids=["acquire", "enroll", "server-soak",
+                                  "attack-soak"])
+    @pytest.mark.parametrize("fault,kind", [("error", DETERMINISTIC),
+                                            ("corrupt", DATA_INTEGRITY)])
+    def test_fault_quarantines_only_its_index(self, tmp_path, fleet_dir,
+                                              family, fault, kind):
+        clean_dir = str(tmp_path / "clean")
+        chaos_dir = str(tmp_path / fault)
+        family(clean_dir, fleet_dir, None)
+        chaos = ChaosConfig(only_shards=(0,), **{f"{fault}_rate": 1.0})
+        names = family(chaos_dir, fleet_dir, chaos)
+        entries = Quarantine(chaos_dir).entries()
+        assert {index: entry["kind"] for index, entry in entries.items()} \
+            == {0: kind}
+        for name in names:
+            with open(os.path.join(chaos_dir, name), "rb") as chaotic, \
+                    open(os.path.join(clean_dir, name), "rb") as clean:
+                assert chaotic.read() == clean.read()

@@ -27,7 +27,8 @@ from repro.campaign import (
     ShardSupervisor,
     classify_exception,
 )
-from repro.campaign.supervisor import FailureEvent, run_shard_attempt
+from repro.campaign.acquire import acquire_shard
+from repro.campaign.supervisor import FailureEvent
 
 SPEC = CampaignSpec(n_traces=4, shard_size=2, scenario="unprotected",
                     max_iterations=2, seed=21, noise_sigma=38.0)
@@ -231,19 +232,21 @@ class TestInlineSupervision:
         store.initialize(SPEC)
         records = []
         supervisor = ShardSupervisor(
-            SPEC, str(tmp_path), workers=1, policy=policy, chaos=chaos,
-            task=task, on_success=lambda record, attempt:
+            SPEC, str(tmp_path), task, workers=1, policy=policy,
+            chaos=chaos, on_success=lambda record, attempt:
             records.append((record["index"], attempt)),
         )
         outcome = supervisor.run(store.missing_shards())
         return supervisor, outcome, records
 
     def test_transient_failure_is_retried_to_success(self, tmp_path):
-        def flaky(spec_dict, directory, shard, attempt, chaos_dict):
-            if shard == 1 and attempt == 0:
+        failed = []
+
+        def flaky(spec, directory, shard):
+            if shard == 1 and not failed:
+                failed.append(shard)
                 raise OSError("injected transient failure")
-            return run_shard_attempt(spec_dict, directory, shard,
-                                     attempt, chaos_dict)
+            return acquire_shard(spec, directory, shard)
 
         supervisor, outcome, records = self._run(tmp_path, flaky)
         assert sorted(outcome.completed) == [0, 1]
@@ -256,11 +259,10 @@ class TestInlineSupervision:
         assert events[0]["action"] == "retry"
 
     def test_persistent_deterministic_failure_quarantines(self, tmp_path):
-        def broken(spec_dict, directory, shard, attempt, chaos_dict):
+        def broken(spec, directory, shard):
             if shard == 0:
                 raise ValueError("this shard can never work")
-            return run_shard_attempt(spec_dict, directory, shard,
-                                     attempt, chaos_dict)
+            return acquire_shard(spec, directory, shard)
 
         supervisor, outcome, records = self._run(tmp_path, broken)
         assert outcome.completed == [1]
@@ -273,11 +275,10 @@ class TestInlineSupervision:
     def test_cleared_quarantine_allows_recovery(self, tmp_path):
         state = {"healed": False}
 
-        def healing(spec_dict, directory, shard, attempt, chaos_dict):
+        def healing(spec, directory, shard):
             if shard == 0 and not state["healed"]:
                 raise ValueError("still broken")
-            return run_shard_attempt(spec_dict, directory, shard,
-                                     attempt, chaos_dict)
+            return acquire_shard(spec, directory, shard)
 
         supervisor, outcome, _ = self._run(tmp_path, healing)
         assert outcome.quarantined == [0]
@@ -292,7 +293,7 @@ class TestInlineSupervision:
         # supervisor's independent re-hash can catch it.
         chaos = ChaosConfig(seed=1, corrupt_rate=1.0, only_shards=(0,))
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-        supervisor, outcome, _ = self._run(tmp_path, run_shard_attempt,
+        supervisor, outcome, _ = self._run(tmp_path, acquire_shard,
                                            policy=policy, chaos=chaos)
         assert outcome.completed == [1]
         assert outcome.quarantined == [0]
@@ -301,23 +302,24 @@ class TestInlineSupervision:
 
     def test_crash_chaos_refuses_inline_mode(self, tmp_path):
         with pytest.raises(ValueError, match="worker processes"):
-            ShardSupervisor(SPEC, str(tmp_path), workers=1,
+            ShardSupervisor(SPEC, str(tmp_path), acquire_shard, workers=1,
                             chaos=ChaosConfig(crash_rate=0.5))
 
     def test_events_reach_the_observer(self, tmp_path):
         seen = []
+        tried = set()
 
-        def flaky(spec_dict, directory, shard, attempt, chaos_dict):
-            if attempt == 0:
+        def flaky(spec, directory, shard):
+            if shard not in tried:
+                tried.add(shard)
                 raise OSError("first attempt always fails")
-            return run_shard_attempt(spec_dict, directory, shard,
-                                     attempt, chaos_dict)
+            return acquire_shard(spec, directory, shard)
 
         from repro.campaign import TraceStore
         store = TraceStore(str(tmp_path))
         store.initialize(SPEC)
-        ShardSupervisor(SPEC, str(tmp_path), workers=1, policy=FAST,
-                        task=flaky, on_event=seen.append).run([0, 1])
+        ShardSupervisor(SPEC, str(tmp_path), flaky, workers=1, policy=FAST,
+                        on_event=seen.append).run([0, 1])
         assert len(seen) == 2
         assert all(isinstance(e, FailureEvent) for e in seen)
         assert all(e.action == "retry" for e in seen)
@@ -334,24 +336,22 @@ def _write_cell(directory, shard):
 
 
 class TestExplicitArtifacts:
-    """Records carrying an explicit ``artifacts`` list (how
-    non-acquisition tasks such as the DSE measurement worker describe
-    their outputs) get the same independent re-hash before acceptance
-    as the acquisition layout's fixed file pair."""
+    """Every record lists its files as ``artifacts``; the supervisor
+    re-hashes each one before it accepts the record, whatever task
+    wrote it."""
 
     def _supervise(self, tmp_path, task):
         records = []
         supervisor = ShardSupervisor(
-            SPEC, str(tmp_path), workers=1,
+            SPEC, str(tmp_path), task, workers=1,
             policy=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
-            task=task,
             on_success=lambda record, attempt: records.append(record),
         )
         outcome = supervisor.run([0])
         return supervisor, outcome, records
 
     def test_honest_artifacts_are_accepted(self, tmp_path):
-        def honest(spec_dict, directory, shard, attempt, chaos_dict):
+        def honest(spec, directory, shard):
             relpath, payload = _write_cell(directory, shard)
             digest = hashlib.sha256(payload).hexdigest()
             return {"index": shard, "artifacts": [[relpath, digest]]}
@@ -362,7 +362,7 @@ class TestExplicitArtifacts:
         assert len(records) == 1
 
     def test_mismatched_digest_is_data_integrity(self, tmp_path):
-        def lying(spec_dict, directory, shard, attempt, chaos_dict):
+        def lying(spec, directory, shard):
             relpath, _ = _write_cell(directory, shard)
             wrong = hashlib.sha256(b"not what was written").hexdigest()
             return {"index": shard, "artifacts": [[relpath, wrong]]}
@@ -375,7 +375,7 @@ class TestExplicitArtifacts:
         assert "does not match" in events[-1]["reason"]
 
     def test_vanished_artifact_is_data_integrity(self, tmp_path):
-        def ghost(spec_dict, directory, shard, attempt, chaos_dict):
+        def ghost(spec, directory, shard):
             digest = hashlib.sha256(b"never written").hexdigest()
             return {"index": shard,
                     "artifacts": [["cells/ghost.json", digest]]}

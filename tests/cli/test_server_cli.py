@@ -166,6 +166,29 @@ class TestRun:
         with pytest.raises(OSError):
             urllib.request.urlopen(url, timeout=1)
 
+    def test_first_scrape_lists_the_session_families(self, cli_fleet,
+                                                      monkeypatch):
+        """The exporter starts before any session concludes, so a
+        scrape at that moment must already list the families a scrape
+        loop watches."""
+        from repro.server import soak
+
+        simulate = soak.simulate_cohort
+        rendered = []
+
+        def watched(spec, cohort_index, *, registry=None):
+            rendered.append(registry.render_prometheus())
+            return simulate(spec, cohort_index, registry=registry)
+
+        monkeypatch.setattr(soak, "simulate_cohort", watched)
+        text, code = cmd_server_run(make_spec(cli_fleet, cohorts=1,
+                                              sessions=2))
+        assert code == EXIT_OK
+        assert len(rendered) == 1
+        for family in ("repro_server_sessions_total",
+                       "repro_server_energy_uj_total"):
+            assert f"# TYPE {family} counter" in rendered[0]
+
     def test_via_main(self, cli_fleet, capsys):
         code = main(["server", "run", "--store", str(cli_fleet),
                      "--sessions", "10", "--seed", "3"])

@@ -130,19 +130,16 @@ class TestCache:
             analyze_space(str(tmp_path), SMOKE)
 
 
-def fail_job_one(spec_dict, directory, job_index, attempt, chaos_dict):
+def fail_job_one(spec, directory, job_index):
     if job_index == 1:
         raise RuntimeError("injected measurement fault")
-    return run_measurement_attempt(spec_dict, directory, job_index,
-                                   attempt, chaos_dict)
+    return run_measurement_attempt(spec, directory, job_index)
 
 
-def fail_reference_job(spec_dict, directory, job_index, attempt,
-                       chaos_dict):
+def fail_reference_job(spec, directory, job_index):
     if job_index == SMOKE.reference_job().index:
         raise RuntimeError("injected measurement fault")
-    return run_measurement_attempt(spec_dict, directory, job_index,
-                                   attempt, chaos_dict)
+    return run_measurement_attempt(spec, directory, job_index)
 
 
 class TestDegradedPath:

@@ -111,8 +111,7 @@ class TestEnrollFleet:
 
     def test_shard_index_bounds(self, tmp_path, fleet_spec):
         with pytest.raises(EnrollmentError):
-            enroll_shard(fleet_spec.to_dict(), str(tmp_path),
-                         fleet_spec.num_shards, 0, None)
+            enroll_shard(fleet_spec, str(tmp_path), fleet_spec.num_shards)
 
 
 class TestEnrollmentStore:

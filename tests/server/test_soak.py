@@ -1,14 +1,15 @@
 """Tests for the supervised soak: determinism is the headline.
 
-The ISSUE's acceptance criterion: ``summary.json`` is byte-identical
-across worker counts and across chaos (a worker killed mid-session is
-retried and the retry reproduces the cohort exactly).
+``summary.json`` is byte-identical across worker counts and across
+chaos (a killed worker's cohort is retried and the retry reproduces
+it exactly).
 """
 
 import json
 
 import pytest
 
+from repro.campaign import RetryPolicy
 from repro.campaign.chaos import ChaosConfig
 from repro.obs.alerts import ALERTS_NAME
 from repro.obs.stream import TELEMETRY_NAME
@@ -75,9 +76,9 @@ class TestByteIdenticalSummaries:
         dir_chaos = tmp_path / "chaos"
         run_soak(dir_1, soak_spec, workers=1)
         run_soak(dir_4, soak_spec, workers=4)
-        # crash=0.4: workers die mid-session (os._exit with sessions
-        # in flight); the supervisor retries and the retry must
-        # reproduce the cohort exactly.
+        # crash=0.4: workers die (os._exit) before their cohort runs;
+        # the supervisor retries and the retry must reproduce the
+        # cohort exactly.
         chaos_report = run_soak(dir_chaos, soak_spec, workers=2,
                                 chaos=ChaosConfig.parse("crash=0.4",
                                                         seed=1))
@@ -141,9 +142,9 @@ class TestByteIdenticalSummaries:
 class TestChaosQuarantine:
     def test_always_crashing_cohort_degrades_not_hangs(self, tmp_path,
                                                        soak_spec):
-        """ISSUE satellite: a worker killed mid-session leaves no
-        stuck session — the supervisor retries, quarantines, and the
-        soak returns degraded instead of hanging."""
+        """A cohort whose worker is always killed leaves no stuck
+        session — the supervisor retries, quarantines, and the soak
+        returns degraded instead of hanging."""
         import dataclasses
         spec = dataclasses.replace(soak_spec, cohorts=1, sessions=10)
         report = run_soak(tmp_path / "q", spec, workers=2,
@@ -154,6 +155,20 @@ class TestChaosQuarantine:
         summary = json.loads((tmp_path / "q" / SUMMARY_NAME).read_text())
         assert summary["outcome"] == "degraded"
         assert summary["quarantined"] == [0]
+
+    def test_crash_fires_when_most_arrivals_are_shed(self, tmp_path,
+                                                     soak_spec):
+        """The crash fires before the cohort body, so a cohort that
+        sheds 17 of its 20 arrivals is killed like any other."""
+        import dataclasses
+        spec = dataclasses.replace(soak_spec, cohorts=1, sessions=20,
+                                   capacity=1, admission_queue=1,
+                                   arrival_rate=1e6)
+        report = run_soak(tmp_path / "shed", spec, workers=2,
+                          chaos=ChaosConfig.parse("crash=1.0"),
+                          policy=RetryPolicy(base_delay=0.0, jitter=0.0))
+        assert report.outcome == "degraded"
+        assert report.quarantined == [0]
 
     def test_wrong_fleet_fails_fast(self, tmp_path, soak_spec):
         import dataclasses
