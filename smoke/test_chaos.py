@@ -25,3 +25,4 @@ def test_chaos_run_is_byte_identical_to_the_reference(repro, tmp_path):
           " --chaos-seed 2 --shard-timeout 120 --max-attempts 8")
     assert len(shard_digests(clean)) == 4
     assert shard_digests(chaos) == shard_digests(clean)
+    assert list(chaos.glob("*.tmp")) == []

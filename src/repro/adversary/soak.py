@@ -118,9 +118,7 @@ class AttackSpec(JsonSpec):
 # one cohort = one tag under one flood
 # ----------------------------------------------------------------------
 
-def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
-                           registry: Optional[MetricRegistry] = None,
-                           ) -> dict:
+def simulate_attack_cohort(spec: AttackSpec, cohort_index: int) -> dict:
     """One tag through one cohort's flood; aggregates + metrics.
 
     The cohort's sessions run sequentially on a shared virtual clock
@@ -135,7 +133,7 @@ def simulate_attack_cohort(spec: AttackSpec, cohort_index: int, *,
                                               tag_index=cohort_index))
     base = cohort_index * spec.sessions
 
-    registry = registry if registry is not None else MetricRegistry()
+    registry = MetricRegistry()
     results = []
     clock = 0.0
     arrival = 0.0

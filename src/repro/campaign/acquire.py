@@ -144,34 +144,11 @@ def acquire_shard(spec: CampaignSpec, directory: str,
 
     When tracing is on (the coordinator configured :mod:`repro.obs`),
     the shard emits ``shard`` > ``trace`` > ``ladder.step`` spans with
-    cycle and µJ attribution and writes its metric snapshot for the
-    coordinator to merge; the traces themselves are byte-identical
+    cycle and µJ attribution into the runtime the supervisor's shard
+    scope made current; the traces themselves are byte-identical
     either way — observation never perturbs the measurement.
     """
-    with obs_runtime.shard_scope(shard_index) as obs:
-        return _acquire_shard_observed(spec, directory, shard_index, obs)
-
-
-def _shard_energy_reporter(spec: CampaignSpec, coprocessor, obs):
-    """Per-execution (total µJ, per-cycle consumed) attribution, or a
-    no-op when tracing is off (the energy model costs a calibration
-    point-multiply, so it is only built under observation)."""
-    if obs is None:
-        return None
-    from ..power.energy import calibrate_energy_model
-
-    model = calibrate_energy_model(coprocessor)
-
-    def attribute(execution):
-        report = model.report(execution)
-        consumed = model.leakage_model.consumed(execution)
-        return report.energy_joules * 1e6, consumed
-
-    return attribute
-
-
-def _acquire_shard_observed(spec: CampaignSpec, directory: str,
-                            shard_index: int, obs) -> dict:
+    obs = obs_runtime.current()
     started = time.perf_counter()
     coprocessor = spec.build_coprocessor()
     simulator = PowerTraceSimulator(
@@ -234,6 +211,24 @@ def _acquire_shard_observed(spec: CampaignSpec, directory: str,
     record["artifacts"] = [(record["samples_file"], record["samples_sha256"]),
                            (record["aux_file"], record["aux_sha256"])]
     return record
+
+
+def _shard_energy_reporter(spec: CampaignSpec, coprocessor, obs):
+    """Per-execution (total µJ, per-cycle consumed) attribution, or a
+    no-op when tracing is off (the energy model costs a calibration
+    point-multiply, so it is only built under observation)."""
+    if obs is None:
+        return None
+    from ..power.energy import calibrate_energy_model
+
+    model = calibrate_energy_model(coprocessor)
+
+    def attribute(execution):
+        report = model.report(execution)
+        consumed = model.leakage_model.consumed(execution)
+        return report.energy_joules * 1e6, consumed
+
+    return attribute
 
 
 def _attribute_trace(obs, trace_span, execution, attribute) -> float:
@@ -385,40 +380,37 @@ class AcquisitionEngine:
                 skipped_shards=spec.n_shards - len(pending),
                 quarantined_shards=list(held),
             )
-            workers = min(self.workers, len(attemptable)) or 1
-            self.reporter.on_start(spec.n_shards, spec.n_traces,
-                                   len(attemptable), workers)
-            completed: list = []
-            if attemptable:
-                def on_success(record: dict, attempt: int) -> None:
-                    shard = self._absorb(store, record)
-                    completed.append(shard.index)
-                    self._note_shard(store, shard, metrics, started)
+            self.reporter.on_start(
+                spec.n_shards, spec.n_traces, len(attemptable),
+                min(self.workers, len(attemptable)) or 1)
 
-                # Looked up per run, not bound at import, so a wrapper
-                # patched onto this module is the task that runs.
-                supervisor = ShardSupervisor(
-                    spec, self.directory, acquire_shard,
-                    workers=workers,
-                    use_processes=self.workers > 1,
-                    policy=self.retry_policy,
-                    chaos=self.chaos,
-                    shard_timeout=self.shard_timeout,
-                    on_success=on_success,
-                    on_event=self._on_failure_event,
-                )
-                result = supervisor.run(attemptable)
-                metrics.retried_attempts = result.retried_attempts
-                metrics.failure_events = result.failure_events
-                metrics.quarantined_shards = sorted(
-                    set(held) | set(result.quarantined)
-                )
+            def on_success(record: dict, attempt: int) -> None:
+                shard = self._absorb(store, record)
+                self._note_shard(store, shard, metrics, started)
+
+            # Looked up per run, not bound at import, so a wrapper
+            # patched onto this module is the task that runs.  Run
+            # even with nothing attemptable: the run sweeps débris.
+            result = ShardSupervisor(
+                spec, self.directory, acquire_shard,
+                workers=self.workers,
+                policy=self.retry_policy,
+                chaos=self.chaos,
+                shard_timeout=self.shard_timeout,
+                on_success=on_success,
+                on_event=self._on_failure_event,
+            ).run(attemptable)
+            metrics.retried_attempts = result.retried_attempts
+            metrics.failure_events = result.failure_events
+            metrics.quarantined_shards = sorted(
+                set(held) | set(result.quarantined)
+            )
             metrics.elapsed_seconds = time.perf_counter() - started
             self.metrics = metrics
             self.outcome = ("degraded" if metrics.quarantined_shards
                             else "clean")
             if obs is not None:
-                self._record_run_metrics(obs, metrics, completed)
+                self._record_run_metrics(obs, metrics)
                 root_span.set(outcome=self.outcome,
                               acquired=metrics.acquired_shards,
                               quarantined=len(metrics.quarantined_shards))
@@ -434,14 +426,9 @@ class AcquisitionEngine:
             ).inc(kind=event.kind, action=event.action)
         self.reporter.on_failure(event)
 
-    def _record_run_metrics(self, obs, metrics: CampaignMetrics,
-                            completed: list) -> None:
-        """Fold worker snapshots + run totals into the coordinator.
-
-        Shard snapshots merge in shard order (not completion order),
-        so the final registry is identical whatever the scheduling.
-        """
-        obs_runtime.merge_shard_metrics(obs, completed)
+    def _record_run_metrics(self, obs, metrics: CampaignMetrics) -> None:
+        """Fold the run totals into the coordinator (the supervisor
+        already merged the shards' snapshots)."""
         registry = obs.registry
         registry.counter(
             "repro_campaign_shards_total", "shards acquired this run",

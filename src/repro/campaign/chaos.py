@@ -16,6 +16,9 @@ quarantine.
 :func:`run_attempt` is the one place faults are injected: the
 supervisor calls it for every attempt of every task, inline or in a
 worker process, so no task sees an attempt number or a chaos config.
+It also opens the attempt's obs shard scope, around the task alone:
+the faults fire outside it, so an injected error leaves no flight
+dump.
 The harness never touches a task's content path: a chaos run that
 completes is byte-for-byte identical to a fault-free one (the
 recovery-matrix tests pin this), which is what makes the fault
@@ -30,6 +33,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from ..jsonspec import JsonSpec
+from ..obs import runtime as obs_runtime
 from .spec import derive_seed
 
 __all__ = ["ChaosConfig", "ChaosInjectedError", "run_attempt",
@@ -178,7 +182,9 @@ def run_attempt(task, spec, directory: str, index: int, attempt: int,
                 chaos: Optional[ChaosConfig]) -> dict:
     """``task(spec, directory, index)`` under the faults ``chaos`` draws.
 
-    The execution fault (if any) fires before the task; corruption
+    The task runs inside ``obs_runtime.shard_scope(index)``, so it
+    reads the shard's runtime from ``obs_runtime.current()``.  The
+    execution fault (if any) fires before the scope opens; corruption
     flips one byte of ``record["artifacts"][0]`` after it, once the
     task has computed its digests, so the record lies about the bytes
     on disk and only the supervisor's independent re-hash can notice.
@@ -188,9 +194,9 @@ def run_attempt(task, spec, directory: str, index: int, attempt: int,
     fault = None if chaos is None else chaos.execution_fault(index, attempt)
     if fault == "crash":
         # Die the way a mid-write kill does: a stale .tmp left behind,
-        # no result, nonzero exit — the directory's .tmp sweep must
-        # clear the débris and the supervisor must classify this
-        # transient.
+        # no result, nonzero exit — the supervisor must classify this
+        # transient, and its .tmp sweep clears the débris when the
+        # run ends.
         with open(os.path.join(directory, f"chaos-{index:05d}.tmp"),
                   "wb") as f:
             f.write(b"chaos: torn write\x00" * 4)
@@ -203,7 +209,8 @@ def run_attempt(task, spec, directory: str, index: int, attempt: int,
     elif fault == "slow":
         time.sleep(chaos.slow_seconds)
 
-    record = task(spec, directory, index)
+    with obs_runtime.shard_scope(index):
+        record = task(spec, directory, index)
 
     if chaos is not None and chaos.corrupts(index, attempt):
         path = os.path.join(directory, record["artifacts"][0][0])

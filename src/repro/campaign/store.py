@@ -202,32 +202,13 @@ class TraceStore:
                     "campaign directory already holds a different spec; "
                     "refusing to mix campaigns in one directory"
                 )
-            self.sweep_stale_tmp()
             return
         os.makedirs(self.directory, exist_ok=True)
-        self.sweep_stale_tmp()
         self.spec = spec
         self._shards = {}
         self.iteration_slices = []
         self.key_bits = []
         self.save_manifest()
-
-    def sweep_stale_tmp(self) -> list:
-        """Delete ``*.tmp`` débris left by crashed writers.
-
-        Runs before any worker starts (initialize happens in the
-        coordinator), so every ``.tmp`` present is an orphan from a
-        killed process — never in-flight data — and must go before it
-        can be mistaken for shard content.  Returns the removed names.
-        """
-        removed = []
-        if not os.path.isdir(self.directory):
-            return removed
-        for name in sorted(os.listdir(self.directory)):
-            if name.endswith(".tmp"):
-                os.remove(os.path.join(self.directory, name))
-                removed.append(name)
-        return removed
 
     def load(self) -> "TraceStore":
         """Read the manifest; returns self for chaining.

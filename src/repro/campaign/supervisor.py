@@ -17,9 +17,11 @@ hope with supervision:
 * every worker result passes a **post-completion integrity check**
   (the files its record lists as ``artifacts`` re-hashed against the
   digests the worker reported) before it may touch the manifest;
-* seeded **chaos faults** reach every task through one injector,
-  :func:`repro.campaign.chaos.run_attempt`, so a task is just
-  ``task(spec, directory, index) -> record``;
+* seeded **chaos faults** and the **obs shard scope** reach every
+  task through one wrapper, :func:`repro.campaign.chaos.run_attempt`,
+  so a task is just ``task(spec, directory, index) -> record``;
+* each run **sweeps** ``*.tmp`` débris before its first attempt and
+  after its last, then **merges** the shards' metric snapshots;
 * every failure is appended to ``failures.jsonl`` in the campaign
   directory — the campaign's black box recorder — and the current
   quarantine set lives in ``quarantine.json`` until
@@ -42,6 +44,7 @@ from dataclasses import dataclass, field as dataclass_field
 from multiprocessing.connection import wait as _wait_for_any
 from typing import Callable, Optional
 
+from ..obs import runtime as obs_runtime
 from ..obs.metrics import atomic_write_bytes
 from .chaos import ChaosConfig, run_attempt
 from .errors import (
@@ -380,7 +383,8 @@ class ShardSupervisor:
         ``task(spec, directory, index) -> record``, one attempt at one
         shard; module-level (picklable) for process mode.  The record
         lists its files as ``artifacts``, ``[relpath, sha256]`` pairs,
-        which the supervisor re-hashes before accepting it.
+        which the supervisor re-hashes before accepting it.  It runs
+        in the attempt's obs shard scope (``obs.runtime.current()``).
     workers:
         1 = inline (no processes, no watchdog); >1 = one spawned
         process per in-flight shard attempt, at most ``workers`` live.
@@ -400,10 +404,6 @@ class ShardSupervisor:
         killed, the error propagates).
     on_event:
         Called with each :class:`FailureEvent` (reporters hook here).
-    use_processes:
-        Force process (True) or inline (False) execution; default
-        follows ``workers > 1``.  Lets the engine keep real worker
-        processes even when only one shard remains pending.
     """
 
     def __init__(self, spec, directory: str, task: Callable, *,
@@ -412,22 +412,17 @@ class ShardSupervisor:
                  chaos: Optional[ChaosConfig] = None,
                  shard_timeout: Optional[float] = None,
                  on_success: Optional[Callable] = None,
-                 on_event: Optional[Callable] = None,
-                 sleep: Callable = time.sleep,
-                 use_processes: Optional[bool] = None):
+                 on_event: Optional[Callable] = None):
         if workers < 1:
             raise ValueError("worker count must be positive")
         if shard_timeout is not None and shard_timeout <= 0:
             raise ValueError("shard_timeout must be positive (or None)")
-        if use_processes is None:
-            use_processes = workers > 1
-        if chaos is not None and chaos.needs_processes and not use_processes:
+        if chaos is not None and chaos.needs_processes and workers == 1:
             raise ValueError(
                 "chaos crash/hang faults need worker processes "
                 "(workers > 1): inline faults would kill or stall the "
                 "coordinator itself"
             )
-        self.use_processes = use_processes
         self.spec = spec
         self.spec_digest = spec.digest()
         self.directory = str(directory)
@@ -438,112 +433,97 @@ class ShardSupervisor:
         self.on_success = on_success or (lambda record, attempt: None)
         self.on_event = on_event
         self.task = task
-        self.sleep = sleep
         self.failure_log = FailureLog(self.directory)
         self.quarantine = Quarantine(self.directory)
 
     # ------------------------------------------------------------------
 
     def run(self, pending: list) -> SupervisorOutcome:
-        """Drive every pending shard to completion or quarantine."""
+        """Drive every pending shard to completion or quarantine.
+
+        Sweeps ``*.tmp`` débris before the first attempt and after the
+        last, once every worker is reaped or killed (so each one is an
+        orphan), then merges the shards' snapshots in shard order.
+        """
         outcome = SupervisorOutcome()
         self._kind_counts = {}        # {shard: {kind: failures}}
-        if not pending:
-            return outcome
-        if self.use_processes:
-            self._run_processes(sorted(pending), outcome)
-        else:
-            self._run_inline(sorted(pending), outcome)
+        self._retries = []            # heap of (ready_at, shard, attempt)
+        self._sweep_tmp()
+        try:
+            self._schedule(sorted(pending), outcome)
+        finally:
+            self._sweep_tmp()
+        runtime = obs_runtime.current()
+        if runtime is not None:
+            obs_runtime.merge_shard_metrics(runtime, outcome.completed)
         return outcome
 
-    # ------------------------------------------------------------------
-    # inline mode
-    # ------------------------------------------------------------------
+    def _sweep_tmp(self) -> None:
+        """Delete the directory's top-level ``*.tmp`` débris."""
+        if not os.path.isdir(self.directory):
+            return
+        for name in os.listdir(self.directory):
+            if name.endswith(".tmp"):
+                try:
+                    os.unlink(os.path.join(self.directory, name))
+                except OSError:
+                    pass
 
-    def _run_inline(self, pending: list, outcome: SupervisorOutcome) -> None:
-        queue = deque((index, 0, 0.0) for index in pending)
-        while queue:
-            now = time.monotonic()
-            position = next(
-                (k for k, item in enumerate(queue) if item[2] <= now), None
-            )
-            if position is None:      # every remaining item backs off
-                earliest = min(item[2] for item in queue)
-                self.sleep(max(0.0, earliest - now))
-                continue
-            queue.rotate(-position)
-            shard, attempt, _ = queue.popleft()
-
-            def schedule(delay, shard=shard, attempt=attempt):
-                queue.append((shard, attempt + 1,
-                              time.monotonic() + delay))
-
-            started = time.monotonic()
-            try:
-                record = run_attempt(self.task, self.spec, self.directory,
-                                     shard, attempt, self.chaos)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                self._failed(shard, attempt,
-                             classify_exception(type(exc).__name__),
-                             f"{type(exc).__name__}: {exc}",
-                             outcome, schedule,
-                             attempt_wall=time.monotonic() - started,
-                             pid=os.getpid())
-                continue
-            self._complete(shard, attempt, record, outcome, schedule,
-                           attempt_wall=time.monotonic() - started,
-                           pid=os.getpid())
-
-    # ------------------------------------------------------------------
-    # process mode
-    # ------------------------------------------------------------------
-
-    def _run_processes(self, pending: list,
-                       outcome: SupervisorOutcome) -> None:
+    def _schedule(self, pending: list, outcome: SupervisorOutcome) -> None:
+        """The one loop: due retries rejoin the queue, queued attempts
+        launch while a worker is free (one worker: inline, to the end),
+        then wait for a result, a death, a deadline or the next retry."""
         # spawn, not fork: fork can deadlock with NumPy/BLAS threads
         # and silently shares parent state; spawn starts clean.
-        context = multiprocessing.get_context("spawn")
+        context = (None if self.workers == 1
+                   else multiprocessing.get_context("spawn"))
         queue = deque((index, 0) for index in pending)
-        retries: list = []                     # heap of (ready_at, shard, attempt)
         active: list = []
-
-        def schedule_for(shard, attempt):
-            def schedule(delay):
-                heapq.heappush(
-                    retries,
-                    (time.monotonic() + delay, shard, attempt + 1),
-                )
-            return schedule
-
         try:
-            while queue or retries or active:
+            while queue or self._retries or active:
                 now = time.monotonic()
-                while retries and retries[0][0] <= now:
-                    _, shard, attempt = heapq.heappop(retries)
+                while self._retries and self._retries[0][0] <= now:
+                    _, shard, attempt = heapq.heappop(self._retries)
                     queue.append((shard, attempt))
                 while queue and len(active) < self.workers:
                     shard, attempt = queue.popleft()
-                    active.append(self._launch(context, shard, attempt))
-                if not active:                 # only future retries left
-                    self.sleep(max(0.0, retries[0][0] - time.monotonic()))
+                    if context is None:
+                        self._attempt_inline(shard, attempt, outcome)
+                    else:
+                        active.append(self._launch(context, shard, attempt))
+                if not active:
+                    if self._retries:          # only future retries: sleep
+                        time.sleep(max(0.0, self._retries[0][0]
+                                       - time.monotonic()))
                     continue
                 _wait_for_any(
                     [obj for slot in active
                      for obj in (slot.conn, slot.process.sentinel)],
-                    timeout=self._wait_timeout(retries, active),
+                    timeout=self._wait_timeout(active),
                 )
-                active = [
-                    slot for slot in active
-                    if not self._settle(slot, outcome,
-                                        schedule_for(slot.shard,
-                                                     slot.attempt))
-                ]
+                active = [slot for slot in active
+                          if not self._settle(slot, outcome)]
         except BaseException:
             for slot in active:
                 self._kill(slot)
             raise
+
+    def _attempt_inline(self, shard: int, attempt: int,
+                        outcome: SupervisorOutcome) -> None:
+        started = time.monotonic()
+        try:
+            record = run_attempt(self.task, self.spec, self.directory,
+                                 shard, attempt, self.chaos)
+        except Exception as exc:
+            self._failed(shard, attempt,
+                         classify_exception(type(exc).__name__),
+                         f"{type(exc).__name__}: {exc}", outcome,
+                         attempt_wall=time.monotonic() - started,
+                         pid=os.getpid())
+        else:
+            self._complete(shard, attempt, record, outcome,
+                           attempt_wall=time.monotonic() - started,
+                           pid=os.getpid())
 
     def _launch(self, context, shard: int, attempt: int) -> _Active:
         receiver, sender = context.Pipe(duplex=False)
@@ -561,16 +541,15 @@ class ShardSupervisor:
         return _Active(shard, attempt, process, receiver, deadline,
                        started)
 
-    def _wait_timeout(self, retries: list, active: list) -> Optional[float]:
-        bounds = [ready_at for ready_at, _, _ in retries[:1]]
+    def _wait_timeout(self, active: list) -> Optional[float]:
+        bounds = [ready_at for ready_at, _, _ in self._retries[:1]]
         bounds += [slot.deadline for slot in active
                    if slot.deadline is not None]
         if not bounds:
             return None               # sentinel/conn activity wakes us
         return max(0.01, min(bounds) - time.monotonic())
 
-    def _settle(self, slot: _Active, outcome: SupervisorOutcome,
-                schedule: Callable) -> bool:
+    def _settle(self, slot: _Active, outcome: SupervisorOutcome) -> bool:
         """Handle one slot; True when it no longer occupies a worker."""
         message = None
         pid = slot.process.pid or 0
@@ -585,15 +564,13 @@ class ShardSupervisor:
             self._reap(slot)
             if tag == "ok":
                 self._complete(slot.shard, slot.attempt, payload,
-                               outcome, schedule,
-                               attempt_wall=wall, pid=pid)
+                               outcome, attempt_wall=wall, pid=pid)
             else:
                 kind = classify_exception(payload.get("type", ""))
                 reason = (f"{payload.get('type', 'Exception')}: "
                           f"{payload.get('message', '')}")
                 self._failed(slot.shard, slot.attempt, kind, reason,
-                             outcome, schedule,
-                             attempt_wall=wall, pid=pid)
+                             outcome, attempt_wall=wall, pid=pid)
             return True
         if not slot.process.is_alive():
             exitcode = slot.process.exitcode
@@ -601,8 +578,7 @@ class ShardSupervisor:
             self._failed(slot.shard, slot.attempt, TRANSIENT,
                          f"worker exited with code {exitcode} without "
                          "delivering a result",
-                         outcome, schedule,
-                         attempt_wall=wall, pid=pid)
+                         outcome, attempt_wall=wall, pid=pid)
             return True
         if slot.deadline is not None and time.monotonic() >= slot.deadline:
             self._kill(slot)
@@ -610,17 +586,14 @@ class ShardSupervisor:
             # coordinator dumps its own black box with the failure
             # context so the hang leaves a post-mortem artifact (see
             # repro.obs.flightrec).
-            from ..obs import runtime as _obs_runtime
-
-            _obs_runtime.flight_dump(
+            obs_runtime.flight_dump(
                 "watchdog", tag=f"watchdog-{slot.shard:05d}",
                 shard=slot.shard, attempt=slot.attempt,
                 timeout_s=self.shard_timeout)
             self._failed(slot.shard, slot.attempt, TRANSIENT,
                          f"watchdog: no result within "
                          f"{self.shard_timeout:.1f}s; worker killed",
-                         outcome, schedule,
-                         attempt_wall=wall, pid=pid)
+                         outcome, attempt_wall=wall, pid=pid)
             return True
         return False
 
@@ -652,13 +625,12 @@ class ShardSupervisor:
     # ------------------------------------------------------------------
 
     def _complete(self, shard: int, attempt: int, record: dict,
-                  outcome: SupervisorOutcome, schedule: Callable,
+                  outcome: SupervisorOutcome,
                   attempt_wall: float = 0.0, pid: int = 0) -> None:
         reason = self._integrity_reason(record)
         if reason is not None:
             self._failed(shard, attempt, DATA_INTEGRITY, reason,
-                         outcome, schedule,
-                         attempt_wall=attempt_wall, pid=pid)
+                         outcome, attempt_wall=attempt_wall, pid=pid)
             return
         self.on_success(record, attempt)
         outcome.completed.append(shard)
@@ -677,7 +649,7 @@ class ShardSupervisor:
         return None
 
     def _failed(self, shard: int, attempt: int, kind: str, reason: str,
-                outcome: SupervisorOutcome, schedule: Callable,
+                outcome: SupervisorOutcome,
                 attempt_wall: float = 0.0, pid: int = 0) -> None:
         attempts_used = attempt + 1
         counts = self._kind_counts.setdefault(shard, {})
@@ -692,7 +664,8 @@ class ShardSupervisor:
             action = "retry"
             delay = self.policy.delay(attempt, shard, seed=self.spec.seed)
             outcome.retried_attempts += 1
-            schedule(delay)
+            heapq.heappush(self._retries,
+                           (time.monotonic() + delay, shard, attempt + 1))
         event = FailureEvent(
             shard_index=shard, attempt=attempt, kind=kind, reason=reason,
             action=action, delay_seconds=delay, wall_time=time.time(),

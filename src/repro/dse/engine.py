@@ -396,25 +396,18 @@ class ExplorationEngine:
             except CampaignError as exc:
                 raise DseError(str(exc)) from None
             attemptable = [i for i in pending if i not in set(held)]
-            completed: list = []
             walls: list = []
-            quarantined: list = list(held)
-            if attemptable:
-                def on_success(record: dict, attempt: int) -> None:
-                    completed.append(record["index"])
-                    walls.append(record.get("wall_seconds", 0.0))
-
-                supervisor = ShardSupervisor(
-                    self.spec, self.directory, self.task,
-                    workers=min(self.workers, len(attemptable)) or 1,
-                    use_processes=self.workers > 1,
-                    policy=self.retry_policy,
-                    shard_timeout=self.shard_timeout,
-                    on_success=on_success,
-                    on_event=self._on_failure_event,
-                )
-                result = supervisor.run(attemptable)
-                quarantined = sorted(set(held) | set(result.quarantined))
+            # Run even with nothing attemptable: the run sweeps débris.
+            result = ShardSupervisor(
+                self.spec, self.directory, self.task,
+                workers=self.workers,
+                policy=self.retry_policy,
+                shard_timeout=self.shard_timeout,
+                on_success=lambda record, attempt: walls.append(
+                    record.get("wall_seconds", 0.0)),
+                on_event=self._on_failure_event,
+            ).run(attemptable)
+            quarantined = sorted(set(held) | set(result.quarantined))
             if self.spec.reference_job().index in quarantined:
                 raise MissingMeasurementError(
                     "the reference measurement (digit 4, full "
@@ -427,15 +420,15 @@ class ExplorationEngine:
             self._serialize(rows, front)
             self.outcome = "degraded" if quarantined else "clean"
             if obs is not None:
-                self._record_run_metrics(obs, completed, cached,
-                                         quarantined, walls, rows, front)
+                self._record_run_metrics(obs, cached, quarantined, walls,
+                                         rows, front)
                 root_span.set(outcome=self.outcome,
-                              simulated=len(completed),
+                              simulated=len(result.completed),
                               cached=len(cached),
                               front=len(front))
             return ExplorationResult(
                 spec=self.spec, rows=rows, front=front,
-                evaluated=len(completed), cached=len(cached),
+                evaluated=len(result.completed), cached=len(cached),
                 quarantined=quarantined, directory=self.directory,
             )
 
@@ -480,14 +473,10 @@ class ExplorationEngine:
                 "failed measurement attempts by kind and action",
             ).inc(kind=event.kind, action=event.action)
 
-    def _record_run_metrics(self, obs, completed, cached, quarantined,
-                            walls, rows, front) -> None:
-        """Fold worker snapshots + run totals into the coordinator.
-
-        Shard snapshots merge in job order (not completion order), so
-        the final registry is identical whatever the scheduling.
-        """
-        obs_runtime.merge_shard_metrics(obs, sorted(completed))
+    def _record_run_metrics(self, obs, cached, quarantined, walls, rows,
+                            front) -> None:
+        """Fold the run totals into the coordinator (the supervisor
+        already merged the measurements' snapshots)."""
         registry = obs.registry
         registry.counter(
             "repro_dse_cache_hits_total",

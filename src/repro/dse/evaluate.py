@@ -43,14 +43,6 @@ def measurement_relpath(digest: str) -> str:
     return os.path.join(MEASUREMENTS_DIRNAME, f"{digest}.json")
 
 
-def run_measurement_attempt(spec: DesignSpaceSpec, directory: str,
-                            job_index: int) -> dict:
-    """One supervised measurement attempt (supervisor task protocol)."""
-    job = spec.measurement_jobs()[job_index]
-    with obs_runtime.shard_scope(job_index) as obs:
-        return _measure_observed(spec, directory, job, obs)
-
-
 def _whitebox_findings(spec: DesignSpaceSpec, config, digest: str) -> list:
     """Run the attack battery on this cell, on its own derived seed."""
     from ..security.evaluation import WhiteBoxEvaluation
@@ -65,9 +57,16 @@ def _whitebox_findings(spec: DesignSpaceSpec, config, digest: str) -> list:
     ]
 
 
-def _measure_observed(spec: DesignSpaceSpec, directory: str,
-                      job: MeasurementJob, obs) -> dict:
+def run_measurement_attempt(spec: DesignSpaceSpec, directory: str,
+                            job_index: int) -> dict:
+    """One supervised measurement attempt (supervisor task protocol).
+
+    Under tracing it emits a ``point`` span into the runtime the
+    supervisor's shard scope made current.
+    """
     started = time.perf_counter()
+    obs = obs_runtime.current()
+    job = spec.measurement_jobs()[job_index]
     digest = spec.config_digest(job)
 
     span_ctx = contextlib.nullcontext()

@@ -49,8 +49,8 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry",
 def atomic_write_bytes(path: str, payload: bytes) -> None:
     """fsync'd write-tmp-rename: the one atomic-write discipline for
     every artifact the repo persists.  The temp file keeps the ``.tmp``
-    suffix, so the trace store's and the soaks' débris sweeps collect
-    orphans from crashed writers."""
+    suffix, so the shard supervisor's débris sweep collects orphans
+    from crashed writers."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

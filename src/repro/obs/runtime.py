@@ -9,9 +9,10 @@ the un-traced hot path costs one module-global read.
 Cross-process propagation piggybacks on the environment: campaign
 shard workers are ``spawn``-ed and inherit ``os.environ``, so
 :func:`configure` exports ``REPRO_OBS_DIR``/``_DETAIL``/``_PROFILE``/
-``_TRACE_ID`` and :func:`shard_scope` (entered by every shard
-attempt, inline or spawned) reconstructs a worker runtime from them —
-no pipes, no pickled tracers.  Each shard writes its own
+``_TRACE_ID`` and :func:`shard_scope` (which
+:func:`repro.campaign.chaos.run_attempt` enters around every
+supervised attempt, inline or spawned) reconstructs a worker runtime
+from them — no pipes, no pickled tracers.  Each shard writes its own
 deterministically named files,
 
 * ``spans-shard-XXXXX.jsonl`` — the shard's span records
@@ -20,11 +21,10 @@ deterministically named files,
 * ``metrics-shard-XXXXX.json`` — the shard's metric snapshot,
   written *only when the attempt succeeds*,
 
-and the coordinator folds completed shards' snapshots back into its
-own registry in shard order (see
-:meth:`AcquisitionEngine <repro.campaign.acquire.AcquisitionEngine>`),
-which keeps every aggregate independent of worker count and
-scheduling.
+and the shard supervisor folds completed shards' snapshots back into
+the coordinator's registry in shard order (see
+:meth:`repro.campaign.supervisor.ShardSupervisor.run`), which keeps
+every aggregate independent of worker count and scheduling.
 """
 
 from __future__ import annotations

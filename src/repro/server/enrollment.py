@@ -211,15 +211,6 @@ class EnrollmentReport:
         return not self.quarantined
 
 
-def _sweep_stale_tmp(directory: str) -> None:
-    for name in os.listdir(directory):
-        if name.endswith(".tmp"):
-            try:
-                os.unlink(os.path.join(directory, name))
-            except OSError:
-                pass
-
-
 def _read_manifest(path: str) -> dict:
     """The fleet manifest at ``path``; a malformed envelope raises
     :class:`EnrollmentError` naming the manifest and the key."""
@@ -255,8 +246,6 @@ def enroll_fleet(directory: str, spec: EnrollmentSpec, *,
     from ..campaign.supervisor import ShardSupervisor
 
     os.makedirs(directory, exist_ok=True)
-    _sweep_stale_tmp(directory)
-
     manifest_path = os.path.join(directory, MANIFEST_NAME)
     known: Dict[int, dict] = {}
     if os.path.exists(manifest_path):
@@ -287,22 +276,17 @@ def enroll_fleet(directory: str, spec: EnrollmentSpec, *,
             pending.append(index)
 
     built: Dict[int, dict] = {}
-    retried = 0
-    quarantined: List[int] = []
-    if pending:
-        workers = default_workers(workers)
-        supervisor = ShardSupervisor(
-            spec, directory, enroll_shard,
-            workers=workers,
-            policy=policy,
-            chaos=chaos,
-            on_success=lambda record, attempt: built.__setitem__(
-                record["shard"], record),
-            on_event=on_event,
-        )
-        outcome = supervisor.run(pending)
-        retried = outcome.retried_attempts
-        quarantined = sorted(outcome.quarantined)
+    # Run even with nothing pending: the run sweeps débris.
+    outcome = ShardSupervisor(
+        spec, directory, enroll_shard,
+        workers=default_workers(workers),
+        policy=policy,
+        chaos=chaos,
+        on_success=lambda record, attempt: built.__setitem__(
+            record["shard"], record),
+        on_event=on_event,
+    ).run(pending)
+    quarantined = sorted(outcome.quarantined)
 
     report = EnrollmentReport(
         spec_digest=spec.digest(),
@@ -312,7 +296,7 @@ def enroll_fleet(directory: str, spec: EnrollmentSpec, *,
         shards_built=len(built),
         shards_reused=len(reused),
         quarantined=quarantined,
-        retried_attempts=retried,
+        retried_attempts=outcome.retried_attempts,
     )
     if quarantined:
         return report          # no manifest for an incomplete fleet

@@ -19,12 +19,14 @@ Two entry points:
   fresh interpreter per attempt, which costs more than a small sweep.
 * :func:`run_cohorts` runs the two **supervised cohort soaks** under
   :class:`~repro.campaign.supervisor.ShardSupervisor`: one cohort per
-  attempt (:func:`run_cohort_attempt`; the supervisor applies chaos
-  faults around it, as for every supervised task), cohort files folded
-  in cohort order, telemetry and alerts folded through the family's
-  rulebook, and one ``summary.json``.  Cohort results are pure
-  functions of ``(spec, cohort_index)``, so worker count and
-  crash/retry history are invisible in every file.
+  attempt (:func:`run_cohort_attempt`; as for every supervised task,
+  the supervisor applies chaos faults and the obs shard scope around
+  it, sweeps the directory's ``.tmp`` débris and merges the cohorts'
+  metric snapshots), cohort files folded in cohort order, telemetry
+  and alerts folded through the family's rulebook, and one
+  ``summary.json``.  Cohort results are pure functions of ``(spec,
+  cohort_index)``, so worker count and crash/retry history are
+  invisible in every file.
 
 Module-level imports are stdlib only: ``import repro.protocols.fleet``
 must not load the campaign engine.
@@ -133,18 +135,20 @@ def run_cohort_attempt(simulate: Callable, spec, directory: str,
     ``functools.partial(run_cohort_attempt, simulate)`` is a family's
     supervisor task.  ``simulate(spec, cohort_index)`` returns the
     cohort payload: its aggregates plus ``telemetry`` events and a
-    wall-stripped ``metrics`` snapshot.  The cohort file is written
-    atomically at the end, so a retry after any crash starts clean.
+    wall-stripped ``metrics`` snapshot, which also goes into the
+    attempt's obs runtime when tracing is on.  The cohort file is
+    written atomically at the end, so a retry after any crash starts
+    clean.
     """
     from .obs import runtime as obs_runtime
     from .obs.metrics import atomic_write_bytes
 
     name = f"cohort-{cohort_index:05d}.json"
     path = os.path.join(directory, name)
-    with obs_runtime.shard_scope(cohort_index) as rt:
-        payload = simulate(spec, cohort_index)
-        if rt is not None:
-            rt.registry.merge_snapshot(payload["metrics"])
+    payload = simulate(spec, cohort_index)
+    rt = obs_runtime.current()
+    if rt is not None:
+        rt.registry.merge_snapshot(payload["metrics"])
     data = json.dumps(payload, indent=1, sort_keys=True).encode()
     atomic_write_bytes(path, data)
     digest = hashlib.sha256(data).hexdigest()
@@ -231,7 +235,6 @@ def run_cohorts(directory, spec, task: Callable, fold: Callable, rules,
     """
     from .campaign.acquire import default_workers
     from .campaign.supervisor import ShardSupervisor
-    from .obs import runtime as obs_runtime
     from .obs.alerts import ALERTS_NAME, write_alert_log
     from .obs.metrics import MetricRegistry, strip_wall_metrics
     from .obs.stream import TELEMETRY_NAME, run_pipeline, write_telemetry
@@ -239,13 +242,6 @@ def run_cohorts(directory, spec, task: Callable, fold: Callable, rules,
     started = time.monotonic()
     directory = str(directory)
     os.makedirs(directory, exist_ok=True)
-    for name in os.listdir(directory):
-        if name.endswith(".tmp"):
-            try:
-                os.unlink(os.path.join(directory, name))
-            except OSError:
-                pass
-
     files: dict = {}
     outcome = ShardSupervisor(
         spec, directory, task, workers=default_workers(workers),
@@ -291,15 +287,10 @@ def run_cohorts(directory, spec, task: Callable, fold: Callable, rules,
         },
         "metrics": strip_wall_metrics(merged.snapshot()),
     })
-    result = report(
+    return report(
         outcome=state, spec_digest=spec.digest(), directory=directory,
         cohorts_total=spec.cohorts, cohorts_completed=len(files),
         quarantined=quarantined, retried_attempts=outcome.retried_attempts,
         alert_firings=alert_log["firings"],
         session_uj_p99=session_uj.get("p99"), summary_path=summary_path,
         wall_s=time.monotonic() - started, **totals)
-
-    rt = obs_runtime.current()
-    if rt is not None:
-        obs_runtime.merge_shard_metrics(rt, sorted(files))
-    return result

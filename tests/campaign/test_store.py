@@ -196,33 +196,6 @@ class TestCoverage:
         assert "missing shards [0]" in coverage.render()
 
 
-class TestTmpSweep:
-    def test_initialize_sweeps_stale_tmp_files(self, tmp_path):
-        spec = CampaignSpec(n_traces=4, shard_size=2,
-                            scenario="unprotected", max_iterations=2,
-                            seed=7)
-        store = AcquisitionEngine(str(tmp_path), spec, workers=1).run()
-        stale = os.path.join(store.directory,
-                             "shard-00000.samples.npy.tmp")
-        with open(stale, "wb") as f:
-            f.write(b"torn write debris")
-
-        fresh = TraceStore(store.directory)
-        fresh.initialize(spec)
-        assert not os.path.exists(stale)
-        # The sweep touched only the débris; the store still verifies.
-        fresh.verify_all()
-
-    def test_sweep_reports_what_it_removed(self, tmp_path):
-        store = TraceStore(str(tmp_path))
-        os.makedirs(str(tmp_path), exist_ok=True)
-        for name in ("a.tmp", "b.tmp"):
-            with open(os.path.join(str(tmp_path), name), "wb") as f:
-                f.write(b"x")
-        assert sorted(store.sweep_stale_tmp()) == ["a.tmp", "b.tmp"]
-        assert store.sweep_stale_tmp() == []
-
-
 class TestDigest:
     def test_file_digest_matches_hashlib(self, tmp_path):
         import hashlib

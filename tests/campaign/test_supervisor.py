@@ -9,6 +9,7 @@ without spawning a single process; the process-mode half of the matrix
 import hashlib
 import json
 import os
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.campaign import (
     DATA_INTEGRITY,
     DETERMINISTIC,
     TRANSIENT,
+    AcquisitionEngine,
     CampaignError,
     CampaignSpec,
     ChaosConfig,
@@ -25,6 +27,7 @@ from repro.campaign import (
     RetryPolicy,
     ScheduleMismatchError,
     ShardSupervisor,
+    TraceStore,
     classify_exception,
 )
 from repro.campaign.acquire import acquire_shard
@@ -226,8 +229,6 @@ class TestQuarantine:
 
 class TestInlineSupervision:
     def _run(self, tmp_path, task, policy=FAST, chaos=None):
-        from repro.campaign import TraceStore
-
         store = TraceStore(str(tmp_path))
         store.initialize(SPEC)
         records = []
@@ -238,6 +239,23 @@ class TestInlineSupervision:
         )
         outcome = supervisor.run(store.missing_shards())
         return supervisor, outcome, records
+
+    def test_inline_retry_waits_out_its_backoff(self, tmp_path):
+        starts = {0: [], 1: []}
+
+        def flaky(spec, directory, shard):
+            starts[shard].append(time.monotonic())
+            if shard == 0 and len(starts[0]) == 1:
+                raise OSError("injected transient failure")
+            return _honest_cell(spec, directory, shard)
+
+        # Shard 1 is quick, so the loop runs out of ready work and
+        # must sleep until shard 0's retry is due.
+        policy = RetryPolicy(base_delay=0.05, jitter=0.0)
+        _, outcome, _ = self._run(tmp_path, flaky, policy=policy)
+        assert sorted(outcome.completed) == [0, 1]
+        assert len(starts[0]) == 2
+        assert starts[0][1] - starts[0][0] >= 0.05
 
     def test_transient_failure_is_retried_to_success(self, tmp_path):
         failed = []
@@ -315,7 +333,6 @@ class TestInlineSupervision:
                 raise OSError("first attempt always fails")
             return acquire_shard(spec, directory, shard)
 
-        from repro.campaign import TraceStore
         store = TraceStore(str(tmp_path))
         store.initialize(SPEC)
         ShardSupervisor(SPEC, str(tmp_path), flaky, workers=1, policy=FAST,
@@ -335,6 +352,46 @@ def _write_cell(directory, shard):
     return relpath, payload
 
 
+def _honest_cell(spec, directory, shard):
+    """A task that writes one cell and reports its true digest."""
+    relpath, payload = _write_cell(directory, shard)
+    return {"index": shard,
+            "artifacts": [[relpath, hashlib.sha256(payload).hexdigest()]]}
+
+
+class TestTmpSweep:
+    """Each run sweeps the directory's top-level ``*.tmp`` débris
+    before its first attempt and after its last."""
+
+    def test_rerun_of_a_complete_campaign_clears_debris(self, tmp_path):
+        AcquisitionEngine(str(tmp_path), SPEC, workers=1).run()
+        stale = tmp_path / "shard-00000.samples.npy.tmp"
+        stale.write_bytes(b"torn write debris")
+
+        engine = AcquisitionEngine(str(tmp_path), SPEC, workers=1)
+        engine.run()
+        assert engine.metrics.acquired_shards == 0   # nothing pending
+        assert not stale.exists()
+        # The sweep touched only the débris; the store still verifies.
+        TraceStore(str(tmp_path)).load().verify_all()
+
+    def test_failed_inline_attempt_leaves_no_tmp(self, tmp_path):
+        tried = []
+
+        def torn(spec, directory, shard):
+            tried.append(shard)
+            if len(tried) == 1:
+                (tmp_path / "x.tmp").write_bytes(b"torn write")
+                raise OSError("killed mid-write")
+            return _honest_cell(spec, directory, shard)
+
+        outcome = ShardSupervisor(SPEC, str(tmp_path), torn, workers=1,
+                                  policy=FAST).run([0])
+        assert outcome.completed == [0]
+        assert outcome.retried_attempts == 1
+        assert list(tmp_path.glob("*.tmp")) == []
+
+
 class TestExplicitArtifacts:
     """Every record lists its files as ``artifacts``; the supervisor
     re-hashes each one before it accepts the record, whatever task
@@ -351,12 +408,7 @@ class TestExplicitArtifacts:
         return supervisor, outcome, records
 
     def test_honest_artifacts_are_accepted(self, tmp_path):
-        def honest(spec, directory, shard):
-            relpath, payload = _write_cell(directory, shard)
-            digest = hashlib.sha256(payload).hexdigest()
-            return {"index": shard, "artifacts": [[relpath, digest]]}
-
-        _, outcome, records = self._supervise(tmp_path, honest)
+        _, outcome, records = self._supervise(tmp_path, _honest_cell)
         assert outcome.completed == [0]
         assert outcome.quarantined == []
         assert len(records) == 1

@@ -155,6 +155,7 @@ class TestChaosQuarantine:
         summary = json.loads((tmp_path / "q" / SUMMARY_NAME).read_text())
         assert summary["outcome"] == "degraded"
         assert summary["quarantined"] == [0]
+        assert list((tmp_path / "q").glob("*.tmp")) == []
 
     def test_crash_fires_when_most_arrivals_are_shed(self, tmp_path,
                                                      soak_spec):
