@@ -265,10 +265,18 @@ class EccCoprocessor:
         field = self.domain.field
         if not 1 <= z0 < field.order:
             raise ValueError("initial Z must be a non-zero reduced field value")
-
         self.registers.reset()
+        return self._run(k_padded, point.x, z0, max_iterations,
+                         point if recover_y else None)
+
+    def _run(self, k_padded: int, x, z0, max_iterations: Optional[int],
+             recover_point: Optional[AffinePoint] = None) -> ExecutionTrace:
+        """The microprogram: prologue, one ladder iteration per bit of
+        ``k_padded`` after its leading 1 (at most ``max_iterations``),
+        then, unless truncated, the y-recovery epilogue (when
+        ``recover_point`` is given) or the x-only one."""
         trace = self._start_trace()
-        self._prologue(point, z0)
+        self._prologue(x, z0)
         bits = [
             (k_padded >> i) & 1 for i in range(k_padded.bit_length() - 2, -1, -1)
         ]
@@ -277,34 +285,10 @@ class EccCoprocessor:
             bits = bits[:max(max_iterations, 0)]
         self._ladder(trace, 1, bits)  # after the implicit leading MSB
         if not truncated:
-            if recover_y:
-                trace.result = self._recover_y(point)
+            if recover_point is not None:
+                trace.result = self._recover_y(recover_point)
             else:
                 trace.result_x_only = self._final_x()
-        return self._finish_trace(trace)
-
-    def resume_ladder(
-        self, registers: list, previous_bit: int, bits: list
-    ) -> ExecutionTrace:
-        """Run ladder iterations for ``bits`` from a saved register file.
-
-        ``registers`` is a :meth:`RegisterFile.snapshot` taken after the
-        prologue or after a ladder iteration, and ``previous_bit`` is
-        the key bit of that iteration (1, the implicit leading bit,
-        after the prologue); it sets the first iteration's pending mux
-        weight, as in a full run.  The iterations run through the same
-        ``_ladder_iteration`` and ``_exec`` as :meth:`point_multiply`,
-        so their four channels equal that window of an uninterrupted run
-        with the same key prefix; the returned trace counts cycles from
-        0 and has no result.  :attr:`registers` is left holding the file
-        after the last iteration.  This is the adversary's
-        divide-and-conquer step (:class:`~repro.sca.predict.ActivityPredictor`).
-        """
-        if previous_bit not in (0, 1) or any(b not in (0, 1) for b in bits):
-            raise ValueError("key bits must be 0 or 1")
-        self.registers.restore(registers)
-        trace = self._start_trace()
-        self._ladder(trace, previous_bit, bits)
         return self._finish_trace(trace)
 
     def _start_trace(self) -> ExecutionTrace:
@@ -394,9 +378,9 @@ class EccCoprocessor:
     # microprograms
     # ------------------------------------------------------------------
 
-    def _prologue(self, point: AffinePoint, z0: int) -> None:
+    def _prologue(self, x, z0) -> None:
         """Load operands, randomize, and compute Q = 2P (Algorithm 1)."""
-        self._exec(Opcode.LDI, XB, immediate=point.x)
+        self._exec(Opcode.LDI, XB, immediate=x)
         if not self.config.is_koblitz_b1:
             sqrt_b = self.domain.field.sqrt_raw(self.domain.curve.b)
             self._exec(Opcode.LDI, SB, immediate=sqrt_b)

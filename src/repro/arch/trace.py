@@ -16,7 +16,7 @@ from typing import Optional
 
 from ..ec.point import AffinePoint
 
-__all__ = ["ExecutionTrace", "IterationSpan"]
+__all__ = ["BatchTrace", "ExecutionTrace", "IterationSpan"]
 
 
 @dataclass(frozen=True)
@@ -67,3 +67,38 @@ class ExecutionTrace:
     def iteration_slices(self) -> list:
         """(start, end) cycle ranges of the ladder iterations."""
         return [(s.start, s.end) for s in self.iterations]
+
+
+@dataclass
+class BatchTrace(ExecutionTrace):
+    """The activity of N runs of one instruction stream
+    (:class:`~repro.arch.batch.BatchCoprocessor`).
+
+    ``datapath`` and ``register`` are ``(N, cycles)`` float64 arrays, row
+    i equal to run i's :class:`ExecutionTrace` channel.  ``control`` and
+    ``clock`` depend only on the key bits and the written registers, so
+    every run has the same ones: they are ``(1, cycles)`` rows, which
+    broadcast.  ``result_x_only`` holds one x per run; the iteration
+    spans, key bits and instructions are shared.
+    """
+
+    @property
+    def cycles(self) -> int:
+        """Clock cycles of every run."""
+        return self.datapath.shape[1]
+
+    @property
+    def n_traces(self) -> int:
+        """Number of runs."""
+        return self.datapath.shape[0]
+
+    def check_consistency(self) -> None:
+        """Raise if the channels disagree on the cycle count."""
+        n, cycles = self.datapath.shape
+        if (self.register.shape != (n, cycles)
+                or self.control.shape != (1, cycles)
+                or self.clock.shape != (1, cycles)):
+            raise AssertionError("activity channels have inconsistent shapes")
+        for span in self.iterations:
+            if not (0 <= span.start < span.end <= cycles):
+                raise AssertionError("iteration span outside the trace")

@@ -33,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..arch.batch import BatchCoprocessor
 from ..ec.ladder import choose_z
 from ..obs import runtime as obs_runtime
 from ..obs.tracing import derive_span_id
@@ -51,6 +52,11 @@ from .supervisor import FailureLog, Quarantine, RetryPolicy, ShardSupervisor
 
 __all__ = ["AcquisitionEngine", "acquire_in_memory", "acquire_shard",
            "acquire_traces", "default_workers", "random_protocol_point"]
+
+#: Traces per batch run.  A longer shard or in-RAM campaign runs in
+#: batches of this many, which bounds the channel arrays: a full-length
+#: K-163 trace has 85 698 cycles, 0.7 MB per float64 row.
+BATCH_TRACES = 64
 
 
 def default_workers(requested: Optional[int] = None) -> int:
@@ -79,21 +85,25 @@ def random_protocol_point(domain, rng):
 def acquire_traces(coprocessor, simulator: PowerTraceSimulator, key: int,
                    points: list, z_rng, randomize: bool,
                    max_iterations: Optional[int]):
-    """Yield ``(z, execution, trace)`` for each base point, in order.
+    """Yield ``(z_values, execution, samples)`` per batch, in order.
 
-    The one acquisition loop: draw the ladder's starting Z with
+    The one acquisition loop: for each batch of at most
+    :data:`BATCH_TRACES` base points, draw each trace's starting Z with
     :func:`~repro.ec.ladder.choose_z` (1 unless ``randomize``), run the
-    fixed-key point multiplication, measure it on ``simulator``.  The
-    trace store's shards and in-RAM campaigns both acquire through it.
+    fixed-key point multiplications as one
+    :class:`~repro.arch.batch.BatchCoprocessor` run (x-only, no
+    y-recovery) and measure them on ``simulator``: ``samples`` is
+    ``(batch, cycles)``.  The trace store's shards and in-RAM campaigns
+    both acquire through it.
     """
-    field = coprocessor.domain.field
-    for point in points:
-        z0 = choose_z(field, z_rng, randomize, None)
-        execution = coprocessor.point_multiply(
-            key, point, initial_z=z0, max_iterations=max_iterations,
-            recover_y=False,
-        )
-        yield z0, execution, simulator.measure(execution)
+    batch = BatchCoprocessor(coprocessor.config)
+    k_padded = batch.recode_scalar(key)
+    field = batch.domain.field
+    for start in range(0, len(points), BATCH_TRACES):
+        chunk = points[start:start + BATCH_TRACES]
+        z_values = [choose_z(field, z_rng, randomize, None) for _ in chunk]
+        execution = batch.run(k_padded, chunk, z_values, max_iterations)
+        yield z_values, execution, simulator.measure(execution)
 
 
 def acquire_in_memory(coprocessor, simulator: PowerTraceSimulator,
@@ -117,11 +127,11 @@ def acquire_in_memory(coprocessor, simulator: PowerTraceSimulator,
     if scenario != "unprotected" and rng is None:
         raise ValueError("randomized scenarios need an rng")
     rows, z_values = [], []
-    for z0, execution, trace in acquire_traces(
+    for z_batch, execution, samples in acquire_traces(
             coprocessor, simulator, key, points, rng,
             scenario != "unprotected", max_iterations):
-        rows.append(trace)
-        z_values.append(z0)
+        rows.append(samples)
+        z_values += z_batch
     return TraceSet(
         np.vstack(rows), list(points), execution.iteration_slices(),
         list(execution.key_bits), coprocessor.config,
@@ -162,7 +172,7 @@ def acquire_shard(spec: CampaignSpec, directory: str,
     point_rng = derive_rng(spec.seed, "points", shard_index)
     points = [random_protocol_point(coprocessor.domain, point_rng)
               for _ in range(n)]
-    traces = acquire_traces(
+    batches = acquire_traces(
         coprocessor, simulator, key, points,
         derive_rng(spec.seed, "z", shard_index), spec.randomize_z,
         spec.max_iterations,
@@ -180,20 +190,19 @@ def acquire_shard(spec: CampaignSpec, directory: str,
                 "shard", key=shard_index, parent_id=root_id,
                 shard=shard_index,
             ))
-        for trace_index in range(n):
-            with contextlib.ExitStack() as trace_stack:
-                trace_span = None
-                if obs is not None:
-                    trace_span = trace_stack.enter_context(
-                        obs.tracer.span("trace", key=trace_index)
-                    )
-                z0, execution, trace = next(traces)
-                rows.append(trace)
-                z_values.append(z0)
-                if trace_span is not None:
-                    uj = _attribute_trace(obs, trace_span, execution,
-                                          attribute)
-                    shard_uj += uj
+        for z_batch, execution, samples in batches:
+            if obs is not None:
+                # The batch ran first; each trace's span then carries
+                # its own cycles and µJ.
+                uj, consumed = attribute(execution)
+                for row in range(execution.n_traces):
+                    with obs.tracer.span("trace", key=len(z_values) + row
+                                         ) as trace_span:
+                        _attribute_trace(obs, trace_span, execution,
+                                         uj[row], consumed[row])
+                    shard_uj += uj[row]
+            rows.append(samples)
+            z_values += z_batch
         if shard_span is not None:
             shard_span.set(uj=shard_uj, traces=n)
             obs.registry.counter(
@@ -204,7 +213,8 @@ def acquire_shard(spec: CampaignSpec, directory: str,
     if spec.scenario != "known_randomness":
         z_values = None
     store = TraceStore(directory)
-    record = store.write_shard(shard_index, np.vstack(rows), points, z_values)
+    samples = rows[0] if len(rows) == 1 else np.vstack(rows)
+    record = store.write_shard(shard_index, samples, points, z_values)
     record["wall_seconds"] = time.perf_counter() - started
     record["iteration_slices"] = execution.iteration_slices()
     record["key_bits"] = list(execution.key_bits)
@@ -214,9 +224,11 @@ def acquire_shard(spec: CampaignSpec, directory: str,
 
 
 def _shard_energy_reporter(spec: CampaignSpec, coprocessor, obs):
-    """Per-execution (total µJ, per-cycle consumed) attribution, or a
-    no-op when tracing is off (the energy model costs a calibration
-    point-multiply, so it is only built under observation)."""
+    """A batch's (per-trace µJ, per-trace per-cycle consumed)
+    attribution, or None when tracing is off (the energy model costs a
+    calibration point-multiply, so it is only built under
+    observation).  Each trace's µJ is what ``EnergyModel.report`` gives
+    its own execution: the same consumed row, summed the same way."""
     if obs is None:
         return None
     from ..power.energy import calibrate_energy_model
@@ -224,22 +236,23 @@ def _shard_energy_reporter(spec: CampaignSpec, coprocessor, obs):
     model = calibrate_energy_model(coprocessor)
 
     def attribute(execution):
-        report = model.report(execution)
         consumed = model.leakage_model.consumed(execution)
-        return report.energy_joules * 1e6, consumed
+        uj = [model.report_activity(float(row.sum()), execution.cycles)
+              .energy_joules * 1e6 for row in consumed]
+        return uj, consumed
 
     return attribute
 
 
-def _attribute_trace(obs, trace_span, execution, attribute) -> float:
-    """Set the trace span's cycles/µJ and emit its ladder.step events.
+def _attribute_trace(obs, trace_span, execution, uj: float,
+                     consumed) -> None:
+    """Set one trace span's cycles/µJ and emit its ladder.step events.
 
-    Each ladder iteration's share is its fraction of the execution's
+    Each ladder iteration's share is its fraction of the trace's
     per-cycle consumed charge, so the children partition exactly the
     window they cover and the prologue/epilogue stays with the trace —
     the rollup's total equals the model's total by construction.
     """
-    uj, consumed = attribute(execution)
     trace_span.set(cycles=execution.cycles, uj=uj)
     total = float(consumed.sum())
     for step_index, span in enumerate(execution.iterations):
@@ -252,7 +265,6 @@ def _attribute_trace(obs, trace_span, execution, attribute) -> float:
             "ladder.step", key=step_index, level=2,
             cycles=span.end - span.start, uj=share, bit=span.key_bit,
         )
-    return uj
 
 
 class AcquisitionEngine:

@@ -304,6 +304,21 @@ class Quarantine:
         ).encode()
         atomic_write_bytes(self.path, payload)
 
+    def release(self, shard_index: int) -> None:
+        """Drop one shard (one that has now completed), if held; the
+        file goes when it holds none."""
+        entries = self.entries()
+        if entries.pop(shard_index, None) is None:
+            return
+        if not entries:
+            os.remove(self.path)
+            return
+        payload = json.dumps(
+            {"shards": {str(k): entries[k] for k in sorted(entries)}},
+            indent=1,
+        ).encode()
+        atomic_write_bytes(self.path, payload)
+
     def clear(self) -> list:
         """Release every quarantined shard; returns their indices."""
         released = self.indices()
@@ -633,6 +648,9 @@ class ShardSupervisor:
                          outcome, attempt_wall=attempt_wall, pid=pid)
             return
         self.on_success(record, attempt)
+        # A re-run that completes a held index (enrollment and the
+        # cohort soaks re-attempt them) releases it.
+        self.quarantine.release(shard)
         outcome.completed.append(shard)
 
     def _integrity_reason(self, record: dict) -> Optional[str]:

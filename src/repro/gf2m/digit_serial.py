@@ -18,11 +18,21 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from time import perf_counter as _perf_counter
 
+import numpy as np
+
 from ..obs import profile as _obs_profile
 from .field import BinaryField
+from .limbs import MAX_SHIFT, limb_field, octets, popcount
 from .polynomial import clmul
 
-__all__ = ["DigitSerialMultiplier", "MultiplicationTrace"]
+__all__ = ["BatchDigitSerialMultiplier", "DigitSerialMultiplier",
+           "MultiplicationTrace"]
+
+
+def _tree_glitch(d: int) -> float:
+    """Glitch factor of the partial-product array's log2(d)-deep XOR
+    tree (see :meth:`DigitSerialMultiplier._multiply`)."""
+    return 1.0 + 0.3 * math.log2(d) if d > 1 else 1.0
 
 
 @dataclass
@@ -68,9 +78,9 @@ class DigitSerialMultiplier:
 
     The sum ``(acc << d) ^ a * digit`` exceeds degree m by fewer than
     ``d`` bits.  Reduction is linear, so for ``d <= 8`` each cycle
-    reduces it in one step, through a per-instance table of
-    ``field.reduce(h << m)`` for every ``h < 2**d``; wider digits
-    reduce it with one ``field.reduce`` call.  Either way the
+    reduces it in one step, through the field's table of
+    ``field.reduce(h << m)`` (:meth:`BinaryField.overflow_table`);
+    wider digits reduce it with one ``field.reduce`` call.  Either way the
     accumulator equals the reduction of the shifted accumulator and of
     the partial product done separately, bit for bit.
 
@@ -92,8 +102,7 @@ class DigitSerialMultiplier:
         self.num_digits = math.ceil(field.m / digit_size)
         self._fold = None
         if digit_size <= 8:
-            self._fold = [field.reduce(h << field.m)
-                          for h in range(1 << digit_size)]
+            self._fold = field.overflow_table()[:1 << digit_size]
 
     @property
     def cycles_per_multiplication(self) -> int:
@@ -137,8 +146,7 @@ class DigitSerialMultiplier:
         # and the result ripples through a log2(d)-deep XOR tree whose
         # glitching grows with depth.  Per-cycle toggles ~ HW(a) * d/2,
         # scaled by the tree-depth glitch factor.
-        glitch_factor = 1.0 + 0.3 * math.log2(d) if d > 1 else 1.0
-        per_cycle_array = a.bit_count() * d / 2.0 * glitch_factor
+        per_cycle_array = a.bit_count() * d / 2.0 * _tree_glitch(d)
         states = []
         distances = []
         acc = 0
@@ -170,3 +178,88 @@ class DigitSerialMultiplier:
             f"DigitSerialMultiplier(m={self.field.m}, d={self.digit_size}, "
             f"cycles={self.cycles_per_multiplication})"
         )
+
+
+class BatchDigitSerialMultiplier:
+    """The same datapath for N operand pairs at once, on limb arrays.
+
+    Operands are ``(limbs, N)`` arrays of reduced values (see
+    :mod:`repro.gf2m.limbs`).  Each operand ``a`` gets a table of its
+    reduced partial products ``a * s`` for every sub-digit ``s``, and one
+    ``np.take`` gathers every cycle's partial before the cycle loop.  A
+    cycle is then ``acc * x^d`` (a shift and one fold lookup) XOR its
+    partial, which by linearity equals the scalar datapath's reduced
+    accumulator.  A digit wider than 8 bits runs as byte sub-digits,
+    most significant first; only the value at the end of each cycle is
+    the accumulator the cycle's Hamming distance compares.  Every
+    cycle's ``old ^ new`` is kept and counted once at the end.
+    :meth:`multiply` returns what :meth:`DigitSerialMultiplier.multiply`
+    and :meth:`repro.arch.malu.Malu.multiply` give each pair: the
+    products, and per cycle the accumulator toggles plus the
+    partial-product array activity, as the same float operations.
+    """
+
+    def __init__(self, field: BinaryField, digit_size: int):
+        self.limb_field = limb_field(field)
+        self.digit_size = d = digit_size
+        self.num_digits = math.ceil(field.m / d)
+        subs = -(-d // MAX_SHIFT)
+        widths = [d - MAX_SHIFT * (subs - 1)] + [MAX_SHIFT] * (subs - 1)
+        #: (width, ends a cycle) of every step, most significant first
+        self._steps = [(w, i == subs - 1) for _ in range(self.num_digits)
+                       for i, w in enumerate(widths)]
+        self._width = widths[-1]
+        # Bit i (lowest first) of every step's sub-digit, as an index
+        # into the operand's unpacked bits; bits past the limbs are 0.
+        limit = 64 * self.limb_field.limbs
+        index, low = [], self.num_digits * d
+        for w, _ends in self._steps:
+            low -= w
+            index.append([low + i if i < w and low + i < limit else limit
+                          for i in range(MAX_SHIFT)])
+        self._bit_index = np.array(index, dtype=np.intp)
+        self._glitch = _tree_glitch(d)
+        offset = self.limb_field.offset
+        self._shifts = {w: (np.uint64(w), np.uint64(64 - w),
+                            np.uint64(offset - w)) for w in set(widths)}
+
+    def _partials(self, a: np.ndarray) -> np.ndarray:
+        """(2^w, limbs, N): ``a * s mod f`` for every sub-digit ``s``."""
+        lf = self.limb_field
+        w = self._width
+        table = np.zeros((1 << w,) + a.shape, dtype=np.uint64)
+        table[1] = a
+        for k in range(1, w):
+            table[1 << k:2 << k] = table[:1 << k] ^ lf.shift(a, k)
+        return lf.reduce_byte_overflow(table)
+
+    def multiply(self, a: np.ndarray, b: np.ndarray) -> tuple:
+        """(products, activity): (limbs, N) and (N, cycles) float64."""
+        lf = self.limb_field
+        n = a.shape[1]
+        bits = np.unpackbits(octets(b), axis=1, bitorder="little")
+        bits = np.concatenate([bits, np.zeros((n, 1), np.uint8)], axis=1)
+        digits = np.packbits(bits[:, self._bit_index], axis=-1,
+                             bitorder="little")[..., 0]
+        partials = self._partials(a)[digits.T, :, np.arange(n)]
+        partials = np.ascontiguousarray(partials.transpose(0, 2, 1))
+        toggles = np.empty((self.num_digits, lf.limbs, n), dtype=np.uint64)
+        acc = previous = np.zeros((lf.limbs, n), dtype=np.uint64)
+        fold, top, carry = lf.fold, lf.top, lf.limbs > 1
+        cycle = 0
+        for step, (w, ends) in enumerate(self._steps):
+            # acc * x^w mod f: shift, then fold the w bits past degree m.
+            shift, back, high = self._shifts[w]
+            folded = fold.take(acc[top] >> high, axis=1)
+            new = acc << shift
+            if carry:
+                new[1:] |= acc[:-1] >> back
+            new ^= folded
+            new ^= partials[step]
+            acc = new
+            if ends:
+                np.bitwise_xor(previous, acc, out=toggles[cycle])
+                previous = acc
+                cycle += 1
+        array = popcount(a) * self.digit_size / 2.0 * self._glitch
+        return acc, popcount(toggles).T + array[:, None]

@@ -98,6 +98,8 @@ class BinaryField:
         self._trace_mask = self._build_trace_mask()
         # Byte tables of the half-trace images, built on first use.
         self._half_trace_tables: Optional[list] = None
+        # reduce(h << m) for every byte h, built on first use.
+        self._overflow_table: Optional[list] = None
 
     # ------------------------------------------------------------------
     # element construction
@@ -298,6 +300,28 @@ class BinaryField:
                     image ^= t
             images.append(image)
         return _byte_tables(images)
+
+    def x_powers(self, count: int) -> list:
+        """``x^i mod modulus`` for ``i < count``, by shift and subtract."""
+        powers, value = [], 1
+        for _ in range(count):
+            powers.append(value)
+            value <<= 1
+            if value >> self.m:
+                value ^= self.modulus
+        return powers
+
+    def overflow_table(self) -> list:
+        """``reduce(h << m)`` for every byte ``h``, built on first call.
+
+        A shift of a reduced value by at most 8 bits overflows degree m
+        by a byte at most, which one lookup here folds back; reduction
+        is linear, so the table XORs the images of ``x^(m+i)``.
+        """
+        if self._overflow_table is None:
+            images = self.x_powers(self.m + 8)[self.m:]
+            self._overflow_table = _byte_tables(images)[0]
+        return self._overflow_table
 
     def solve_quadratic_raw(self, c: int) -> Optional[int]:
         """Solve ``z**2 + z = c``; return one solution or None.

@@ -11,7 +11,9 @@ dynamic differential logic styles (SABL, WDDL [19]) consume a
 
 All models map an :class:`~repro.arch.trace.ExecutionTrace` to a numpy
 array of per-cycle current, in arbitrary "toggle units" that the
-energy model converts to watts after calibration.
+energy model converts to watts after calibration; a
+:class:`~repro.arch.trace.BatchTrace` maps to one row per run, since
+its ``(1, cycles)`` control and clock rows broadcast.
 """
 
 from __future__ import annotations
@@ -84,7 +86,13 @@ class CmosLeakageModel(LeakageModel):
     def consumed(self, trace: ExecutionTrace) -> np.ndarray:
         dp, reg, ctrl, clk = self._channels(trace)
         w = self.weights
-        return w.datapath * dp + w.register * reg + w.control * ctrl + w.clock * clk
+        # In place, left to right: the bytes of the plain sum, without
+        # its temporaries (a batch's channels are (N, cycles)).
+        out = w.datapath * dp
+        out += w.register * reg
+        out += w.control * ctrl
+        out += w.clock * clk
+        return out
 
 
 class _DifferentialLogicModel(LeakageModel):

@@ -49,19 +49,24 @@ class PowerTraceSimulator:
         self._noise_rng = np.random.default_rng(seed)
 
     def measure(self, execution: ExecutionTrace) -> np.ndarray:
-        """One noisy power trace for one execution."""
+        """One noisy power trace per run: ``(cycles,)`` for an
+        :class:`ExecutionTrace`, ``(N, cycles)`` for a
+        :class:`~repro.arch.trace.BatchTrace`.
+
+        A batch draws its noise as one ``(N, cycles)`` block, which the
+        generator fills row by row with the numbers N draws of one row
+        would give, so a batch measures exactly as its runs would one
+        after another.
+        """
         with _obs_profile.timed("power_measure"):
-            ideal = self.leakage_model.consumed(execution)
-            if self.noise_sigma == 0:
-                trace = ideal
-            else:
-                noise = self._noise_rng.normal(
-                    0.0, self.noise_sigma, size=ideal.shape)
-                trace = ideal + noise
+            trace = self.leakage_model.consumed(execution)
+            if self.noise_sigma != 0:
+                trace += self._noise_rng.normal(
+                    0.0, self.noise_sigma, size=trace.shape)
         rt = _obs_runtime.current()
         if rt is not None:
             rt.registry.counter(
                 "repro_power_traces_total",
                 "synthetic power traces measured",
-            ).inc()
+            ).inc(trace.shape[0] if trace.ndim == 2 else 1)
         return trace

@@ -6,10 +6,11 @@ consumptions, one for each sub-key hypothesis" (Section 7).  Here the
 sub-key is one ladder key bit, and the hypothesized power consumption
 comes from replaying the coprocessor's *public* microcode under a
 guessed key prefix and an assumed randomization value: the prologue
-and the known prefix once per trace
-(:meth:`~repro.arch.coprocessor.EccCoprocessor.replay_padded`), then
-one iteration per hypothesis from the saved register file
-(:meth:`~repro.arch.coprocessor.EccCoprocessor.resume_ladder`).
+and the known prefix once per shard of traces
+(:meth:`~repro.arch.batch.BatchCoprocessor.run`), then one iteration
+per hypothesis from the saved register file
+(:meth:`~repro.arch.batch.BatchCoprocessor.resume_ladder`), every
+trace of the shard in one batch.
 
 When Z-randomization is off (or its value is known, the white-box
 scenario), the replay under the correct hypothesis predicts the
@@ -25,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..arch.batch import BatchCoprocessor
 from ..arch.coprocessor import EccCoprocessor
-from ..ec.point import AffinePoint
 
 __all__ = ["ActivityPredictor", "bits_to_int"]
 
@@ -45,86 +46,41 @@ class ActivityPredictor:
     """Predicts per-cycle data-dependent activity for key hypotheses.
 
     Predictions are divide-and-conquer, as Section 7 describes: the
-    predictor carries each trace's coprocessor register file past the
-    known key prefix, so a prediction for bit ``i`` simulates only
-    iteration ``i``.  Register files are kept per (point, Z, prefix):
-    the file after the prologue, which runs once per trace through
-    :meth:`~repro.arch.coprocessor.EccCoprocessor.replay_padded`, and
-    the file after each predicted iteration, stored under the prefix
-    extended by that iteration's hypothesis.  A prefix with no stored
-    file (a first call that starts deep, or a second pass over the
-    leading bits) is rebuilt by one replay of the prologue and the
-    prefix's iterations.  Only files of two consecutive depths are
+    predictor carries the coprocessor register file of a shard's traces
+    past the known key prefix, so a prediction for bit ``i`` simulates
+    only iteration ``i``, for the whole shard in one
+    :class:`~repro.arch.batch.BatchCoprocessor` batch.  Register files
+    are ``(registers, limbs, traces)`` arrays kept per (points, Z values,
+    prefix): the file after the prologue, which runs once per shard,
+    and the file after each predicted iteration, stored under the
+    prefix extended by that iteration's hypothesis.  A prefix with no
+    stored file (a first call that starts deep, or a second pass over
+    the leading bits) is rebuilt by one batch run of the prologue and
+    the prefix's iterations.  Only files of two consecutive depths are
     kept, so memory stays O(traces) however many bits are attacked.
 
     Recovering B bits therefore simulates one prologue and 2B
     iterations per trace, where replaying from the start for every
     prediction would take 2B prologues and B(B+1) iterations.  Each
-    prediction equals the same window of a full ``replay_padded`` run
-    under ``[1] + known_prefix + [hypothesis]``, sample for sample.
+    prediction row equals the same window of a full ``replay_padded``
+    run under ``[1] + known_prefix + [hypothesis]``, sample for sample.
 
     Parameters
     ----------
     coprocessor:
         A coprocessor with the *same configuration* as the device under
-        attack (the white-box assumption: the netlist is known).
+        attack (the white-box assumption: the netlist is known); the
+        predictor runs a batch executor of that configuration.
     """
 
     def __init__(self, coprocessor: EccCoprocessor):
-        self.coprocessor = coprocessor
-        #: depth -> {(point, z0, prefix): register file after the prefix}
+        self.coprocessor = BatchCoprocessor(coprocessor.config)
+        #: depth -> {(points, z values, prefix): register file}
         self._files: dict = {}
 
     def padded_length(self) -> int:
         """Bit length of recoded scalars on this device (public)."""
         return self.coprocessor.domain.order.bit_length() + 1
-
-    def predict_iteration(
-        self,
-        point: AffinePoint,
-        known_prefix: list,
-        hypothesis: int,
-        iteration_index: int,
-        z0: int,
-    ) -> np.ndarray:
-        """Predicted activity over one iteration's cycle window.
-
-        ``known_prefix`` holds the already-recovered key bits (after
-        the implicit leading 1); ``hypothesis`` is the guess for bit
-        ``iteration_index``.  Returns the predicted datapath+register
-        activity for the cycles of that iteration.
-        """
-        if len(known_prefix) != iteration_index:
-            raise ValueError("prefix length must equal the target iteration")
-        if hypothesis not in (0, 1):
-            raise ValueError("hypothesis must be a bit")
-        prefix = tuple(known_prefix)
-        for depth in [d for d in self._files
-                      if d not in (iteration_index, iteration_index + 1)]:
-            del self._files[depth]
-        files = self._files.setdefault(iteration_index, {})
-        registers = files.get((point, z0, prefix))
-        if registers is None:
-            registers = files[(point, z0, prefix)] = self._rebuild(
-                point, z0, prefix)
-        cop = self.coprocessor
-        replay = cop.resume_ladder(registers, prefix[-1] if prefix else 1,
-                                   [hypothesis])
-        self._files.setdefault(iteration_index + 1, {})[
-            (point, z0, prefix + (hypothesis,))] = cop.registers.snapshot()
-        datapath = np.asarray(replay.datapath, dtype=np.float64)
-        register = np.asarray(replay.register, dtype=np.float64)
-        return datapath + register
-
-    def _rebuild(self, point: AffinePoint, z0: int, prefix: tuple) -> list:
-        """The register file after the prologue and ``prefix``'s
-        iterations, from one truncated replay."""
-        bits = [1, *prefix]
-        scalar = bits_to_int(bits) << (self.padded_length() - len(bits))
-        self.coprocessor.replay_padded(
-            scalar, point, initial_z=z0, max_iterations=len(prefix)
-        )
-        return self.coprocessor.registers.snapshot()
 
     def prediction_matrix(
         self,
@@ -134,19 +90,39 @@ class ActivityPredictor:
         iteration_index: int,
         z_values: Optional[list] = None,
     ) -> np.ndarray:
-        """Predictions for a whole campaign: (n_traces, window) matrix.
+        """Predictions for a shard: an (n_traces, window) matrix.
 
+        ``known_prefix`` holds the already-recovered key bits (after
+        the implicit leading 1); ``hypothesis`` is the guess for bit
+        ``iteration_index``.  Row i is the predicted datapath+register
+        activity of trace i over that iteration's cycles.
         ``z_values`` supplies the per-trace randomization when it is
         known to the adversary; otherwise Z = 1 is assumed (correct for
         the unprotected device, wrong — and fatally so — for the
         protected one).
         """
-        rows = []
-        for index, point in enumerate(points):
-            z0 = 1 if z_values is None else z_values[index]
-            rows.append(
-                self.predict_iteration(
-                    point, known_prefix, hypothesis, iteration_index, z0
-                )
-            )
-        return np.vstack(rows)
+        if len(known_prefix) != iteration_index:
+            raise ValueError("prefix length must equal the target iteration")
+        if hypothesis not in (0, 1):
+            raise ValueError("hypothesis must be a bit")
+        prefix = tuple(known_prefix)
+        shard = (tuple(points),
+                 (1,) * len(points) if z_values is None else tuple(z_values))
+        for depth in [d for d in self._files
+                      if d not in (iteration_index, iteration_index + 1)]:
+            del self._files[depth]
+        files = self._files.setdefault(iteration_index, {})
+        registers = files.get((shard, prefix))
+        cop = self.coprocessor
+        if registers is None:
+            # The prologue and the prefix's iterations, one truncated run.
+            bits = [1, *prefix]
+            cop.run(bits_to_int(bits) << (self.padded_length() - len(bits)),
+                    list(points), list(shard[1]),
+                    max_iterations=len(prefix))
+            registers = files[(shard, prefix)] = cop.registers.snapshot()
+        replay = cop.resume_ladder(registers, prefix[-1] if prefix else 1,
+                                   [hypothesis])
+        self._files.setdefault(iteration_index + 1, {})[
+            (shard, prefix + (hypothesis,))] = cop.registers.snapshot()
+        return replay.datapath + replay.register

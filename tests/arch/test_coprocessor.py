@@ -15,8 +15,10 @@ from repro.arch import (
     Opcode,
     UnbalancedEncoding,
 )
+from repro.arch.batch import BatchCoprocessor
 from repro.campaign import random_protocol_point
 from repro.ec import AffinePoint, NIST_B163, NIST_K163, montgomery_ladder
+from repro.gf2m.limbs import from_limbs
 
 #: Cycles of one K-163 point multiplication at the paper's defaults
 #: (d = 4, Z randomized, y recovered): 847.5 kHz / 85 698 = 9.89 PM/s.
@@ -223,25 +225,28 @@ class TestExecutionTrace:
     @pytest.mark.parametrize("split", [0, 1, 3])
     def test_resumed_ladder_equals_the_uninterrupted_window(self, encoding,
                                                             split):
+        """The batch executor's resume against one direct scalar run."""
         config = CoprocessorConfig(
             mux_encoding=encoding(), input_isolation=False,
             glitch_factor=0.3,
             clock_gating=ClockGatingPolicy.DATA_DEPENDENT)
-        whole, part = EccCoprocessor(config), EccCoprocessor(config)
+        whole, part = EccCoprocessor(config), BatchCoprocessor(config)
         g = whole.domain.generator
         padded = whole.recode_scalar(0x5A5A5)
         full = whole.replay_padded(padded, g, initial_z=9, max_iterations=5)
-        part.replay_padded(padded, g, initial_z=9, max_iterations=split)
+        part.run(padded, [g], [9], max_iterations=split)
         previous = full.key_bits[split - 1] if split else 1
         rest = part.resume_ladder(part.registers.snapshot(), previous,
                                   full.key_bits[split:])
         start = full.iterations[split].start
         for channel in ("datapath", "register", "control", "clock"):
-            assert getattr(rest, channel) == getattr(full, channel)[start:]
+            assert getattr(rest, channel)[0].tolist() == \
+                getattr(full, channel)[start:]
         assert rest.key_bits == full.key_bits[split:]
         assert [(s.start + start, s.end + start) for s in rest.iterations] \
             == full.iteration_slices()[split:]
-        assert part.registers.snapshot() == whole.registers.snapshot()
+        assert from_limbs(part.registers.snapshot()[:, :, 0].T) \
+            == whole.registers.snapshot()
         assert rest.result is None and rest.result_x_only is None
 
 

@@ -17,6 +17,11 @@ multiplication (y-recovery on even cases, x-only on odd ones) and one
 run truncated after three ladder iterations.  Scalars, base points and
 Z come from a ``random.Random`` seeded by the case index.
 
+The batch executor runs every configuration too, on a few seeded base
+points and Z values at once, full (x-only) and truncated: each row
+must equal that point's scalar run sample by sample, so the scalar
+runs the digests pin also pin the batch.
+
 A multiplication's digest covers its product and the trace's
 accumulator states, Hamming distances and array activity, for seeded
 operands (zero and all-ones among them) at every digit size on TOY-B17
@@ -32,6 +37,7 @@ import numpy as np
 import pytest
 
 from repro.arch import CoprocessorConfig, EccCoprocessor
+from repro.arch.batch import BatchCoprocessor
 from repro.arch.clockgate import ClockGatingPolicy
 from repro.arch.control import BalancedEncoding, UnbalancedEncoding
 from repro.ec.curves import NIST_K163, TOY_B17
@@ -52,6 +58,8 @@ VARIANTS = {
 }
 TRUNCATED_ITERATIONS = 3
 K163_DIGITS = (1, 4, 8, 9, 16, 163)
+#: Base points per batch run.
+BATCH_POINTS = 3
 #: Operand pairs per multiplier: these plus ``RANDOM_OPERANDS`` seeded ones.
 RANDOM_OPERANDS = 4
 
@@ -128,6 +136,23 @@ def coprocessor_digests(index, name, config):
     yield f"{name}|truncated", trace_digest(coprocessor, truncated)
 
 
+def assert_row_equals(batch_trace, row, scalar_trace):
+    """Row ``row`` of a batch run against one scalar run, sample for
+    sample (control and clock are rows every run shares)."""
+    for channel in ("datapath", "register"):
+        assert np.array_equal(getattr(batch_trace, channel)[row],
+                              np.asarray(getattr(scalar_trace, channel)))
+    for channel in ("control", "clock"):
+        assert np.array_equal(getattr(batch_trace, channel)[0],
+                              np.asarray(getattr(scalar_trace, channel)))
+    assert batch_trace.iterations == scalar_trace.iterations
+    assert batch_trace.key_bits == scalar_trace.key_bits
+    assert batch_trace.instructions == scalar_trace.instructions
+    got = (None if batch_trace.result_x_only is None
+           else batch_trace.result_x_only[row])
+    assert got == scalar_trace.result_x_only
+
+
 def multiplier_cases():
     """(name, field, digit sizes) of every golden multiplier."""
     yield "TOY-B17", TOY_B17.field, range(1, TOY_B17.field.m + 1)
@@ -180,3 +205,22 @@ def test_coprocessor_trace_matches_golden(index):
 def test_multiplier_trace_matches_golden(name, field, d):
     got = dict(multiplier_digests(name, field, d))
     assert got == {key: GOLDEN[key] for key in got}
+
+
+@pytest.mark.parametrize("index", range(len(CONFIGS)),
+                         ids=[name for name, _ in CONFIGS])
+def test_batch_rows_equal_scalar_runs(index):
+    name, config = CONFIGS[index]
+    scalar, batch = EccCoprocessor(config), BatchCoprocessor(config)
+    domain = config.domain
+    rng = random.Random(f"batch|{name}")
+    k = scalar.recode_scalar(rng.randrange(1, domain.order))
+    points = [domain.curve.multiply_naive(rng.randrange(1, domain.order),
+                                          domain.generator)
+              for _ in range(BATCH_POINTS)]
+    z = [rng.randrange(1, domain.field.order) for _ in points]
+    for max_iterations in (None, TRUNCATED_ITERATIONS):
+        trace = batch.run(k, points, z, max_iterations)
+        for row, (point, z0) in enumerate(zip(points, z)):
+            assert_row_equals(trace, row, scalar.replay_padded(
+                k, point, z0, max_iterations))

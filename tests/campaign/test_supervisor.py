@@ -305,6 +305,19 @@ class TestInlineSupervision:
         supervisor, outcome, _ = self._run(tmp_path, healing)
         assert 0 in outcome.completed
 
+    def test_clean_rerun_releases_the_quarantined_shard(self, tmp_path):
+        def broken(spec, directory, shard):
+            if shard == 0:
+                raise ValueError("this shard can never work")
+            return acquire_shard(spec, directory, shard)
+
+        _, outcome, _ = self._run(tmp_path, broken)
+        assert outcome.quarantined == [0]
+        assert Quarantine(str(tmp_path)).indices() == [0]
+        _, outcome, _ = self._run(tmp_path, acquire_shard)
+        assert 0 in outcome.completed
+        assert Quarantine(str(tmp_path)).indices() == []
+
     def test_corruption_is_caught_and_quarantined(self, tmp_path):
         # corrupt_rate=1.0 fires on every attempt: the worker's own
         # digests are computed before the flip, so only the

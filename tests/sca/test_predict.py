@@ -1,12 +1,14 @@
 """The activity predictor's carried register files against full replays.
 
-``ActivityPredictor`` resumes each prediction from the register file it
-kept after the known prefix (``EccCoprocessor.resume_ladder``) instead
-of replaying the coprocessor from the prologue.  Every prediction must
-still equal, sample for sample, the window of a full ``replay_padded``
-run under ``[1] + prefix + [hypothesis]``, whatever order the
-predictions are asked for in.  The attacks built on the predictor must
-reach the decisions recorded with the full-replay predictor
+``ActivityPredictor`` resumes each prediction from the batch register
+file it kept after the known prefix (``BatchCoprocessor.resume_ladder``)
+instead of replaying the coprocessor from the prologue.  Every
+prediction row must still equal, sample for sample, the window of a
+full scalar ``replay_padded`` run under ``[1] + prefix + [hypothesis]``,
+whatever order the predictions are asked for in.  Most requests below
+are one-point shards, so each trace's prefix and hypothesis vary on
+their own.  The attacks built on the predictor must reach the
+decisions recorded with the full-replay predictor
 (``attack_decisions_golden.json``), statistics included.
 """
 
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.arch import CoprocessorConfig, EccCoprocessor
+from repro.arch.batch import BatchCoprocessor
 from repro.arch.control import BalancedEncoding, UnbalancedEncoding
 from repro.campaign import (AcquisitionEngine, CampaignSpec, StreamingCpa,
                             StreamingDpa, random_protocol_point)
@@ -51,6 +54,12 @@ def full_replay(cop, point, prefix, hypothesis, z0):
     span = replay.iterations[len(prefix)]
     return (np.asarray(replay.datapath[span.start:span.end])
             + np.asarray(replay.register[span.start:span.end]))
+
+
+def predict(predictor, point, prefix, hypothesis, z0):
+    """One trace's prediction: a one-point shard's only row."""
+    return predictor.prediction_matrix([point], list(prefix), hypothesis,
+                                       len(prefix), [z0])[0]
 
 
 def requests(n_points, rng):
@@ -91,8 +100,7 @@ def test_resumed_predictions_equal_full_replays(curve, d, mux, stored_z):
     for order in orders:
         predictor = ActivityPredictor(build(curve, d, mux))
         for i, prefix, h in order:
-            got = predictor.predict_iteration(points[i], list(prefix), h,
-                                              len(prefix), z[i])
+            got = predict(predictor, points[i], prefix, h, z[i])
             assert np.array_equal(got, expected[(i, prefix, h)]), \
                 (i, prefix, h)
 
@@ -105,12 +113,12 @@ def test_a_deep_first_call_rebuilds_its_prefix(curve, d):
     prefix = [1, 0, 1]
     predictor = ActivityPredictor(build(curve, d, "balanced"))
     for h in (1, 0):
-        got = predictor.predict_iteration(point, prefix, h, 3, 7)
+        got = predict(predictor, point, prefix, h, 7)
         assert np.array_equal(got, full_replay(reference, point, prefix,
                                                h, 7))
     # Then back to the first bit, and on from there.
     for bit in range(BITS):
-        got = predictor.predict_iteration(point, prefix[:bit], 0, bit, 7)
+        got = predict(predictor, point, prefix[:bit], 0, 7)
         assert np.array_equal(got, full_replay(reference, point,
                                                prefix[:bit], 0, 7))
 
@@ -129,31 +137,54 @@ def test_leaky_options_and_a_non_koblitz_curve():
             curve, reference.config.digit_size, "unbalanced", **options))
         point = random_protocol_point(reference.domain, rng)
         for i, prefix, h in requests(1, rng):
-            got = predictor.predict_iteration(point, list(prefix), h,
-                                              len(prefix), 3)
+            got = predict(predictor, point, prefix, h, 3)
             assert np.array_equal(got, full_replay(reference, point,
                                                    prefix, h, 3))
 
 
+def test_shard_predictions_are_its_traces_predictions():
+    """A many-point shard's rows equal the traces' own full replays."""
+    rng = random.Random(4)
+    reference = build("TOY-B17", 4, "unbalanced")
+    points = [random_protocol_point(reference.domain, rng) for _ in range(5)]
+    z = [rng.randrange(1, 1 << 17) for _ in points]
+    predictor = ActivityPredictor(build("TOY-B17", 4, "unbalanced"))
+    for prefix in ([], [1], [1, 0]):
+        for h in (0, 1):
+            got = predictor.prediction_matrix(points, prefix, h,
+                                              len(prefix), z)
+            want = [full_replay(reference, p, tuple(prefix), h, z0)
+                    for p, z0 in zip(points, z)]
+            assert np.array_equal(got, np.vstack(want))
+
+
 def test_one_prologue_and_two_iterations_per_bit_and_trace():
     rng = random.Random(8)
-    cop = build("TOY-B17", 4, "balanced")
+    predictor = ActivityPredictor(build("TOY-B17", 4, "balanced"))
+    cop = predictor.coprocessor
     points = [random_protocol_point(cop.domain, rng) for _ in range(6)]
     z = [rng.randrange(2, 1 << 17) for _ in points]
-    calls = {"replay_padded": 0, "resume_ladder": 0}
-    for name in calls:
-        def counted(*args, _name=name, _method=getattr(cop, name), **kw):
-            calls[_name] += 1
-            return _method(*args, **kw)
-        setattr(cop, name, counted)
-    predictor = ActivityPredictor(cop)
+    simulated = {"prologues": 0, "iterations": 0}
+    run, resume = cop.run, cop.resume_ladder
+
+    def counted_run(k_padded, shard, z_values, max_iterations=None):
+        trace = run(k_padded, shard, z_values, max_iterations)
+        simulated["prologues"] += len(shard)
+        simulated["iterations"] += len(shard) * len(trace.iterations)
+        return trace
+
+    def counted_resume(registers, previous_bit, bits):
+        simulated["iterations"] += registers.shape[2] * len(bits)
+        return resume(registers, previous_bit, bits)
+
+    cop.run, cop.resume_ladder = counted_run, counted_resume
     prefix = []
     for bit in range(BITS):
         for h in (0, 1):
             predictor.prediction_matrix(points, prefix, h, bit, z)
         prefix.append(1)
-    assert calls == {"replay_padded": len(points),
-                     "resume_ladder": 2 * BITS * len(points)}
+    assert simulated == {"prologues": len(points),
+                         "iterations": 2 * BITS * len(points)}
 
 
 def test_files_of_two_depths_at_most():
@@ -166,7 +197,10 @@ def test_files_of_two_depths_at_most():
         predictor.prediction_matrix(points, prefix, 0, bit)
         predictor.prediction_matrix(points, prefix, 1, bit)
         assert sorted(predictor._files) == [bit, bit + 1]
-        assert len(predictor._files[bit + 1]) == 2 * len(points)
+        # One file per hypothesis, each covering the whole shard.
+        files = predictor._files[bit + 1]
+        assert len(files) == 2
+        assert all(f.shape[2] == len(points) for f in files.values())
         prefix.append(bit % 2)
 
 
@@ -175,21 +209,23 @@ def test_bad_requests_are_refused():
     predictor = ActivityPredictor(cop)
     point = random_protocol_point(cop.domain, random.Random(1))
     with pytest.raises(ValueError):
-        predictor.predict_iteration(point, [1], 0, 2, 1)
+        predictor.prediction_matrix([point], [1], 0, 2, [1])
     with pytest.raises(ValueError):
-        predictor.predict_iteration(point, [], 2, 0, 1)
+        predictor.prediction_matrix([point], [], 2, 0, [1])
     with pytest.raises(ValueError):
-        predictor.predict_iteration(point, [], 0, 0, 0)
+        predictor.prediction_matrix([point], [], 0, 0, [0])
 
 
 def test_resume_refuses_a_foreign_register_file():
-    cop = build("TOY-B17", 4, "balanced")
+    cop = BatchCoprocessor(build("TOY-B17", 4, "balanced").config)
+    count, limbs = cop.registers.count, 1
     with pytest.raises(ValueError):
-        cop.resume_ladder([0] * 3, 1, [0])
+        cop.resume_ladder(np.zeros((3, limbs, 1), np.uint64), 1, [0])
     with pytest.raises(ValueError):
-        cop.resume_ladder([1 << 17] * cop.registers.count, 1, [0])
+        cop.resume_ladder(np.full((count, limbs, 1), 1 << 17, np.uint64),
+                          1, [0])
     with pytest.raises(ValueError):
-        cop.resume_ladder([0] * cop.registers.count, 2, [0])
+        cop.resume_ladder(np.zeros((count, limbs, 1), np.uint64), 2, [0])
 
 
 def _decisions(result):

@@ -21,7 +21,10 @@ agree with the oracle:
   arbitrary by design);
 * ``EccCoprocessor.point_multiply`` for both mux encodings, at every
   digit size on TOY-B17 and at d = 4 on K-163, for k in [1, n − 1] and
-  base points of order n.
+  base points of order n;
+* ``BatchCoprocessor.run``'s x-only results, a batch of base points
+  under one scalar, at every digit size on TOY-B17 and at d = 4 on
+  K-163.
 
 K-163 examples are few: one coprocessor run there takes about 0.4 s.
 """
@@ -39,6 +42,7 @@ from repro.arch import (
     EccCoprocessor,
     UnbalancedEncoding,
 )
+from repro.arch.batch import BatchCoprocessor
 from repro.campaign import random_protocol_point
 from repro.ec import NIST_B163, NIST_K163, AffinePoint, BinaryEllipticCurve
 from repro.ec.curve import CHAIN_CACHE_SIZE
@@ -315,3 +319,31 @@ class TestCoprocessor:
     @settings(max_examples=3, deadline=None)
     def test_k163(self, encoding, k, point, z0, rng):
         check_coprocessor(NIST_K163, 4, encoding, k, point, z0, rng)
+
+
+@functools.lru_cache(maxsize=None)
+def batch_coprocessor(domain, digit_size):
+    return BatchCoprocessor(CoprocessorConfig(domain=domain,
+                                              digit_size=digit_size))
+
+
+def check_batch(domain, digit_size, k, rng, n_points):
+    batch = batch_coprocessor(domain, digit_size)
+    points = [random_protocol_point(domain, rng) for _ in range(n_points)]
+    z = [rng.randrange(1, domain.field.order) for _ in points]
+    trace = batch.run(batch.recode_scalar(k), points, z)
+    assert trace.result_x_only == [domain.curve.multiply_naive(k, p).x
+                                   for p in points]
+
+
+class TestBatchCoprocessor:
+    @pytest.mark.parametrize("digit_size", range(1, TOY_B17.field.m + 1))
+    @given(k=scalars(TOY_B17, TOY_B17.order), rng=SEEDS)
+    @settings(max_examples=3, deadline=None)
+    def test_toy_b17(self, digit_size, k, rng):
+        check_batch(TOY_B17, digit_size, k, rng, 4)
+
+    @given(k=scalars(NIST_K163, NIST_K163.order), rng=SEEDS)
+    @settings(max_examples=2, deadline=None)
+    def test_k163(self, k, rng):
+        check_batch(NIST_K163, 4, k, rng, 3)
